@@ -1,33 +1,14 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
-
-Backend selection: environment variable ASQ_BACKEND in {auto, numba, numpy}
-(default auto = numba when importable).  Both paths compute identical
-results; the benchmark in benchmarks/bench_kernels.py compares them.
-"""
+"""Hot numeric kernels, in numpy: pairwise meet sizes of membership
+bitsets and difference counts over a multiplication table."""
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 __all__ = ["BACKEND", "pairwise_disjoint", "difference_counts", "popcount16_table"]
 
-_choice = os.environ.get("ASQ_BACKEND", "auto").lower()
-if _choice not in ("auto", "numba", "numpy"):
-    raise RuntimeError(f"ASQ_BACKEND must be auto/numba/numpy, got {_choice!r}")
+BACKEND = "numpy"
 
-_numba = None
-if _choice in ("auto", "numba"):
-    try:
-        import numba as _numba
-    except ImportError:
-        if _choice == "numba":
-            raise
-        _numba = None
-
-BACKEND = "numba" if _numba is not None else "numpy"
-
-# Popcounts of all 16-bit words, shared by both paths.
+# Popcounts of all 16-bit words.
 popcount16_table = np.zeros(1 << 16, dtype=np.uint8)
 for _i in range(16):
     popcount16_table[1 << _i :: 1 << (_i + 1)] += 1
@@ -35,10 +16,14 @@ for _i in range(1, 16):
     popcount16_table[1 << _i : 1 << (_i + 1)] += popcount16_table[: 1 << _i]
 
 
-def _pairwise_disjoint_numpy(masks: np.ndarray) -> np.ndarray:
-    """masks: (N, w) uint64 membership masks of subspaces (bit v set iff
-    vector v in the subspace; bit 0, the zero vector, always set).
-    Returns the (N, N) bool matrix of pairs meeting only in zero."""
+def pairwise_disjoint(masks: np.ndarray, meet: int = 1) -> np.ndarray:
+    """masks: (N, w) uint64 membership masks (bit g set iff element g
+    is in the set).  Returns the (N, N) bool matrix of pairs whose
+    intersection has exactly `meet` elements; the default 1 tests
+    subspaces or subgroups, which always contain bit 0, for meeting
+    trivially.  Works in row chunks, so no (N, N) integer matrix is
+    ever held."""
+    masks = np.ascontiguousarray(masks, dtype=np.uint64)
     n = masks.shape[0]
     out = np.empty((n, n), dtype=bool)
     m16 = masks.view(np.uint16).reshape(n, -1)
@@ -47,66 +32,13 @@ def _pairwise_disjoint_numpy(masks: np.ndarray) -> np.ndarray:
         hi = min(n, lo + chunk)
         ands = m16[lo:hi, None, :] & m16[None, :, :]
         counts = popcount16_table[ands].sum(axis=2, dtype=np.int64)
-        out[lo:hi] = counts == 1
+        out[lo:hi] = counts == meet
     return out
 
 
-def _difference_counts_numpy(mul: np.ndarray, inv: np.ndarray, delta: np.ndarray) -> np.ndarray:
+def difference_counts(mul: np.ndarray, inv: np.ndarray, delta) -> np.ndarray:
     """Number of representations g = s * t^{-1} with s, t in delta,
     for every group element g (indexing a multiplication table)."""
+    delta = np.asarray(delta, dtype=np.int64)
     prods = mul[np.ix_(delta, inv[delta])]
     return np.bincount(prods.ravel(), minlength=mul.shape[0])
-
-
-if _numba is not None:
-    _cache_ok = True
-    try:
-        @_numba.njit(cache=True)
-        def _probe(x):  # pragma: no cover - compilation probe
-            return x + 1
-
-        _probe(1)
-    except RuntimeError:  # pragma: no cover - read-only cache dir
-        _cache_ok = False
-
-    @_numba.njit(cache=_cache_ok, parallel=False)
-    def _pairwise_disjoint_numba(masks):
-        n, w = masks.shape
-        out = np.empty((n, n), dtype=np.bool_)
-        for i in range(n):
-            for j in range(i, n):
-                c = 0
-                for k in range(w):
-                    x = masks[i, k] & masks[j, k]
-                    # 64-bit popcount, classic bit tricks
-                    x = x - ((x >> 1) & 0x5555555555555555)
-                    x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
-                    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F
-                    c += (x * 0x0101010101010101) >> 56
-                out[i, j] = c == 1
-                out[j, i] = out[i, j]
-        return out
-
-    @_numba.njit(cache=_cache_ok)
-    def _difference_counts_numba(mul, inv, delta):
-        n = mul.shape[0]
-        out = np.zeros(n, dtype=np.int64)
-        for a in range(delta.shape[0]):
-            s = delta[a]
-            for b in range(delta.shape[0]):
-                out[mul[s, inv[delta[b]]]] += 1
-        return out
-
-
-def pairwise_disjoint(masks: np.ndarray) -> np.ndarray:
-    masks = np.ascontiguousarray(masks, dtype=np.uint64)
-    if BACKEND == "numba":
-        return _pairwise_disjoint_numba(masks)
-    return _pairwise_disjoint_numpy(masks)
-
-
-def difference_counts(mul: np.ndarray, inv: np.ndarray, delta) -> np.ndarray:
-    delta = np.asarray(delta, dtype=np.int64)
-    if BACKEND == "numba":
-        return _difference_counts_numba(mul, inv, delta)
-    return _difference_counts_numpy(mul, inv, delta)

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import gf2
-from ._kernels import difference_counts
+from ._kernels import difference_counts, pairwise_disjoint
 from .groups import (
     FiniteGroup,
     Subgroup,
@@ -612,16 +612,7 @@ def clique_size_qplus1(G: FiniteGroup, q: int) -> bool:
     for i, star in enumerate(stars):
         for g in star:
             masks[i, g >> 6] |= np.uint64(1 << (g & 63))
-    from ._kernels import popcount16_table
-
-    m16 = masks.view(np.uint16).reshape(m, -1)
-    adj = np.zeros((m, m), dtype=bool)
-    chunk = max(1, (1 << 24) // (m16.shape[1] * m + 1))
-    for lo in range(0, m, chunk):
-        hi = min(m, lo + chunk)
-        ands = m16[lo:hi, None, :] & m16[None, :, :]
-        counts = popcount16_table[ands].sum(axis=2, dtype=np.int64)
-        adj[lo:hi] = counts == frat.order
+    adj = pairwise_disjoint(masks, meet=frat.order)
     np.fill_diagonal(adj, False)
 
     target = q + 1

@@ -177,7 +177,14 @@ def cmd_verify(group_file: str, config_file: str) -> RunReport:
     return rep
 
 
+def _check_seed_size(seed_size: int, target: int) -> None:
+    if not 1 <= seed_size <= target:
+        raise InputError(f"--seed-size must be between 1 and the target {target}, "
+                         f"got {seed_size}")
+
+
 def _ruleout_208a(rep: RunReport, seed_size: int, threads: int) -> None:
+    _check_seed_size(seed_size, 9)
     G = table4_group("208a")
     cat = PlaneCatalogue(preset("deg-hyp6"))
     seeds = arc_seeds(cat, seed_size)
@@ -209,6 +216,7 @@ def _ruleout_210b(rep: RunReport, seed_size: int, threads: int) -> None:
 
 
 def _ruleout_211p(rep: RunReport, seed_size: int, threads: int) -> None:
+    _check_seed_size(seed_size, 9)
     cat = PlaneCatalogue(preset("plus8"))
     seeds = arc_seeds(cat, seed_size)
     rep.counts["seeds"] = len(seeds)
@@ -274,7 +282,7 @@ def _load_group_arg(arg: str):
         try:
             with open(arg) as fh:
                 return load_group(fh.read())
-        except ValueError as e:
+        except (OSError, ValueError) as e:
             raise InputError(str(e))
     raise InputError(f"no such group file or builtin id: {arg!r}")
 
@@ -300,7 +308,7 @@ def _load_form_arg(arg: str):
         try:
             with open(arg) as fh:
                 return load_form(fh.read())
-        except ValueError as e:
+        except (OSError, ValueError) as e:
             raise InputError(str(e))
     raise InputError(f"no such form file or preset: {arg!r} (presets: {sorted(PRESETS)})")
 
@@ -311,6 +319,7 @@ def cmd_pseudoarcs(form_arg: str, seed_size: int, target: int,
         "pseudoarcs",
         inputs={"form": form_arg, "seed_size": seed_size, "target": target},
     )
+    _check_seed_size(seed_size, target)
     form = _load_form_arg(form_arg)
     try:
         cat = PlaneCatalogue(form)

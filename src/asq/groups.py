@@ -26,7 +26,6 @@ __all__ = [
     "product_set",
     "is_normal",
     "centralizer",
-    "normalizer",
     "conjugate_subgroup",
     "center",
     "derived",
@@ -37,7 +36,6 @@ __all__ = [
     "direct_product",
     "complements",
     "enumerate_elem_abelian_subgroups",
-    "lift_isometry",
     "table4_group",
     "TABLE4_IDS",
     "cyclic",
@@ -253,12 +251,6 @@ def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
 
 def centralizer(G: FiniteGroup, S: Sequence[int]) -> Subgroup:
     out = [g for g in range(G.n) if all(G.mul[g, s] == G.mul[s, g] for s in S)]
-    return Subgroup(G, tuple(out))
-
-
-def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    hs = H.element_set()
-    out = [g for g in range(G.n) if all(G.conjugate(h, g) in hs for h in H.elements)]
     return Subgroup(G, tuple(out))
 
 
@@ -561,55 +553,6 @@ def table4_group(ident: str) -> CocycleGroup:
 
 
 # ----------------------------------------------------------------------
-# lifted automorphisms
-
-
-def lift_isometry(G: CocycleGroup, g: Tuple[int, ...]) -> np.ndarray:
-    """The automorphism (u, a) -> (gu, a + mu(u)) of a cocycle group
-    induced by an isometry g of its squaring form, as an element
-    permutation.  mu solves mu(u+v)+mu(u)+mu(v) = beta(gu,gv)+beta(u,v)."""
-    from .quadform import apply_matrix
-
-    d = G.d
-    form = G.form
-
-    def beta(u: int, v: int) -> int:
-        acc = 0
-        x = u
-        while x:
-            i = (x & -x).bit_length() - 1
-            acc ^= bin(form.coeff[i] & v).count("1") & 1
-            x &= x - 1
-        return acc
-
-    # c(u, v) = beta(gu, gv) + beta(u, v) is bilinear, symmetric, with
-    # zero diagonal (g preserves Q); mu(u) = sum_{i<j in u} c(e_i, e_j).
-    gimg = [apply_matrix(g, 1 << i) for i in range(d)]
-    cmat = [[0] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            cmat[i][j] = beta(gimg[i], gimg[j]) ^ beta(1 << i, 1 << j)
-    nvec = 1 << d
-    mu = np.zeros(nvec, dtype=np.int64)
-    for v in range(nvec):
-        bits = [i for i in range(d) if (v >> i) & 1]
-        acc = 0
-        for ii in range(len(bits)):
-            for jj in range(ii + 1, len(bits)):
-                acc ^= cmat[bits[ii]][bits[jj]]
-        mu[v] = acc
-    gu = np.array([apply_matrix(g, u) for u in range(nvec)], dtype=np.int64)
-    x = np.arange(G.n, dtype=np.int64)
-    u, a = x & (nvec - 1), x >> d
-    perm = gu[u] | ((a ^ mu[u]) << d)
-    # exhaustive homomorphism check
-    pm = perm.astype(np.intp)
-    if not np.array_equal(G.mul[np.ix_(pm, pm)], pm[np.asarray(G.mul, dtype=np.intp)]):
-        raise ValueError("matrix does not lift to an automorphism (not an isometry?)")
-    return perm.astype(np.int32)
-
-
-# ----------------------------------------------------------------------
 # file format
 
 
@@ -625,25 +568,43 @@ def save_group(G: FiniteGroup) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _header(lines: List[str], key: str, lo: int, hi: int) -> int:
+    """The value of the second line, which must read '<key>: <int>'
+    with lo <= int <= hi."""
+    name, sep, value = lines[1].partition(":") if len(lines) > 1 else ("", "", "")
+    if not sep or name.strip() != key:
+        raise ValueError(f"line 2 must read '{key}: <integer>'")
+    v = int(value)
+    if not lo <= v <= hi:
+        raise ValueError(f"{key} must be between {lo} and {hi}, got {v}")
+    return v
+
+
 def load_group(text: str) -> FiniteGroup:
+    """Parse the format of save_group.  Orders are bounded by 1024, the
+    limit of this module's arithmetic."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("kind:"):
         raise ValueError("group file must start with 'kind:'")
     kind = lines[0].split(":", 1)[1].strip()
     if kind == "cocycle":
-        d = int(lines[1].split(":", 1)[1])
+        d = _header(lines, "dim", 1, 9)
         rows = [gf2.parse_vector(ln, d)[0] for ln in lines[2 : 2 + d]]
         if len(rows) != d:
             raise ValueError("cocycle matrix row count mismatch")
         return CocycleGroup(d, tuple(rows))
     if kind == "heisenberg":
-        p = int(lines[1].split(":", 1)[1])
+        p = _header(lines, "p", 2, 10)
+        if any(p % k == 0 for k in range(2, p)):
+            raise ValueError(f"p must be prime, got {p}")
         return HeisenbergGroup(p)
     if kind == "table":
-        n = int(lines[1].split(":", 1)[1])
+        n = _header(lines, "n", 1, 1024)
         rows = [[int(x) for x in ln.split()] for ln in lines[2 : 2 + n]]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("table size mismatch")
+        if any(not 0 <= x < n for r in rows for x in r):
+            raise ValueError(f"table entries must lie in 0..{n - 1}")
         G = TableGroup(np.array(rows, dtype=np.int32))
         G.check_associativity()
         return G

@@ -301,59 +301,88 @@ def lift_arc(G: CocycleGroup, planes: Sequence[gf2.Subspace]
     return pool, dropped
 
 
+def _bits(elements: Sequence[int]) -> int:
+    m = 0
+    for e in elements:
+        m |= 1 << e
+    return m & ~1
+
+
+class _ProductSearch:
+    """Bitsets over group elements, identity bit cleared, of a list of
+    subgroups and of their pairwise products, with the one backtrack
+    that tests AS2 on them.  A meet is trivial when a & b == 0.
+
+    Once the members of a family meet pairwise trivially, U_a U_b cap
+    U_c = 1 holds for one orientation of a triple iff it holds for all
+    (see check_as_axioms), so a product is cached once per unordered
+    pair."""
+
+    def __init__(self, G: FiniteGroup, subs: Sequence[Subgroup]):
+        self.G = G
+        self.subs = list(subs)
+        self.masks = [_bits(s.elements) for s in self.subs]
+        self._products: Dict[Tuple[int, int], int] = {}
+        self.nodes = 0
+        self.deepest = 0
+
+    def product(self, i: int, j: int) -> int:
+        key = (i, j) if i < j else (j, i)
+        v = self._products.get(key)
+        if v is None:
+            a, b = key
+            v = _bits(product_set(self.G, self.subs[a].elements, self.subs[b].elements))
+            self._products[key] = v
+        return v
+
+    def backtrack(self, cands: Sequence[int], target: int, fixed: Sequence[int] = (),
+                  compat: Optional[Sequence[int]] = None) -> List[Tuple[int, ...]]:
+        """Every target-sized subset of cands (indices into subs, in the
+        given order) that extends the fixed members to a family
+        satisfying AS2.  The cands must already meet each fixed member
+        trivially.  compat[c], when given, is a bitset over indices:
+        d may only follow c if bit d is set.  Adds the nodes visited
+        to self.nodes and the largest partial family to self.deepest."""
+        masks, product = self.masks, self.product
+        found: List[Tuple[int, ...]] = []
+
+        def dfs(cur: List[int], pool: List[int]) -> None:
+            self.nodes += 1
+            self.deepest = max(self.deepest, len(cur))
+            need = target - len(cur)
+            if need == 0:
+                found.append(tuple(cur))
+                return
+            for pos, c in enumerate(pool):
+                if len(pool) - pos < need:
+                    break
+                blocked = masks[c]
+                for x in fixed:
+                    blocked |= product(x, c)
+                for x in cur:
+                    blocked |= product(x, c)
+                allowed = compat[c] if compat is not None else -1  # -1: all bits set
+                rest = [d for d in pool[pos + 1:]
+                        if allowed >> d & 1 and not masks[d] & blocked]
+                dfs(cur + [c], rest)
+
+        dfs([], list(cands))
+        return found
+
+
 def as_backtrack(G: FiniteGroup, candidates: Sequence[Subgroup], target: int,
                  trace: Optional[SearchTrace] = None
                  ) -> List[Tuple[Subgroup, ...]]:
-    """All target-sized subsets of the candidates in which every third
-    member meets every pairwise product trivially: U_a U_b cap U_c = 1
-    for each pair {a, b} already placed and each new c.  For families
-    of size >= 3 this forces pairwise trivial intersections and, by
-    orientation rearrangement, the full AS2 condition."""
-    cands = sorted(candidates, key=lambda s: s.key())
-    n = len(cands)
-    masks = []
-    for s in cands:
-        m = 0
-        for e in s.elements:
-            m |= 1 << e
-        masks.append(m)
-    prod_cache: Dict[Tuple[int, int], int] = {}
-
-    def pmask(i: int, j: int) -> int:
-        key = (i, j) if i < j else (j, i)
-        v = prod_cache.get(key)
-        if v is None:
-            v = 0
-            for e in product_set(G, cands[i].elements, cands[j].elements):
-                v |= 1 << e
-            prod_cache[key] = v
-        return v
-
-    out: List[Tuple[Subgroup, ...]] = []
+    """All target-sized subsets of the candidates satisfying AS2: every
+    two members meet trivially and U_a U_b cap U_c = 1 for every
+    triple.  Pairwise meets are tested separately, since the triple
+    condition cannot see the first two members placed."""
     t0 = time.monotonic()
-
-    def dfs(cur: List[int], start: int) -> None:
-        if trace is not None:
-            trace.nodes += 1
-        if len(cur) == target:
-            out.append(tuple(cands[i] for i in cur))
-            return
-        for c in range(start, n):
-            if n - c < target - len(cur):
-                break
-            ok = True
-            for ii in range(len(cur)):
-                for jj in range(ii + 1, len(cur)):
-                    if masks[c] & pmask(cur[ii], cur[jj]) != 1:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                dfs(cur + [c], c + 1)
-
-    dfs([], 0)
+    search = _ProductSearch(G, sorted(candidates, key=lambda s: s.key()))
+    families = search.backtrack(range(len(search.subs)), target)
+    out = [tuple(search.subs[i] for i in fam) for fam in families]
     if trace is not None:
+        trace.nodes += search.nodes
         trace.solutions = len(out)
         trace.wall_time = time.monotonic() - t0
     return out
@@ -420,13 +449,6 @@ def complete_with_U0(G: FiniteGroup, family: Sequence[Subgroup]
 # the order-512 rule-out computations that do not go through arcs
 
 
-def _product_mask(G: FiniteGroup, A: Sequence[int], B: Sequence[int]) -> np.ndarray:
-    m = np.zeros(G.n, dtype=bool)
-    m[list(product_set(G, A, B))] = True
-    m[0] = False
-    return m
-
-
 def lemma53_counts(G: FiniteGroup, rng=None) -> Dict[str, object]:
     """The orbit-free counting argument for the mixed-radical group:
     fix U_0 = Z(G) and any valid (U_1, U_2); count the pool of
@@ -447,65 +469,31 @@ def lemma53_counts(G: FiniteGroup, rng=None) -> Dict[str, object]:
     pool = enumerate_elem_abelian_subgroups(G, 8, avoid=[p01, p02, p12])
     n = len(pool)
 
-    membership = np.zeros((n, G.n), dtype=bool)
-    for i, u in enumerate(pool):
-        membership[i, list(u.elements)] = True
-    membership[:, 0] = False
-    bad = np.zeros((n, G.n), dtype=bool)
-    base = (u0, u1, u2)
-    for i, u3 in enumerate(pool):
-        for b in base:
-            bad[i] |= _product_mask(G, b.elements, u3.elements)
-    overlap = bad.astype(np.uint8) @ membership.T.astype(np.uint8)
-    compat = overlap == 0
-    if not np.array_equal(compat, compat.T):  # pragma: no cover
+    # compat[i] has bit j set iff U_b U_i cap U_j = 1 for every base
+    # member b: the pool of fourths left by third i.
+    search = _ProductSearch(G, pool)
+    compat = []
+    for u3 in pool:
+        bad = 0
+        for b in (u0, u1, u2):
+            bad |= _bits(product_set(G, b.elements, u3.elements))
+        compat.append(sum(1 << j for j, m in enumerate(search.masks) if not bad & m))
+    if any(compat[i] >> j & 1 != compat[j] >> i & 1
+           for i in range(n) for j in range(i)):  # pragma: no cover
         raise AssertionError("compatibility relation is not symmetric")
-    counts = compat.sum(axis=1)
-    vals, reps = np.unique(counts, return_counts=True)
+    vals, reps = np.unique([row.bit_count() for row in compat], return_counts=True)
     distribution = {int(v): int(c) for v, c in zip(vals, reps)}
 
     # the size-6 search: for each third choice U_3 with a nonempty
     # fourth pool, no six members of that pool can join
     # (U_0, U_1, U_2, U_3) - which would complete the configuration.
-    # Depth-first, one orientation tested per new triple; the blocked
-    # mask accumulates U_x U_c products that future members must avoid.
     size6 = 0
-    max_partial = 0
-    order = np.arange(n)
-    pmask_cache: Dict[Tuple[int, int], np.ndarray] = {}
-
-    def pmask(i: int, j: int) -> np.ndarray:
-        key = (i, j) if i < j else (j, i)
-        v = pmask_cache.get(key)
-        if v is None:
-            v = _product_mask(G, pool[i].elements, pool[j].elements)
-            pmask_cache[key] = v
-        return v
-
-    def dfs(third: int, cur: List[int], cands: np.ndarray) -> None:
-        nonlocal size6, max_partial
-        max_partial = max(max_partial, len(cur))
-        if len(cur) == 6:
-            size6 += 1
-            return
-        for pos in range(len(cands)):
-            if len(cands) - pos < 6 - len(cur):
-                break
-            c = int(cands[pos])
-            rest = cands[pos + 1:]
-            rest = rest[compat[c][rest]]
-            blocked = pmask(third, c).copy()
-            for x in cur:
-                blocked |= pmask(x, c)
-            rest = rest[~(membership[rest] & blocked).any(axis=1)]
-            dfs(third, cur + [c], rest)
-
     for a in range(n):
-        pool_a = order[compat[a]]
-        if len(pool_a):
-            dfs(a, [], pool_a)
+        fourths = [j for j in range(n) if compat[a] >> j & 1]
+        if fourths:
+            size6 += len(search.backtrack(fourths, 6, fixed=(a,), compat=compat))
     return {
-        "max_partial_beyond_third": max_partial,
+        "max_partial_beyond_third": search.deepest,
         "u1": u1,
         "u2": u2,
         "pool": n,
@@ -566,45 +554,7 @@ def brute_force_as_configs(G: FiniteGroup) -> List[ASConfiguration]:
         raise ValueError("brute force supports orders 8, 27 and 64 only")
     q = _cube_root(G.n)
     subs = _order_q_subgroups(G, q)
-    m = len(subs)
-    masks = np.zeros(m, dtype=np.uint64)
-    for i, s in enumerate(subs):
-        v = 0
-        for e in s.elements:
-            v |= 1 << e
-        masks[i] = v
-    prod_cache: Dict[Tuple[int, int], np.uint64] = {}
-
-    def pmask(i: int, j: int) -> np.uint64:
-        key = (i, j)
-        v = prod_cache.get(key)
-        if v is None:
-            acc = 0
-            for e in product_set(G, subs[i].elements, subs[j].elements):
-                acc |= 1 << e
-            v = np.uint64(acc)
-            prod_cache[key] = v
-        return v
-
-    one = np.uint64(1)
-    families: List[Tuple[int, ...]] = []
-    target = q + 2
-
-    def dfs(cur: List[int], pool: np.ndarray) -> None:
-        if len(cur) == target:
-            families.append(tuple(cur))
-            return
-        for pos in range(len(pool)):
-            if len(pool) - pos < target - len(cur):
-                break
-            c = int(pool[pos])
-            rest = pool[pos + 1:]
-            keep = (masks[rest] & masks[c]) == one
-            for a in cur:
-                keep &= (masks[rest] & pmask(a, c)) == one
-            dfs(cur + [c], rest[keep])
-
-    dfs([], np.arange(m))
+    families = _ProductSearch(G, subs).backtrack(range(len(subs)), q + 2)
     out: List[ASConfiguration] = []
     for fam in families:
         for u0i in fam:

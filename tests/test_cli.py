@@ -118,3 +118,28 @@ def test_report_passed_property():
     assert rep.passed
     rep.verdicts["x"] = False
     assert not rep.passed
+
+
+@pytest.mark.parametrize("text", [
+    "kind: cocycle\n",
+    "kind: heisenberg\np: 0\n",
+    "kind: heisenberg\np: 4\n",
+    "kind: heisenberg\n3\n",
+    "kind: table\nn: 3\n0 1 2\n1 0 7\n2 0 1\n",
+])
+def test_bad_group_file_exit2(tmp_path, capsys, text):
+    path = tmp_path / "bad.group"
+    path.write_text(text)
+    assert cli.main(["--quiet", "filters", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_group_path_is_directory_exit2(tmp_path):
+    assert cli.main(["--quiet", "filters", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("size", ["0", "12"])
+def test_pseudoarcs_impossible_seed_size_exit2(size):
+    argv = ["--quiet", "pseudoarcs", "minus8", "--seed-size", size, "--target", "3"]
+    assert cli.main(argv) == 2

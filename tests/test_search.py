@@ -1,5 +1,6 @@
 """The search engines: seeds, extensions, lifting and backtracking."""
 import random
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from asq.groups import (
     HeisenbergGroup,
     order8_catalogue,
     order27_catalogue,
+    product_set,
+    subgroup_generate,
+    table4_group,
 )
 from asq.permgroup import min_image
 from asq.quadform import preset
@@ -22,12 +26,53 @@ from asq.search import (
     complete_with_U0,
     extend_arcs,
     is_partial_pseudo_arc,
+    lift_arc,
 )
 
 
 @pytest.fixture(scope="module")
 def cat_minus():
     return PlaneCatalogue(preset("minus8"))
+
+
+@pytest.fixture(scope="module")
+def minus_pools():
+    """Candidates lifted from two disjoint minus8 planes, and from three
+    planes forming a partial pseudo-arc, in the group 212m."""
+    G = table4_group("212m")
+    planes = PlaneCatalogue(G.form, symmetry=False).planes
+    p0 = planes[0]
+    p1 = next(p for p in planes if gf2.meet(p0, p).rank == 0)
+    p2 = next(p for p in planes if is_partial_pseudo_arc(G.form, [p0, p1, p]))
+    return G, lift_arc(G, [p0, p1])[0], lift_arc(G, [p0, p1, p2])[0]
+
+
+def as2_families(G, subs, size):
+    """Slow oracle: every size-subset of subs satisfying AS2 by its
+    definition, every pair meeting trivially and U_i U_j cap U_k = 1
+    for every ordered triple of distinct members."""
+    sets = [u.element_set() for u in subs]
+    prods = {(i, j): set(product_set(G, subs[i].elements, subs[j].elements))
+             for i, j in permutations(range(len(subs)), 2)}
+    out = set()
+    for fam in combinations(range(len(subs)), size):
+        if any(sets[i] & sets[j] != {0} for i, j in combinations(fam, 2)):
+            continue
+        if any(prods[i, j] & sets[k] != {0} for i, j, k in permutations(fam, 3)):
+            continue
+        out.add(frozenset(subs[i].elements for i in fam))
+    return out
+
+
+def order_q_subgroups(G, q):
+    """The cyclic subgroups of prime order q."""
+    orders = G.element_orders()
+    pool = {}
+    for g in range(1, G.n):
+        if orders[g] == q:
+            s = subgroup_generate(G, [g])
+            pool[s.key()] = s
+    return list(pool.values())
 
 
 def family_keys(cfgs):
@@ -73,15 +118,7 @@ def test_backtrack_agrees_with_brute_force():
         brute = family_keys(brute_force_as_configs(G))
         q = round(G.n ** (1 / 3))
         got = set()
-        # all order-q subgroups as the candidate pool
-        orders = G.element_orders()
-        from asq.groups import subgroup_generate
-        pool = {}
-        for g in range(1, G.n):
-            if orders[g] == q:
-                s = subgroup_generate(G, [g])
-                pool[s.key()] = s
-        fams = as_backtrack(G, list(pool.values()), q + 1)
+        fams = as_backtrack(G, order_q_subgroups(G, q), q + 1)
         for fam in fams:
             for cfg in complete_with_U0(G, fam):
                 got.add((frozenset(u.elements for u in cfg.subgroups),
@@ -149,3 +186,28 @@ def test_search_trace_accounting(cat_minus):
 def test_backtrack_trace_and_empty_pool():
     G = HeisenbergGroup(3)
     assert as_backtrack(G, [], 4) == []
+
+
+def test_backtrack_matches_as2_oracle(minus_pools):
+    G212, pool2, pool3 = minus_pools
+    cases = [(G, order_q_subgroups(G, round(G.n ** (1 / 3))))
+             for G in order8_catalogue() + order27_catalogue()]
+    cases += [(G212, pool2), (G212, pool3)]
+    nonempty = 0
+    for G, pool in cases:
+        for size in (2, 3, 4, 5):
+            want = as2_families(G, pool, size)
+            got = {frozenset(u.elements for u in fam)
+                   for fam in as_backtrack(G, pool, size)}
+            assert got == want, (G.name, size)
+            nonempty += bool(want) and size >= 3
+    assert nonempty >= 3  # the comparison sees triples, not only pairs
+
+
+def test_backtrack_rejects_pairwise_meets(minus_pools):
+    # two candidates lifted from one plane meet in 4 elements, and
+    # every triple of this pool holds such a pair
+    G, pool2, _ = minus_pools
+    for fam in as_backtrack(G, pool2, 3):
+        for a, b in combinations(fam, 2):
+            assert a.element_set() & b.element_set() == {0}
