@@ -229,8 +229,9 @@ def _ruleout_211p(rep: RunReport, seed_size: int, threads: int) -> None:
 
 
 def _ruleout_212m(rep: RunReport, seed_size: int, threads: int) -> None:
+    _check_seed_size(seed_size, 9)
     G = table4_group("212m")
-    res = minus_type_obstruction(G)
+    res = minus_type_obstruction(G, seed_size=seed_size, threads=threads)
     rep.counts["center_order"] = res["center_order"]
     rep.counts["candidates"] = res["n_candidates"]
     rep.counts["seeds"] = res["seeds"]
@@ -242,8 +243,11 @@ def _ruleout_212m(rep: RunReport, seed_size: int, threads: int) -> None:
     _expect(rep, {"center_order": 2, "families": 0})
 
 
-def cmd_ruleout(ident: str, seed_size: int = 6, threads: int = 1) -> RunReport:
-    rep = RunReport("ruleout", inputs={"group": ident, "seed_size": seed_size})
+def cmd_ruleout(ident: str, seed_size: Optional[int] = None,
+                threads: Optional[int] = None) -> RunReport:
+    """None for seed_size or threads means the flag was not given: the
+    seed size is then 6 and the thread count the default.  210b, which
+    uses neither, rejects them when given."""
     dispatch = {
         "208a": _ruleout_208a,
         "210b": _ruleout_210b,
@@ -252,6 +256,11 @@ def cmd_ruleout(ident: str, seed_size: int = 6, threads: int = 1) -> RunReport:
     }
     if ident not in dispatch:
         raise InputError(f"unknown group id {ident!r}; have {TABLE4_IDS}")
+    if ident == "210b" and (seed_size is not None or threads is not None):
+        raise InputError("ruleout 210b searches no arcs: it takes no --seed-size or --threads")
+    seed_size = 6 if seed_size is None else seed_size
+    threads = _default_threads() if threads is None else threads
+    rep = RunReport("ruleout", inputs={"group": ident, "seed_size": seed_size})
     dispatch[ident](rep, seed_size, threads)
     return rep
 
@@ -440,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--threads", type=int, default=None,
                         help="worker count (default: ASQ_THREADS or machine)")
-    common.add_argument("--seed-size", type=int, default=6,
+    common.add_argument("--seed-size", type=int, default=None,
                         help="partial pseudo-arc seed size (default 6)")
     common.add_argument("--json", metavar="PATH", default=None,
                         help="write the JSON report here")
@@ -487,13 +496,14 @@ def run(argv: Optional[Sequence[str]] = None) -> Tuple[RunReport, int]:
     if args.cmd == "verify":
         rep = cmd_verify(args.group_file, args.config_file)
     elif args.cmd == "ruleout":
-        rep = cmd_ruleout(args.ident, seed_size=args.seed_size, threads=threads)
+        rep = cmd_ruleout(args.ident, seed_size=args.seed_size, threads=args.threads)
     elif args.cmd == "classify":
         rep = cmd_classify(args.order)
     elif args.cmd == "filters":
         rep = cmd_filters(args.group)
     elif args.cmd == "pseudoarcs":
-        rep = cmd_pseudoarcs(args.form, args.seed_size, args.target, threads=threads)
+        seed_size = 6 if args.seed_size is None else args.seed_size
+        rep = cmd_pseudoarcs(args.form, seed_size, args.target, threads=threads)
     else:
         rep = cmd_demo(args.name)
     rep.wall_time = time.monotonic() - t0

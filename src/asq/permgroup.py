@@ -7,9 +7,26 @@ rejector behind all symmetry-pruned searches: min_image(G, S) returns the
 lexicographically least sorted tuple in the orbit of the set S under G,
 computed by stabiliser-chain backtracking (never by materialising the
 orbit of S).
+
+Minimal images move points, not permutations.  Each group keeps its
+orbit minima, a Schreier forest rooted at them (pred[x] and the index
+edge[x] of the generator mapping pred[x] to x) and its inverse
+generators as int32 array('i') buffers, indexed from Python as plain
+ints.  To map a point s to its orbit minimum, min_image walks s's path
+in the forest and applies each inverse generator only to the other
+points of the candidate set; to_orbit_min, which composes the whole
+element, is kept as the reference.  Stabiliser-chain transversals store
+each element's inverse once, when it is inserted, so sifting and the
+Schreier-generator checks never invert a permutation.  A chain is
+completed after every growth, so its order is exact at each step: the
+group order starts from two random subproducts of the generators, and a
+point stabiliser, whose order is known, stops at the first Schreier
+generators that reach it.
 """
 from __future__ import annotations
 
+import random
+from array import array
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,31 +53,38 @@ def _is_identity(p: np.ndarray) -> bool:
     return bool(np.all(p == np.arange(len(p), dtype=p.dtype)))
 
 
+def _int32_buffer(p: np.ndarray) -> array:
+    """An int32 numpy array as an array('i'), whose items index as ints."""
+    return array("i", np.ascontiguousarray(p, dtype=np.int32).tobytes())
+
+
 def _perm_key(p: np.ndarray) -> bytes:
     return p.tobytes()
 
 
 class _Level:
     """One level of a stabiliser chain: a base point, the strong
-    generators fixing all earlier base points, and a transversal.
+    generators fixing all earlier base points, and a transversal with
+    the inverse of each of its elements.
 
     Transversal entries, once computed, are never replaced; this keeps
     previously verified Schreier generators verified (membership proofs
     do not expire), so the `checked` cache stays sound.
     """
 
-    __slots__ = ("base", "gens", "transversal", "checked")
+    __slots__ = ("base", "gens", "transversal", "inverses", "checked")
 
     def __init__(self, base: int):
         self.base = base
         self.gens: List[np.ndarray] = []
         self.transversal: Dict[int, np.ndarray] = {}
+        self.inverses: Dict[int, np.ndarray] = {}
         self.checked: set = set()
 
     def extend_orbit(self, n: int) -> None:
-        tr = self.transversal
+        tr, inv = self.transversal, self.inverses
         if self.base not in tr:
-            tr[self.base] = identity(n)
+            tr[self.base] = inv[self.base] = identity(n)
         queue = list(tr.keys())
         while queue:
             x = queue.pop()
@@ -69,6 +93,7 @@ class _Level:
                 y = int(g[x])
                 if y not in tr:
                     tr[y] = compose(ux, g)
+                    inv[y] = inverse(tr[y])
                     queue.append(y)
 
 
@@ -95,10 +120,10 @@ class StabChain:
             x = int(g[lv.base])
             if x == lv.base:
                 continue
-            u = lv.transversal.get(x)
-            if u is None:
+            u_inv = lv.inverses.get(x)
+            if u_inv is None:
                 return g, i
-            g = compose(g, inverse(u))
+            g = compose(g, u_inv)
         if _is_identity(g):
             return None, len(self.levels)
         return g, len(self.levels)
@@ -139,7 +164,7 @@ class StabChain:
                         continue
                     g = lv.gens[gi]
                     y = int(g[x])
-                    s = compose(compose(ux, g), inverse(lv.transversal[y]))
+                    s = compose(compose(ux, g), lv.inverses[y])
                     r, lvl = self.sift(s, i + 1)
                     lv.checked.add((x, gi))
                     if r is not None:
@@ -152,19 +177,33 @@ class StabChain:
             if not dirty:
                 i -= 1
 
-    def strong_gens(self) -> List[np.ndarray]:
-        seen = {}
-        for lv in self.levels:
-            for g in lv.gens:
-                seen.setdefault(_perm_key(g), g)
-        return list(seen.values())
+
+def _random_subproducts(gens: Sequence[np.ndarray], n: int, count: int) -> List[np.ndarray]:
+    """Products of random subsets of the generators (seeded, so runs
+    repeat); a couple of them usually generate the whole group."""
+    rng = random.Random(0)
+    out = []
+    for _ in range(count):
+        w = identity(n)
+        for g in gens:
+            if rng.random() < 0.5:
+                w = compose(w, g)
+        out.append(w)
+    return out
 
 
-def _build_chain(gens: Sequence[np.ndarray], n: int) -> StabChain:
+def _build_chain(gens: Iterable[np.ndarray], n: int,
+                 target: Optional[int] = None) -> StabChain:
+    """A complete chain for the group the gens generate.  The chain is
+    completed after every growth, so its order is exact at each step
+    and generators that add nothing are skipped after one sift; with
+    target given, it stops once the order reaches it."""
     chain = StabChain(n)
     for g in gens:
-        chain.add_gen(np.asarray(g, dtype=np.int32))
-    chain.complete()
+        if chain.order() == target:
+            break
+        if chain.add_gen(g):
+            chain.complete()
     return chain
 
 
@@ -187,17 +226,21 @@ class PermGroup:
         self.gens = arrs
         self.n = degree
         self._order = order
-        self._inv_gens: Optional[List[np.ndarray]] = None
-        self._orbmin: Optional[np.ndarray] = None
-        self._pred: Optional[np.ndarray] = None
-        self._edge: Optional[np.ndarray] = None
+        self._inv_gens: Optional[List[array]] = None
+        self._orbmin: Optional[array] = None
+        self._pred: Optional[array] = None
+        self._edge: Optional[array] = None
         self._children: Dict[int, "PermGroup"] = {}
 
     # -- order ---------------------------------------------------------
 
     def order(self) -> int:
         if self._order is None:
-            self._order = _build_chain(self.gens, self.n).order()
+            # Random subproducts first keep the top level's strong
+            # generators, and so its Schreier generators, few; every
+            # generator is still sifted, so the order is exact.
+            starts = _random_subproducts(self.gens, self.n, 2)
+            self._order = _build_chain(starts + self.gens, self.n).order()
         return self._order
 
     # -- orbit structure (BFS forests rooted at orbit minima) ----------
@@ -205,53 +248,77 @@ class PermGroup:
     def _ensure_orbits(self) -> None:
         if self._orbmin is not None:
             return
-        n = self.n
-        orbmin = np.full(n, -1, dtype=np.int32)
+        n, gens = self.n, self.gens
+        inv_gens = [inverse(g) for g in gens]
+        # Orbit minima: propagate the least label along every generator
+        # and its inverse, with pointer jumping, until nothing changes.
+        orbmin = np.arange(n, dtype=np.int32)
+        while True:
+            lab = orbmin
+            for g in gens + inv_gens:
+                lab = np.minimum(lab, lab[g])
+            lab = lab[lab]
+            if np.array_equal(lab, orbmin):
+                break
+            orbmin = lab
+        # One breadth-first search from all orbit minima at once; within
+        # a level the generators are tried in order, first hit wins.
         pred = np.full(n, -1, dtype=np.int32)
         edge = np.full(n, -1, dtype=np.int32)
-        for root in range(n):
-            if orbmin[root] != -1:
-                continue
-            orbmin[root] = root
-            frontier = [root]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for gi, g in enumerate(self.gens):
-                        y = int(g[x])
-                        if orbmin[y] == -1:
-                            orbmin[y] = root
-                            pred[y] = x
-                            edge[y] = gi
-                            nxt.append(y)
-                frontier = nxt
-        self._orbmin = orbmin
-        self._pred = pred
-        self._edge = edge
-        self._inv_gens = [inverse(g) for g in self.gens]
+        frontier = np.flatnonzero(orbmin == np.arange(n))
+        seen = np.zeros(n, dtype=bool)
+        seen[frontier] = True
+        while gens and frontier.size:
+            found = []
+            for gi, g in enumerate(gens):
+                ys = g[frontier]
+                fresh = ~seen[ys]
+                ys = ys[fresh]
+                seen[ys] = True
+                pred[ys] = frontier[fresh]
+                edge[ys] = gi
+                found.append(ys)
+            frontier = np.concatenate(found)
+        self._orbmin = _int32_buffer(orbmin)
+        self._pred = _int32_buffer(pred)
+        self._edge = _int32_buffer(edge)
+        self._inv_gens = [_int32_buffer(g) for g in inv_gens]
 
     @property
     def orbit_min(self) -> np.ndarray:
-        """orbit_min[x] = least point in the orbit of x."""
+        """orbit_min[x] = least point in the orbit of x (read-only)."""
         self._ensure_orbits()
-        return self._orbmin
+        view = np.frombuffer(self._orbmin, dtype=np.int32)
+        view.flags.writeable = False
+        return view
 
     def orbits(self) -> List[List[int]]:
         self._ensure_orbits()
         out: Dict[int, List[int]] = {}
         for x in range(self.n):
-            out.setdefault(int(self._orbmin[x]), []).append(x)
+            out.setdefault(self._orbmin[x], []).append(x)
         return [out[k] for k in sorted(out)]
 
     def to_orbit_min(self, x: int) -> np.ndarray:
-        """A group element t with t[x] = orbit_min[x]."""
+        """A group element t with t[x] = orbit_min[x]: the product of the
+        inverse generators along x's path in the Schreier forest."""
         self._ensure_orbits()
-        t = None
+        t = identity(self.n)
         while self._pred[x] != -1:
-            step = self._inv_gens[int(self._edge[x])]
-            t = step if t is None else compose(t, step)
-            x = int(self._pred[x])
-        return identity(self.n) if t is None else t
+            t = compose(t, np.asarray(self._inv_gens[self._edge[x]]))
+            x = self._pred[x]
+        return t
+
+    def trace_to_orbit_min(self, x: int, points: Iterable[int]) -> List[int]:
+        """[to_orbit_min(x)[p] for p in points], moving only the points."""
+        self._ensure_orbits()
+        pred, edge, inv_gens = self._pred, self._edge, self._inv_gens
+        pts = list(points)
+        while pred[x] != -1:
+            step = inv_gens[edge[x]]
+            pts = [step[p] for p in pts]
+            x = pred[x]
+        return pts
 
     # -- point stabiliser (known-order Schreier generators) ------------
 
@@ -278,26 +345,17 @@ class PermGroup:
         target, rem = divmod(order_here, len(tr))
         if rem:
             raise AssertionError("orbit size does not divide the group order")
-        chain = StabChain(n)
-        done = target == 1
-        if not done:
+
+        def schreier_generators():
             for x in orbit_list:
-                ux = tr[x]
                 for g in self.gens:
-                    y = int(g[x])
-                    s = compose(compose(ux, g), inverse(tr[y]))
-                    chain.add_gen(s)
-                    if chain.order() == target:
-                        done = True
-                        break
-                if done:
-                    break
-        if not done:
-            # All Schreier generators are in; closure certifies the order.
-            chain.complete()
-            if chain.order() != target:  # pragma: no cover
-                raise AssertionError("stabiliser closure missed the target order")
-        child = PermGroup(chain.strong_gens(), n, order=target)
+                    yield compose(compose(tr[x], g), inverse(tr[int(g[x])]))
+
+        chain = _build_chain(schreier_generators(), n, target)
+        if chain.order() != target:  # pragma: no cover
+            raise AssertionError("stabiliser closure missed the target order")
+        gens = chain.levels[0].gens if chain.levels else []
+        child = PermGroup(gens, n, order=target)
         self._children[point] = child
         return child
 
@@ -327,20 +385,21 @@ def min_image(group: PermGroup, points: Sequence[int],
             if upper is not None and out < tuple(upper):
                 return None
             return out
-        om = node.orbit_min
-        mu = min(int(om[x]) for t in cands for x in t)
+        node._ensure_orbits()
+        om = node._orbmin
+        least = [(min(om[x] for x in t), t) for t in cands]
+        mu = min(m for m, _ in least)
         res.append(mu)
         if upper is not None:
             if mu < upper[depth]:
                 return None
         new: set[FrozenSet[int]] = set()
-        for t in cands:
-            if min(int(om[x]) for x in t) != mu:
+        for m, t in least:
+            if m != mu:
                 continue
             for s in t:
-                if int(om[s]) == mu:
-                    tau = node.to_orbit_min(s)
-                    new.add(frozenset(int(tau[x]) for x in t if x != s))
+                if om[s] == mu:
+                    new.add(frozenset(node.trace_to_orbit_min(s, (x for x in t if x != s))))
         node = node.stabilizer(mu)
         cands = new
     return tuple(res)

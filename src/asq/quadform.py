@@ -162,11 +162,16 @@ def preset(name: str) -> QuadraticForm:
 
 
 def load_form(text: str) -> QuadraticForm:
-    """Parse the form file format: 'dim d' then d rows of d bits."""
+    """Parse the form file format: 'dim d' then d rows of d bits.  The
+    dimension is bounded by 9, that of the forms of the cocycle groups
+    load_group accepts."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("dim"):
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or head[0] != "dim" or not head[1].isdigit():
         raise ValueError("form file must start with 'dim d'")
-    d = int(lines[0].split()[1])
+    d = int(head[1])
+    if not 1 <= d <= 9:
+        raise ValueError(f"dim must be between 1 and 9, got {d}")
     if len(lines) != d + 1:
         raise ValueError(f"expected {d} matrix rows, found {len(lines) - 1}")
     rows = []

@@ -86,9 +86,10 @@ def plane_action(form: QuadraticForm, planes: Sequence[gf2.Subspace]) -> PermGro
 
 class PlaneCatalogue:
     """Immutable search context: the totally singular planes of a form,
-    bit-packed membership masks, the pairwise-disjointness matrix, and
-    (where the form admits a structural generator set) the plane action
-    of its isometry group."""
+    bit-packed membership masks (as Python ints and as an (n, words)
+    uint64 array), the pairwise-disjointness matrix, and (where the form
+    admits a structural generator set) the plane action of its isometry
+    group."""
 
     def __init__(self, form: QuadraticForm, symmetry: bool = True):
         self.form = form
@@ -103,12 +104,10 @@ class PlaneCatalogue:
             for v in gf2.subspace_vectors(p):
                 m |= 1 << v
             self.masks.append(m)
-        words = ((1 << form.dim) + 63) // 64
-        arr = np.zeros((self.n, words), dtype=np.uint64)
+        self.words = np.zeros((self.n, len(_words(0, form.dim))), dtype=np.uint64)
         for i, m in enumerate(self.masks):
-            for w in range(words):
-                arr[i, w] = (m >> (64 * w)) & 0xFFFFFFFFFFFFFFFF
-        self.disjoint = pairwise_disjoint(arr)
+            self.words[i] = _words(m, form.dim)
+        self.disjoint = pairwise_disjoint(self.words)
         self.group: Optional[PermGroup] = plane_action(form, self.planes) if symmetry else None
         self._span: Dict[Tuple[int, int], Tuple[int, int]] = {}
 
@@ -134,6 +133,18 @@ class PlaneCatalogue:
             return False
         return (m & self.masks[k]).bit_count() == (1 << need)
 
+    def compatible_row(self, row: np.ndarray, s: Sequence[int], x: int) -> np.ndarray:
+        """The compatibility row of s + [x] from the row of s, where
+        row[k] = compatible(s, k): keep the planes k disjoint from x
+        with W_a + W_x + W_k filling the space for every a in s."""
+        out = row & self.disjoint[x]
+        for a in s:
+            ks = np.flatnonzero(out)
+            m, r = self.span_mask(a, x)
+            meet = np.bitwise_count(self.words[ks] & _words(m, self.form.dim)).sum(axis=1)
+            out[ks[meet != 1 << (r + 3 - self.form.dim)]] = False
+        return out
+
     def compatible(self, s: Sequence[int], x: int) -> bool:
         """Is s + [x] still a partial pseudo-arc?"""
         dj = self.disjoint
@@ -145,6 +156,13 @@ class PlaneCatalogue:
                 if not self.triple_spans(s[ii], s[jj], x):
                     return False
         return True
+
+
+def _words(mask: int, dim: int) -> np.ndarray:
+    """A 2^dim-bit membership mask as little-endian uint64 words."""
+    n_words = ((1 << dim) + 63) // 64
+    return np.array([(mask >> (64 * w)) & 0xFFFFFFFFFFFFFFFF for w in range(n_words)],
+                    dtype=np.uint64)
 
 
 def is_partial_pseudo_arc(form: QuadraticForm, planes: Sequence[gf2.Subspace]) -> bool:
@@ -171,31 +189,33 @@ def arc_seeds(cat: PlaneCatalogue, seed_size: int,
     point larger than its maximum that is minimal in its orbit under
     the pointwise stabiliser (a non-minimal extension is never
     canonical), and the extension is kept iff it is its own minimal
-    image."""
+    image.  Each kept set carries the row of planes compatible with it
+    (PlaneCatalogue.compatible_row), so candidates are never re-tested
+    against the members."""
     group = cat.group
     if group is None:
         raise ValueError("arc_seeds needs a plane symmetry group")
     t0 = time.monotonic()
     out: List[Tuple[int, ...]] = []
+    points = np.arange(cat.n)
 
-    def rec(s: List[int], node: PermGroup) -> None:
+    def rec(s: List[int], node: PermGroup, row: Optional[np.ndarray]) -> None:
+        """row[k] is True iff s + [k] is a partial pseudo-arc (None once
+        s has seed_size members)."""
         if trace is not None:
             trace.nodes += 1
         if len(s) == seed_size:
             out.append(tuple(s))
             return
         mx = s[-1] if s else -1
-        for x in np.unique(node.orbit_min):
-            x = int(x)
-            if x <= mx:
-                continue
-            if not cat.compatible(s, x):
-                continue
+        for x in np.flatnonzero((node.orbit_min == points) & (points > mx) & row).tolist():
             cand = s + [x]
             if is_min_image(group, cand):
-                rec(cand, node.stabilizer(x))
+                child_row = None if len(cand) == seed_size else cat.compatible_row(row, s, x)
+                rec(cand, node.stabilizer(x), child_row)
 
-    rec([], group)
+    rec([], group, np.ones(cat.n, dtype=bool))
+    del rec  # the closure refers to itself; keep the catalogue collectable
     if trace is not None:
         trace.solutions = len(out)
         trace.wall_time = time.monotonic() - t0
@@ -231,6 +251,7 @@ def _extend_one(cat: PlaneCatalogue, seed: Tuple[int, ...],
             dfs(cur + [c], nxt)
 
     dfs(s, cands)
+    del dfs  # the closure refers to itself; keep the catalogue collectable
     return results, nodes
 
 
@@ -367,6 +388,7 @@ class _ProductSearch:
                 dfs(cur + [c], rest)
 
         dfs([], list(cands))
+        del dfs  # the closure refers to itself and, through self, to G
         return found
 
 
@@ -502,12 +524,14 @@ def lemma53_counts(G: FiniteGroup, rng=None) -> Dict[str, object]:
     }
 
 
-def minus_type_obstruction(G: CocycleGroup) -> Dict[str, object]:
+def minus_type_obstruction(G: CocycleGroup, seed_size: int = 6,
+                           threads: int = 1) -> Dict[str, object]:
     """The centraliser obstruction for the minus-type group: for every
     totally singular plane W and every lifted candidate U over it,
     C_G(U) is exactly the preimage of W^perp; since Z(G) has order 2,
     three pairwise-compatible candidates cannot coexist.  The arc
-    pipeline is run independently and must confirm zero families."""
+    pipeline (seeds of seed_size planes, extended on threads workers)
+    is run independently and must confirm zero families."""
     form = G.form
     z = center(G)
     report: Dict[str, object] = {"center_order": z.order}
@@ -533,8 +557,8 @@ def minus_type_obstruction(G: CocycleGroup) -> Dict[str, object]:
     report["n_planes"] = cat.n
     report["n_candidates"] = n_candidates
     report["centralizer_is_perp_preimage"] = centraliser_ok
-    seeds = arc_seeds(cat, 6)
-    arcs = extend_arcs(cat, seeds, 9)
+    seeds = arc_seeds(cat, seed_size)
+    arcs = extend_arcs(cat, seeds, 9, threads=threads)
     report["seeds"] = len(seeds)
     report["arcs"] = len(arcs)
     families = 0

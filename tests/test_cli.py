@@ -143,3 +143,35 @@ def test_group_path_is_directory_exit2(tmp_path):
 def test_pseudoarcs_impossible_seed_size_exit2(size):
     argv = ["--quiet", "pseudoarcs", "minus8", "--seed-size", size, "--target", "3"]
     assert cli.main(argv) == 2
+
+
+@pytest.mark.parametrize("text", ["dim\n", "dim 0\n", "dim 10\n", "dim x\n"])
+def test_bad_form_file_exit2(tmp_path, capsys, text):
+    path = tmp_path / "bad.form"
+    path.write_text(text)
+    assert cli.main(["--quiet", "pseudoarcs", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [["--seed-size", "6"], ["--threads", "1"],
+                                   ["--seed-size", "99", "--threads", "7"]])
+def test_ruleout_210b_rejects_arc_flags(capsys, flags):
+    assert cli.main(["--quiet", "ruleout", "210b"] + flags) == 2
+    assert "210b" in capsys.readouterr().err
+
+
+def test_ruleout_212m_honours_arc_flags(monkeypatch):
+    seen = []
+
+    def obstruction(G, seed_size=6, threads=1):
+        seen.append((seed_size, threads))
+        return {"center_order": 2, "n_candidates": 0, "seeds": 0, "arcs": 0,
+                "families": 0, "centralizer_is_perp_preimage": True}
+
+    monkeypatch.setattr(cli, "minus_type_obstruction", obstruction)
+    assert cli.main(["--quiet", "ruleout", "212m", "--seed-size", "5", "--threads", "3"]) == 0
+    assert cli.main(["--quiet", "ruleout", "212m", "--threads", "2"]) == 0
+    assert seen == [(5, 3), (6, 2)]
+    assert cli.main(["--quiet", "ruleout", "212m", "--seed-size", "99"]) == 2
+    assert len(seen) == 2

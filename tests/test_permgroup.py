@@ -62,7 +62,7 @@ def test_order_against_closure():
     rng = random.Random(2)
     for _ in range(20):
         n = rng.randint(3, 8)
-        gens = random_group(rng, n)
+        gens = random_group(rng, n, rng.randint(1, 5))
         G = PermGroup(gens, n)
         assert G.order() == len(closure(gens, n))
 
@@ -86,6 +86,21 @@ def test_stabilizer_orders():
     assert H.stabilizer(1).order() == 120
 
 
+def test_stabilizer_generates_point_stabiliser():
+    # the child's generators, not only its recorded order, give the
+    # whole stabiliser
+    rng = random.Random(6)
+    for _ in range(15):
+        n = rng.randint(3, 7)
+        gens = random_group(rng, n, rng.randint(1, 3))
+        G = PermGroup(gens, n)
+        p = rng.randrange(n)
+        H = G.stabilizer(p)
+        want = {g for g in closure(gens, n) if g[p] == p}
+        assert closure(H.gens, n) == want
+        assert H.order() == len(want)
+
+
 def test_orbits_and_to_orbit_min():
     rng = random.Random(3)
     for _ in range(10):
@@ -99,6 +114,22 @@ def test_orbits_and_to_orbit_min():
             t = G.to_orbit_min(x)
             assert int(t[x]) == min(orb)
             assert tuple(int(v) for v in t) in elems
+
+
+def test_trace_matches_to_orbit_min():
+    # point tracing along the Schreier forest against the composed element
+    rng = random.Random(5)
+    for _ in range(30):
+        n = rng.randint(2, 12)
+        G = PermGroup(random_group(rng, n, rng.randint(1, 3)), n)
+        for x in range(n):
+            pts = rng.sample(range(n), rng.randint(0, n))
+            t = G.to_orbit_min(x)
+            assert G.trace_to_orbit_min(x, pts) == [int(t[p]) for p in pts]
+        H = G.stabilizer(0)
+        for x in range(n):
+            t = H.to_orbit_min(x)
+            assert H.trace_to_orbit_min(x, range(n)) == [int(v) for v in t]
 
 
 def test_min_image_against_brute_force():

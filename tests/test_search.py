@@ -1,5 +1,7 @@
 """The search engines: seeds, extensions, lifting and backtracking."""
+import gc
 import random
+import weakref
 from itertools import combinations, permutations
 
 import numpy as np
@@ -178,9 +180,51 @@ def test_compatible_matches_generic_check(cat_minus):
 
 
 def test_search_trace_accounting(cat_minus):
-    tr = SearchTrace(seed=None)
-    seeds = arc_seeds(cat_minus, 4, trace=tr)
-    assert tr.nodes > 0 and tr.solutions == len(seeds)
+    # node counts pinned: a change to them is a change to the pruning
+    for size, nodes, solutions in ((4, 9, 5), (5, 15, 6)):
+        tr = SearchTrace(seed=None)
+        seeds = arc_seeds(cat_minus, size, trace=tr)
+        assert (tr.nodes, tr.solutions, len(seeds)) == (nodes, solutions, solutions)
+
+
+def test_compatible_row_matches_compatible(cat_minus):
+    # the forward-filtered rows of arc_seeds against the slow oracle,
+    # along random growing partial arcs
+    rng = random.Random(31)
+    cat = cat_minus
+    checked = 0
+    for _ in range(6):
+        s, row = [], np.ones(cat.n, dtype=bool)
+        while True:
+            assert row.tolist() == [cat.compatible(s, k) for k in range(cat.n)]
+            checked += 1
+            options = np.flatnonzero(row)
+            if len(options) == 0 or len(s) == 5:
+                break
+            x = int(rng.choice(options))
+            row = cat.compatible_row(row, s, x)
+            s.append(x)
+    assert checked >= 24
+
+
+def test_searches_leave_no_reference_cycles(cat_minus):
+    # with the cyclic collector off, the catalogue and the group must be
+    # freed as soon as the searches return
+    gc.disable()
+    try:
+        cat = PlaneCatalogue(preset("minus8"))
+        ref = weakref.ref(cat)
+        arcs = extend_arcs(cat, arc_seeds(cat, 4), 5)
+        assert [a.members for a in arcs] == arc_seeds(cat_minus, 5)
+        del cat
+        assert ref() is None
+        G = HeisenbergGroup(3)
+        gref = weakref.ref(G)
+        assert as_backtrack(G, order_q_subgroups(G, 3), 4)
+        del G
+        assert gref() is None
+    finally:
+        gc.enable()
 
 
 def test_backtrack_trace_and_empty_pool():
