@@ -4,16 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BACKEND", "pairwise_disjoint", "difference_counts", "popcount16_table"]
+__all__ = ["BACKEND", "pairwise_disjoint", "difference_counts"]
 
 BACKEND = "numpy"
 
-# Popcounts of all 16-bit words.
-popcount16_table = np.zeros(1 << 16, dtype=np.uint8)
-for _i in range(16):
-    popcount16_table[1 << _i :: 1 << (_i + 1)] += 1
-for _i in range(1, 16):
-    popcount16_table[1 << _i : 1 << (_i + 1)] += popcount16_table[: 1 << _i]
+# Bytes of uint64 ANDs held at once by pairwise_disjoint.
+_CHUNK_BYTES = 1 << 21
 
 
 def pairwise_disjoint(masks: np.ndarray, meet: int = 1) -> np.ndarray:
@@ -21,18 +17,16 @@ def pairwise_disjoint(masks: np.ndarray, meet: int = 1) -> np.ndarray:
     is in the set).  Returns the (N, N) bool matrix of pairs whose
     intersection has exactly `meet` elements; the default 1 tests
     subspaces or subgroups, which always contain bit 0, for meeting
-    trivially.  Works in row chunks, so no (N, N) integer matrix is
-    ever held."""
+    trivially.  Works in row chunks of about 2 MB of ANDs, so no (N, N)
+    integer matrix is ever held."""
     masks = np.ascontiguousarray(masks, dtype=np.uint64)
-    n = masks.shape[0]
+    n, words = masks.shape
     out = np.empty((n, n), dtype=bool)
-    m16 = masks.view(np.uint16).reshape(n, -1)
-    chunk = max(1, (1 << 24) // (m16.shape[1] * n + 1))
+    chunk = max(1, _CHUNK_BYTES // (8 * words * n + 1))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        ands = m16[lo:hi, None, :] & m16[None, :, :]
-        counts = popcount16_table[ands].sum(axis=2, dtype=np.int64)
-        out[lo:hi] = counts == meet
+        counts = np.bitwise_count(masks[lo:hi, None, :] & masks[None, :, :])
+        out[lo:hi] = counts.sum(axis=2, dtype=np.int32) == meet
     return out
 
 

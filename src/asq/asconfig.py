@@ -11,7 +11,7 @@ order-512 candidate list down to four groups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,10 +20,11 @@ from ._kernels import difference_counts, pairwise_disjoint
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _generated,
     _prime_of,
     agemo,
     center,
-    conjugate_subgroup,
+    conjugation_table,
     derived,
     enumerate_elem_abelian_subgroups,
     exponent,
@@ -371,12 +372,12 @@ def _abelian_basis(G: FiniteGroup, elems: Sequence[int]) -> List[int]:
     return basis
 
 
-def _elem_ab_subgroups(G: FiniteGroup, big: Subgroup, order: int) -> List[Subgroup]:
-    """All subgroups of a given order of an elementary abelian subgroup."""
+def _elem_ab_subgroups(G: FiniteGroup, big: Subgroup, order: int) -> Iterator[Subgroup]:
+    """All subgroups of a given order of an elementary abelian subgroup,
+    generated lazily."""
     basis = _abelian_basis(G, big.elements)
     r = len(basis)
     k = order.bit_length() - 1
-    out = []
     for sub in gf2.enumerate_subspaces(r, k):
         els = {0}
         for row in sub.basis:
@@ -385,8 +386,7 @@ def _elem_ab_subgroups(G: FiniteGroup, big: Subgroup, order: int) -> List[Subgro
                 if (row >> i) & 1:
                     g = int(G.mul[g, basis[i]])
             els |= {int(G.mul[x, g]) for x in els}
-        out.append(Subgroup(G, tuple(sorted(els))))
-    return out
+        yield Subgroup(G, tuple(sorted(els)))
 
 
 def _preimage(G: FiniteGroup, proj: np.ndarray, elems: Sequence[int]) -> Subgroup:
@@ -513,9 +513,7 @@ def extraspecial_quotient_exists(G: FiniteGroup) -> Optional[Subgroup]:
     der = derived(G)
     if der.order == 1:
         return None
-    gens = {G.power(g, 4) for g in range(G.n)}
-    gens |= {G.commutator(d, g) for d in der.elements for g in range(G.n)}
-    K = subgroup_generate(G, gens)
+    K = _generated(G, G.powers(4), G.commutators(der.elements))
     if K.order > 1:
         Q, proj = quotient(G, K)
         wit = extraspecial_quotient_exists(Q)
@@ -564,10 +562,10 @@ def good_subgroups(G: FiniteGroup, q: int) -> List[Subgroup]:
     frat = frattini(G)
     subs = enumerate_elem_abelian_subgroups(G, q, avoid=[frat.elements])
     zset = center(G).element_set()
-    if frat.element_set() <= zset:
+    if zset.issuperset(frat.elements):
         # With Phi central, h^g = h [h,g] and [h,g] in Phi, so such an H
         # is normal exactly when it is central.
-        return [s for s in subs if not s.element_set() <= zset]
+        return [s for s in subs if not zset.issuperset(s.elements)]
     return [s for s in subs if not is_normal(G, s)]
 
 
@@ -583,7 +581,7 @@ def enough_subgroups(G: FiniteGroup, q: int) -> bool:
     for s in subs:
         if s.key() in seen:
             continue
-        orbit = {conjugate_subgroup(s, g).key() for g in range(G.n)}
+        orbit = set(map(tuple, np.sort(conjugation_table(G, s.elements), axis=1).tolist()))
         seen |= orbit
         classes += 1
         if classes >= q + 1:

@@ -445,25 +445,34 @@ def _default_threads() -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # shared flags work both before and after the subcommand
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker count (default: ASQ_THREADS or machine)")
-    common.add_argument("--seed-size", type=int, default=None,
-                        help="partial pseudo-arc seed size (default 6)")
-    common.add_argument("--json", metavar="PATH", default=None,
-                        help="write the JSON report here")
-    common.add_argument("--quiet", action="store_true",
-                        help="suppress the summary")
+    def shared(top: bool) -> argparse.ArgumentParser:
+        # Shared flags work both before and after the subcommand.  Only
+        # the top level has defaults: argparse copies every attribute the
+        # subcommand's parser sets over the top-level namespace, so a
+        # default there would erase a flag given before the subcommand.
+        unset = None if top else argparse.SUPPRESS
+        common = argparse.ArgumentParser(add_help=False)
+        common.add_argument("--threads", type=int, default=unset,
+                            help="worker count (default: ASQ_THREADS or machine)")
+        common.add_argument("--seed-size", type=int, default=unset,
+                            help="partial pseudo-arc seed size (default 6)")
+        common.add_argument("--json", metavar="PATH", default=unset,
+                            help="write the JSON report here")
+        common.add_argument("--quiet", action="store_true",
+                            default=False if top else argparse.SUPPRESS,
+                            help="suppress the summary")
+        return common
+
     ap = argparse.ArgumentParser(
         prog="asq",
         description="AS-configuration and pseudo-arc computations",
-        parents=[common],
+        parents=[shared(top=True)],
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
+    sub_common = shared(top=False)
 
     def add(name, help):
-        return sub.add_parser(name, help=help, parents=[common])
+        return sub.add_parser(name, help=help, parents=[sub_common])
 
     p = add("verify", "check a configuration file end to end")
     p.add_argument("group_file")
@@ -489,6 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: Optional[Sequence[str]] = None) -> Tuple[RunReport, int]:
     args = build_parser().parse_args(argv)
+    if args.cmd in ("verify", "classify", "filters", "demo") and (
+            args.seed_size is not None or args.threads is not None):
+        raise InputError(f"{args.cmd} searches no arcs: it takes no --seed-size or --threads")
     threads = args.threads if args.threads is not None else _default_threads()
     if threads < 1:
         raise InputError("--threads must be positive")

@@ -4,9 +4,16 @@ Every group carries a full multiplication table over element indices
 0..n-1 with identity at 0.  Cocycle groups (central extensions of F_2^d
 by F_2) encode the element (u, a) as the integer u | (a << d); Heisenberg
 groups encode (a, b, c) over F_p as a*p^2 + b*p + c.
+
+Structure is computed once per group, by whole-table numpy passes, and
+kept on the group: the element orders, the sorted distinct commutators
+[a, b] and k-th powers g^k (never an n x n table), and the subgroups
+frattini, center and derived return.  Repeated calls return the same
+objects.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -26,7 +33,7 @@ __all__ = [
     "product_set",
     "is_normal",
     "centralizer",
-    "conjugate_subgroup",
+    "conjugation_table",
     "center",
     "derived",
     "agemo",
@@ -71,7 +78,8 @@ class FiniteGroup:
         if np.any(inv < 0):
             raise ValueError("table has no inverses; not a group")
         self.inv = inv
-        self._orders: Optional[np.ndarray] = None
+        # structure computed once: see the module docstring
+        self._cache: Dict[object, object] = {}
 
     def op(self, a: int, b: int) -> int:
         return int(self.mul[a, b])
@@ -99,16 +107,46 @@ class FiniteGroup:
         return out
 
     def element_orders(self) -> np.ndarray:
-        if self._orders is None:
+        orders = self._cache.get("orders")
+        if orders is None:
+            ar = np.arange(self.n)
             orders = np.zeros(self.n, dtype=np.int32)
-            for g in range(self.n):
-                x, k = g, 1
-                while x != 0:
-                    x = int(self.mul[x, g])
-                    k += 1
-                orders[g] = k
-            self._orders = orders
-        return self._orders
+            x, k = ar, 1  # x[g] = g^k
+            while True:
+                orders[(x == 0) & (orders == 0)] = k
+                if orders.all():
+                    break
+                x, k = self.mul[x, ar], k + 1
+            self._cache["orders"] = orders
+        return orders
+
+    def commutators(self, of: Optional[Sequence[int]] = None) -> np.ndarray:
+        """The sorted distinct commutators [a, b] for a in `of` and b in
+        G, from one whole-table pass; `of` defaults to every element,
+        and that set is cached."""
+        if of is None:
+            out = self._cache.get("commutators")
+            if out is None:
+                out = self._cache["commutators"] = self.commutators(range(self.n))
+            return out
+        a, m, inv = np.asarray(of, dtype=np.intp), self.mul, self.inv
+        return _distinct(m[m[inv[a, None], inv[None, :]], m[a]], self.n)
+
+    def powers(self, k: int) -> np.ndarray:
+        """The sorted distinct k-th powers g^k (k >= 0) over all g, by
+        repeated squaring of the whole element array."""
+        key = ("powers", k)
+        out = self._cache.get(key)
+        if out is None:
+            acc, base = np.zeros(self.n, dtype=np.intp), np.arange(self.n)
+            e = k
+            while e:
+                if e & 1:
+                    acc = self.mul[acc, base]
+                base = self.mul[base, base]
+                e >>= 1
+            out = self._cache[key] = _distinct(acc, self.n)
+        return out
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))
@@ -157,6 +195,14 @@ class CocycleGroup(FiniteGroup):
     def vector(self, g: int) -> int:
         """Image in the Frattini quotient F_2^d (the low d bits)."""
         return g & ((1 << self.d) - 1)
+
+
+def _distinct(values: np.ndarray, n: int) -> np.ndarray:
+    """The sorted distinct entries of an array over 0..n-1, by a bool
+    mask (np.unique costs a lazy set-up on its first call)."""
+    mask = np.zeros(n, dtype=bool)
+    mask[values.ravel()] = True
+    return np.flatnonzero(mask)
 
 
 def _parity_arr(x: np.ndarray) -> np.ndarray:
@@ -240,41 +286,56 @@ def subgroup_generate(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
 
 def product_set(G: FiniteGroup, A: Sequence[int], B: Sequence[int]) -> Tuple[int, ...]:
     """The sorted element set AB."""
-    prods = G.mul[np.ix_(np.asarray(A, dtype=np.intp), np.asarray(B, dtype=np.intp))]
-    return tuple(sorted(set(int(x) for x in prods.ravel())))
+    prods = G.mul[np.asarray(A, dtype=np.intp)[:, None], np.asarray(B, dtype=np.intp)]
+    return tuple(sorted(set(prods.ravel().tolist())))
+
+
+def conjugation_table(G: FiniteGroup, elems: Sequence[int]) -> np.ndarray:
+    """The (n, len(elems)) table of g^-1 h g, row g, column h."""
+    m, hs = G.mul, np.asarray(elems, dtype=np.intp)
+    return m[m[G.inv[:, None], hs[None, :]], np.arange(G.n)[:, None]]
 
 
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
-    hs = H.element_set()
-    return all(G.conjugate(h, g) in hs for h in H.gens or H.elements for g in range(G.n))
+    """One pass over the conjugation table of the generators."""
+    member = np.zeros(G.n, dtype=bool)
+    member[np.asarray(H.elements, dtype=np.intp)] = True
+    return bool(member[conjugation_table(G, H.gens or H.elements)].all())
 
 
 def centralizer(G: FiniteGroup, S: Sequence[int]) -> Subgroup:
-    out = [g for g in range(G.n) if all(G.mul[g, s] == G.mul[s, g] for s in S)]
-    return Subgroup(G, tuple(out))
+    s = np.asarray(S, dtype=np.intp)
+    commutes = (G.mul[:, s] == G.mul[s, :].T).all(axis=1)
+    return Subgroup(G, tuple(np.flatnonzero(commutes).tolist()))
 
 
-def conjugate_subgroup(H: Subgroup, g: int) -> Subgroup:
-    G = H.parent
-    return Subgroup(G, tuple(sorted(G.conjugate(h, g) for h in H.elements)),
-                    tuple(G.conjugate(h, g) for h in H.gens))
+def _cached_subgroup(G: FiniteGroup, key: str, make) -> Subgroup:
+    sub = G._cache.get(key)
+    if sub is None:
+        sub = G._cache[key] = make()
+    return sub
+
+
+def _generated(G: FiniteGroup, *parts: np.ndarray) -> Subgroup:
+    """The subgroup generated by the union of sorted element arrays."""
+    gens = _distinct(np.concatenate(parts), G.n)
+    return subgroup_generate(G, gens[gens != 0].tolist())
 
 
 def center(G: FiniteGroup) -> Subgroup:
-    out = [g for g in range(G.n) if np.array_equal(G.mul[g], G.mul[:, g])]
-    return Subgroup(G, tuple(out))
+    def make() -> Subgroup:
+        central = (G.mul == G.mul.T).all(axis=1)
+        return Subgroup(G, tuple(np.flatnonzero(central).tolist()))
+    return _cached_subgroup(G, "center", make)
 
 
 def derived(G: FiniteGroup) -> Subgroup:
-    comms = {G.commutator(a, b) for a in range(G.n) for b in range(G.n)}
-    return subgroup_generate(G, comms)
+    return _cached_subgroup(G, "derived", lambda: _generated(G, G.commutators()))
 
 
 def agemo(G: FiniteGroup, k: int = 1) -> Subgroup:
     """The subgroup generated by p^k-th powers (p from |G|)."""
-    p = _prime_of(G.n)
-    powers = {G.power(g, p**k) for g in range(G.n)}
-    return subgroup_generate(G, powers)
+    return _generated(G, G.powers(_prime_of(G.n) ** k))
 
 
 def exponent(G: FiniteGroup) -> int:
@@ -286,10 +347,8 @@ def exponent(G: FiniteGroup) -> int:
 
 def frattini(G: FiniteGroup) -> Subgroup:
     """For p-groups: the closure of p-th powers and commutators."""
-    p = _prime_of(G.n)
-    gens = {G.power(g, p) for g in range(G.n)}
-    gens |= {G.commutator(a, b) for a in range(G.n) for b in range(G.n)}
-    return subgroup_generate(G, gens)
+    return _cached_subgroup(
+        G, "frattini", lambda: _generated(G, G.powers(_prime_of(G.n)), G.commutators()))
 
 
 def _prime_of(n: int) -> int:
@@ -331,70 +390,127 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> TableGroup:
 
 def complements(H: Subgroup, N: Subgroup) -> List[Subgroup]:
     """All K <= H with K meeting N trivially and KN = H (N central of
-    order 2 inside H)."""
+    order 2 inside H), sorted by elements.
+
+    Such a K has index 2 in H, so it is the kernel of a character of
+    the elementary abelian quotient H / <h^2 : h in H> that is nonzero
+    at the generator c of N; each K is built once, from its character.
+    Its gens are the lexicographically last increasing sequence of its
+    elements, each outside the subgroup generated by those before, that
+    generates K."""
     G = H.parent
     if N.order != 2 or not set(N.elements) <= set(H.elements):
         raise ValueError("N must have order 2 inside H")
     c = N.elements[1]
     if any(G.mul[c, h] != G.mul[h, c] for h in H.elements):
         raise ValueError("N must be central in H")
-    target = H.order // 2
-    found: Dict[Tuple[int, ...], Subgroup] = {}
-    elems = [h for h in H.elements if h != 0]
+    elems = sorted(H.elements)
+    squares = subgroup_generate(G, {int(G.mul[h, h]) for h in elems})
+    if c in squares.element_set():
+        return []
+    # coord[h]: the image of h in H / <h^2> over a greedy basis
+    coord = dict.fromkeys(squares.elements, 0)
+    rank = 0
+    for h in elems:
+        if h not in coord:
+            for x, v in list(coord.items()):
+                coord[int(G.mul[x, h])] = v | 1 << rank
+            rank += 1
+    out = []
+    for w in range(1, 1 << rank):
+        if (coord[c] & w).bit_count() % 2:
+            kernel = tuple(h for h in elems if (coord[h] & w).bit_count() % 2 == 0)
+            gens = _last_generating_sequence(G, kernel, (), frozenset((0,)))
+            out.append(Subgroup(G, kernel, gens))
+    out.sort(key=lambda s: s.elements)
+    return out
 
-    def extend(sub: Subgroup) -> None:
-        if sub.order == target:
-            if c not in sub.element_set():
-                found[sub.key()] = sub
-            return
-        last = max(sub.gens) if sub.gens else 0
-        for h in elems:
-            if h <= last or h in sub.element_set():
-                continue
-            new = subgroup_generate(G, sub.gens + (h,))
-            if new.order <= target and c not in new.element_set() and \
-                    set(new.elements) <= set(H.elements):
-                extend(new)
 
-    extend(Subgroup(G, (0,), ()))
-    return [found[k] for k in sorted(found)]
+def _last_generating_sequence(G: FiniteGroup, elems: Tuple[int, ...],
+                              gens: Tuple[int, ...], span: frozenset
+                              ) -> Optional[Tuple[int, ...]]:
+    """The lexicographically last increasing extension of gens, by
+    elements outside the span so far, that generates the subgroup with
+    these sorted elements; None if there is none.  A search that tries
+    the larger elements first meets it first."""
+    if len(span) == len(elems):
+        return gens
+    last = gens[-1] if gens else 0
+    for h in reversed(elems):
+        if h <= last:
+            break
+        if h not in span:
+            longer = gens + (h,)
+            found = _last_generating_sequence(
+                G, elems, longer, subgroup_generate(G, longer).element_set())
+            if found is not None:
+                return found
+    return None
 
 
 def enumerate_elem_abelian_subgroups(
     G: FiniteGroup, order: int, avoid: Sequence[Sequence[int]] = ()
 ) -> List[Subgroup]:
     """All elementary abelian subgroups of the given 2-power order whose
-    intersection with each avoid product-set is trivial, built by
-    extending commuting involution sets."""
+    intersection with each avoid product-set is trivial, sorted by
+    elements.
+
+    Each subgroup is built once, from its greedy basis: E grows by an
+    involution h commuting with it only when h exceeds the last
+    generator and is the least element of its coset hE.  Along such a
+    path every coset of the final subgroup that a later step adds lies
+    above that step's generator, so each generator is the least element
+    outside the E before it: the path is the greedy basis, which is
+    also the lexicographically first increasing basis.  E is a bitset
+    over element indices."""
     rank = order.bit_length() - 1
     if 1 << rank != order or order > 16:
         raise ValueError("order must be a 2-power <= 16")
-    avoid_sets = [frozenset(a) - {0} for a in avoid]
-    orders = G.element_orders()
-    invol = [g for g in range(1, G.n) if orders[g] == 2]
-    bad = set().union(*avoid_sets) if avoid_sets else set()
-    invol = [g for g in invol if g not in bad]
-    comm = {g: frozenset(h for h in invol if G.mul[g, h] == G.mul[h, g]) for g in invol}
-    found: Dict[Tuple[int, ...], Subgroup] = {}
+    n = G.n
+    bad = np.zeros(n, dtype=bool)
+    for a in avoid:
+        bad[np.asarray(a, dtype=np.intp)] = True
+    bad[0] = False
+    usable = (G.element_orders() == 2) & ~bad
+    invol = np.flatnonzero(usable)
+    sub = G.mul[np.ix_(invol, invol)]
+    commuting = np.zeros((len(invol), n), dtype=bool)
+    commuting[:, invol] = sub == sub.T
+    # comm[h]: the involutions of the pool commuting with h, as a bitset
+    comm = {int(h): _bitset(row) for h, row in zip(invol, commuting)}
+    code = "h" if G.mul.itemsize == 2 else "i"
+    rows = {h: array(code, G.mul[h].tobytes()) for h in comm}
+    badbits = _bitset(bad)
+    found: List[Subgroup] = []
 
-    def extend(elems: frozenset, gens: Tuple[int, ...], pool: frozenset) -> None:
+    def extend(elems: List[int], ebits: int, gens: Tuple[int, ...], pool: int) -> None:
         if len(elems) == order:
-            key = tuple(sorted(elems))
-            found.setdefault(key, Subgroup(G, key, gens))
+            found.append(Subgroup(G, tuple(sorted(elems)), gens))
             return
-        for h in sorted(pool):
-            if h in elems or h <= gens[-1]:
-                continue
-            new = frozenset(int(G.mul[e, h]) for e in elems) | elems
-            if len(new) != 2 * len(elems):
-                continue
-            if bad and (new & bad):
-                continue
-            extend(new, gens + (h,), pool & comm[h])
+        above = gens[-1] + 1 if gens else 1
+        cand = (pool >> above << above) & ~ebits
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            h = low.bit_length() - 1
+            row = rows[h]
+            coset = [row[e] for e in elems]  # h commutes with E: eh = he
+            cbits = 0
+            for x in coset:
+                cbits |= 1 << x
+            cand &= ~cbits  # the rest of hE has the same least element
+            if min(coset) == h and not cbits & badbits:
+                extend(elems + coset, ebits | cbits, gens + (h,), pool & comm[h])
 
-    for g in invol:
-        extend(frozenset((0, g)), (g,), comm[g])
-    return [found[k] for k in sorted(found)]
+    extend([0], 1, (), _bitset(usable))
+    del extend  # the closure refers to itself and, through found, to G
+    found.sort(key=lambda s: s.elements)
+    return found
+
+
+def _bitset(mask: np.ndarray) -> int:
+    """A bool array over element indices as a Python-int bitset."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
 def order_histogram(G: FiniteGroup, elements: Optional[Sequence[int]] = None) -> Dict[int, int]:

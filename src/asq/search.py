@@ -14,7 +14,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -343,52 +343,64 @@ class _ProductSearch:
         self.G = G
         self.subs = list(subs)
         self.masks = [_bits(s.elements) for s in self.subs]
-        self._products: Dict[Tuple[int, int], int] = {}
+        self._products: Dict[int, int] = {}  # key i * len(subs) + j, i <= j
         self.nodes = 0
         self.deepest = 0
 
     def product(self, i: int, j: int) -> int:
-        key = (i, j) if i < j else (j, i)
+        if i > j:
+            i, j = j, i
+        key = i * len(self.subs) + j
         v = self._products.get(key)
         if v is None:
-            a, b = key
-            v = _bits(product_set(self.G, self.subs[a].elements, self.subs[b].elements))
+            v = _bits(product_set(self.G, self.subs[i].elements, self.subs[j].elements))
             self._products[key] = v
         return v
 
     def backtrack(self, cands: Sequence[int], target: int, fixed: Sequence[int] = (),
-                  compat: Optional[Sequence[int]] = None) -> List[Tuple[int, ...]]:
+                  compat: Optional[Sequence[AbstractSet[int]]] = None
+                  ) -> List[Tuple[int, ...]]:
         """Every target-sized subset of cands (indices into subs, in the
         given order) that extends the fixed members to a family
         satisfying AS2.  The cands must already meet each fixed member
-        trivially.  compat[c], when given, is a bitset over indices:
-        d may only follow c if bit d is set.  Adds the nodes visited
-        to self.nodes and the largest partial family to self.deepest."""
+        trivially.  compat[c], when given, is the set of indices that
+        may follow c.  Adds the nodes visited to self.nodes and the
+        largest partial family to self.deepest."""
         masks, product = self.masks, self.product
         found: List[Tuple[int, ...]] = []
+        nodes, deepest = 0, 0
 
-        def dfs(cur: List[int], pool: List[int]) -> None:
-            self.nodes += 1
-            self.deepest = max(self.deepest, len(cur))
+        def dfs(cur: Tuple[int, ...], pool: List[int]) -> None:
+            nonlocal nodes, deepest
+            nodes += 1
+            deepest = max(deepest, len(cur))
             need = target - len(cur)
             if need == 0:
-                found.append(tuple(cur))
+                found.append(cur)
                 return
-            for pos, c in enumerate(pool):
-                if len(pool) - pos < need:
-                    break
+            placed = tuple(fixed) + cur
+            for pos in range(len(pool) - need + 1):
+                c = pool[pos]
                 blocked = masks[c]
-                for x in fixed:
+                for x in placed:
                     blocked |= product(x, c)
-                for x in cur:
-                    blocked |= product(x, c)
-                allowed = compat[c] if compat is not None else -1  # -1: all bits set
-                rest = [d for d in pool[pos + 1:]
-                        if allowed >> d & 1 and not masks[d] & blocked]
-                dfs(cur + [c], rest)
+                if compat is None:
+                    rest = [d for d in pool[pos + 1:] if not masks[d] & blocked]
+                else:
+                    allowed = compat[c]
+                    rest = [d for d in pool[pos + 1:]
+                            if d in allowed and not masks[d] & blocked]
+                if 1 < need and len(rest) < need - 1:
+                    # the child could place nothing: count it as visited
+                    nodes += 1
+                    deepest = max(deepest, len(cur) + 1)
+                else:
+                    dfs(cur + (c,), rest)
 
-        dfs([], list(cands))
+        dfs((), list(cands))
         del dfs  # the closure refers to itself and, through self, to G
+        self.nodes += nodes
+        self.deepest = max(self.deepest, deepest)
         return found
 
 
@@ -491,27 +503,30 @@ def lemma53_counts(G: FiniteGroup, rng=None) -> Dict[str, object]:
     pool = enumerate_elem_abelian_subgroups(G, 8, avoid=[p01, p02, p12])
     n = len(pool)
 
-    # compat[i] has bit j set iff U_b U_i cap U_j = 1 for every base
-    # member b: the pool of fourths left by third i.
-    search = _ProductSearch(G, pool)
-    compat = []
-    for u3 in pool:
-        bad = 0
+    # compat[i] holds j iff U_b U_i cap U_j = 1 for every base
+    # member b: the pool of fourths left by third i.  One matrix product
+    # counts, for every (i, j), the elements of U_j (identity aside) that
+    # the products U_b U_i cover.
+    blocked = np.zeros((n, G.n), dtype=np.float32)
+    members = np.zeros((n, G.n), dtype=np.float32)
+    for i, u3 in enumerate(pool):
         for b in (u0, u1, u2):
-            bad |= _bits(product_set(G, b.elements, u3.elements))
-        compat.append(sum(1 << j for j, m in enumerate(search.masks) if not bad & m))
-    if any(compat[i] >> j & 1 != compat[j] >> i & 1
-           for i in range(n) for j in range(i)):  # pragma: no cover
+            blocked[i, list(product_set(G, b.elements, u3.elements))] = 1
+        members[i, list(u3.elements[1:])] = 1
+    fits = blocked @ members.T == 0
+    if not np.array_equal(fits, fits.T):  # pragma: no cover
         raise AssertionError("compatibility relation is not symmetric")
-    vals, reps = np.unique([row.bit_count() for row in compat], return_counts=True)
-    distribution = {int(v): int(c) for v, c in zip(vals, reps)}
+    compat = [frozenset(np.flatnonzero(row).tolist()) for row in fits]
+    sizes = np.bincount(fits.sum(axis=1))
+    distribution = {v: int(c) for v, c in enumerate(sizes) if c}
 
     # the size-6 search: for each third choice U_3 with a nonempty
     # fourth pool, no six members of that pool can join
     # (U_0, U_1, U_2, U_3) - which would complete the configuration.
+    search = _ProductSearch(G, pool)
     size6 = 0
     for a in range(n):
-        fourths = [j for j in range(n) if compat[a] >> j & 1]
+        fourths = np.flatnonzero(fits[a]).tolist()
         if fourths:
             size6 += len(search.backtrack(fourths, 6, fixed=(a,), compat=compat))
     return {
@@ -537,22 +552,23 @@ def minus_type_obstruction(G: CocycleGroup, seed_size: int = 6,
     report: Dict[str, object] = {"center_order": z.order}
     cat = PlaneCatalogue(form)
     top = 1 << G.d
+    vectors = np.arange(top)
     comm = np.asarray(G.mul) == np.asarray(G.mul).T
     centraliser_ok = True
     n_candidates = 0
     for p in cat.planes:
-        rows = [form.bilinear_row(b) for b in p.basis]
-        perp = [v for v in range(1 << G.d)
-                if all(bin(r & v).count("1") % 2 == 0 for r in rows)]
-        pre_perp = sorted([v for v in perp] + [v | top for v in perp])
+        perp = vectors
+        for b in p.basis:  # keep the v with B(b, v) = parity(row & v) = 0
+            perp = perp[np.bitwise_count(perp & form.bilinear_row(b)) & 1 == 0]
+        pre_perp = np.concatenate([perp, perp | top])
         pool, dropped = lift_arc(G, [p])
         if dropped:
             centraliser_ok = False
             continue
         for u in pool:
             n_candidates += 1
-            cz = np.nonzero(comm[:, list(u.elements)].all(axis=1))[0]
-            if [int(x) for x in cz] != pre_perp:
+            cz = np.flatnonzero(comm[:, list(u.elements)].all(axis=1))
+            if not np.array_equal(cz, pre_perp):
                 centraliser_ok = False
     report["n_planes"] = cat.n
     report["n_candidates"] = n_candidates

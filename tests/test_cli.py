@@ -102,10 +102,31 @@ def test_pseudoarcs_mixed_form_exit2():
 
 
 def test_flags_accepted_after_subcommand(tmp_path, schema):
-    code, rep = run_json(tmp_path, ["classify", "27"], schema)
+    argv = ["pseudoarcs", "minus8", "--target", "5"]
+    code, rep = run_json(tmp_path, argv + ["--seed-size", "4", "--threads", "2"], schema)
     assert code == 0
-    code2 = cli.main(["classify", "27", "--quiet", "--threads", "2"])
-    assert code2 == 0
+    assert rep["counts"]["seeds"] == 5 and rep["inputs"]["seed_size"] == 4
+    assert cli.main(["--quiet", "--threads", "2"] + argv + ["--seed-size", "4"]) == 0
+
+
+@pytest.mark.parametrize("argv", [["classify", "27"], ["filters", "heisenberg3"],
+                                  ["verify", "g.group", "c.cfg"], ["demo", "w3q-3"]])
+@pytest.mark.parametrize("flags", [["--threads", "2"], ["--seed-size", "99"],
+                                   ["--threads", "1", "--seed-size", "6"]])
+def test_unused_arc_flags_rejected(capsys, argv, flags):
+    assert cli.main(["--quiet"] + argv + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[0]} ") and err.count("\n") == 1
+    assert cli.main(flags + ["--quiet"] + argv) == 2  # flags before the subcommand
+
+
+def test_flags_before_subcommand_are_kept():
+    args = cli.build_parser().parse_args(
+        ["--threads", "3", "--seed-size", "5", "--json", "r.json", "--quiet",
+         "pseudoarcs", "minus8"])
+    assert (args.threads, args.seed_size, args.json, args.quiet) == (3, 5, "r.json", True)
+    args = cli.build_parser().parse_args(["pseudoarcs", "minus8", "--threads", "4"])
+    assert (args.threads, args.seed_size, args.json, args.quiet) == (4, None, None, False)
 
 
 def test_bad_threads_env(monkeypatch):

@@ -1,4 +1,5 @@
 """Group tables, subgroup machinery and the cocycle constructions."""
+import itertools
 import random
 
 import numpy as np
@@ -10,6 +11,7 @@ from asq.groups import (
     HeisenbergGroup,
     Subgroup,
     abelian_type,
+    agemo,
     center,
     centralizer,
     complements,
@@ -166,3 +168,175 @@ def test_load_group_rejects_garbage():
         load_group("nonsense\n")
     with pytest.raises(ValueError):
         load_group("kind: table\nn: 2\n0 1\n1 1\n")  # not a group
+
+
+# ----------------------------------------------------------------------
+# slow oracles for the whole-table structure passes and the enumeration
+
+ORACLE_GROUPS = order8_catalogue() + order27_catalogue() + [elementary_abelian(4)]
+ORACLE_TABLE4 = ("210b", "212m")
+
+
+def elem_abelian_oracle(G, order, avoid=()):
+    """Every subgroup generated by a set of commuting involutions outside
+    the avoid sets, grown one involution at a time and deduplicated by
+    element set; gens is the first sorted combination of its elements
+    that generates it."""
+    bad = set().union(*map(set, avoid)) - {0} if avoid else set()
+    invol = [g for g in range(1, G.n) if G.power(g, 2) == 0 and g not in bad]
+    commuting = {h: {0} | {x for x in invol if G.op(h, x) == G.op(x, h)} for h in invol}
+    level = {frozenset([0])}
+    while level and len(next(iter(level))) < order:
+        grown = set()
+        for elems in level:
+            for h in invol:
+                if h in elems or not elems <= commuting[h]:
+                    continue
+                new = elems | {G.op(e, h) for e in elems}
+                if not new & bad:
+                    grown.add(new)
+        level = grown
+    rank = order.bit_length() - 1
+    out = []
+    for elems in sorted(tuple(sorted(s)) for s in level):
+        gens = next(c for c in itertools.combinations(elems[1:], rank)
+                    if subgroup_generate(G, c).elements == elems)
+        out.append((elems, gens))
+    return out
+
+
+def avoid_sets(G):
+    yield ()
+    if G.n % 2 == 0 and G.n > 2:
+        yield [center(G).elements]
+        yield [frattini(G).elements, (0, G.n - 1)]
+
+
+@pytest.mark.parametrize("G", ORACLE_GROUPS, ids=lambda G: G.name)
+def test_enumerate_elem_abelian_matches_oracle(G):
+    for order in (1, 2, 4, 8, 16):
+        for avoid in avoid_sets(G):
+            got = [(s.elements, s.gens)
+                   for s in enumerate_elem_abelian_subgroups(G, order, avoid=avoid)]
+            assert got == elem_abelian_oracle(G, order, avoid), (order, avoid)
+
+
+@pytest.mark.parametrize("ident", ORACLE_TABLE4)
+def test_enumerate_elem_abelian_matches_oracle_table4(ident):
+    G = table4_group(ident)
+    avoid = [frattini(G).elements]
+    for order in (2, 4):
+        got = [(s.elements, s.gens) for s in enumerate_elem_abelian_subgroups(G, order)]
+        assert got == elem_abelian_oracle(G, order), order
+    got = [(s.elements, s.gens)
+           for s in enumerate_elem_abelian_subgroups(G, 8, avoid=avoid)]
+    assert got == elem_abelian_oracle(G, 8, avoid)
+
+
+def structure_oracle(G):
+    n = G.n
+    p = groups._prime_of(n)
+    comms = {G.commutator(a, b) for a in range(n) for b in range(n)}
+    powers = {G.power(g, p) for g in range(n)}
+    return {
+        "frattini": subgroup_generate(G, powers | comms).elements,
+        "derived": subgroup_generate(G, comms).elements,
+        "center": tuple(g for g in range(n)
+                        if all(G.op(g, x) == G.op(x, g) for x in range(n))),
+        "agemo": subgroup_generate(G, powers).elements,
+        "agemo2": subgroup_generate(G, {G.power(g, p * p) for g in range(n)}).elements,
+    }
+
+
+def normal_oracle(G, H):
+    hs = H.element_set()
+    return all(G.conjugate(h, g) in hs for h in H.elements for g in range(G.n))
+
+
+def centralizer_oracle(G, S):
+    return tuple(g for g in range(G.n) if all(G.op(g, s) == G.op(s, g) for s in S))
+
+
+@pytest.mark.parametrize("G", ORACLE_GROUPS + [table4_group(i) for i in ORACLE_TABLE4],
+                         ids=lambda G: G.name)
+def test_structure_matches_oracle(G):
+    want = structure_oracle(G)
+    got = {
+        "frattini": frattini(G).elements,
+        "derived": derived(G).elements,
+        "center": center(G).elements,
+        "agemo": agemo(G, 1).elements,
+        "agemo2": agemo(G, 2).elements,
+    }
+    assert got == want
+    assert list(G.commutators()) == sorted(
+        {G.commutator(a, b) for a in range(G.n) for b in range(G.n)})
+    for k in (0, 1, 2, 3, 4, 9):
+        assert list(G.powers(k)) == sorted({G.power(g, k) for g in range(G.n)})
+    assert list(G.element_orders()) == [
+        next(k for k in range(1, G.n + 1) if G.power(g, k) == 0) for g in range(G.n)]
+    rng = random.Random(G.n)
+    S = rng.sample(range(G.n), 3)
+    assert list(G.commutators(S)) == sorted(
+        {G.commutator(a, b) for a in S for b in range(G.n)})
+    subs = [center(G), frattini(G), derived(G), Subgroup(G, tuple(range(G.n)))]
+    subs += [subgroup_generate(G, rng.sample(range(G.n), k)) for k in (1, 1, 2, 2, 3)]
+    for H in subs:
+        assert is_normal(G, H) == normal_oracle(G, H), H
+        # gens-free copies take the element path
+        assert is_normal(G, Subgroup(G, H.elements)) == normal_oracle(G, H), H
+    for k in (0, 1, 2, 3, 5):
+        S = rng.sample(range(G.n), k)
+        assert centralizer(G, S).elements == centralizer_oracle(G, S), S
+
+
+def test_structure_is_cached():
+    G = table4_group("212m")
+    assert frattini(G) is frattini(G)
+    assert center(G) is center(G) and derived(G) is derived(G)
+    assert G.commutators() is G.commutators() and G.powers(2) is G.powers(2)
+
+
+def complements_oracle(H, N):
+    """Every subgroup reached by adjoining increasing elements of H one
+    at a time while the order stays at most |H|/2 and c stays out; a
+    subgroup reached along several sequences keeps the last one."""
+    G = H.parent
+    c, target = N.elements[1], H.order // 2
+    found = {}
+
+    def extend(sub):
+        if sub.order == target:
+            found[sub.elements] = sub
+            return
+        for h in H.elements[1:]:
+            if h > max(sub.gens, default=0) and h not in sub.element_set():
+                new = subgroup_generate(G, sub.gens + (h,))
+                if new.order <= target and c not in new.element_set():
+                    extend(new)
+
+    extend(Subgroup(G, (0,), ()))
+    return [(found[k].elements, found[k].gens) for k in sorted(found)]
+
+
+def test_complements_match_oracle():
+    cases = []
+    for G in [dihedral8(), quaternion8(), direct_product(dihedral8(), cyclic(2)),
+              direct_product(quaternion8(), cyclic(2)), direct_product(cyclic(4), cyclic(4)),
+              elementary_abelian(4)]:
+        full = Subgroup(G, tuple(range(G.n)))
+        cases += [(full, Subgroup(G, (0, c))) for c in center(G).elements
+                  if G.element_orders()[c] == 2]
+    G = table4_group("212m")
+    c = frattini(G).elements[1]
+    rng = random.Random(3)
+    while len(cases) < 40:
+        H = subgroup_generate(G, [c] + rng.sample(range(G.n), rng.randint(1, 3)))
+        if H.order <= 32:
+            cases.append((H, frattini(G)))
+    sizes = set()
+    for H, N in cases:
+        got = [(s.elements, s.gens) for s in complements(H, N)]
+        assert got == complements_oracle(H, N), (H, N)
+        sizes.add(len(got))
+    assert 0 in sizes and len(sizes) >= 3  # with and without complements
