@@ -29,6 +29,7 @@ from .groups import (
     enumerate_elem_abelian_subgroups,
     exponent,
     frattini,
+    index2_subgroups,
     is_normal,
     product_set,
     quotient,
@@ -238,7 +239,8 @@ def lemma41_invariants(G: FiniteGroup, cfg: ASConfiguration) -> Dict[str, object
     (i) Phi(G) <= U_0; (ii) each U_i (i > 0) elementary abelian;
     (iii) U_i^g <= U_0 U_i; (iv) the U_0 U_i cover G; (v) unique
     factorisation g = u_i u_k for g in U_0 U_j off U_0 and U_j;
-    (vi) G = U_i U_j U_k for distinct triples.
+    (vi) G = U_i U_j U_k for distinct triples.  The witness is the
+    first failure found, in that order.
     """
     _validate(G, cfg)
     q = cfg.q
@@ -248,25 +250,17 @@ def lemma41_invariants(G: FiniteGroup, cfg: ASConfiguration) -> Dict[str, object
     report: Dict[str, object] = {"witness": None}
     report["phi_in_u0"] = frattini(G).element_set() <= u0set
 
-    orders = G.element_orders()
-    elem_ab = True
-    for u in subs[1:]:
-        els = u.elements
-        if any(int(orders[g]) > p for g in els):
-            elem_ab = False
-        if any(G.mul[a, b] != G.mul[b, a] for a in els for b in els):
-            elem_ab = False
-    report["ui_elementary_abelian"] = elem_ab
+    report["ui_elementary_abelian"] = all(_is_elem_abelian(G, u.elements, p) for u in subs[1:])
 
     stars = [set(product_set(G, subs[0].elements, u.elements)) for u in subs[1:]]
     conj_ok = True
     for u, star in zip(subs[1:], stars):
-        for g in range(G.n):
-            if any(G.conjugate(h, g) not in star for h in u.elements):
-                conj_ok = False
-                report["witness"] = {"conjugate": g}
-                break
-        if not conj_ok:
+        inside = np.zeros(G.n, dtype=bool)
+        inside[list(star)] = True
+        kept = inside[conjugation_table(G, u.elements)].all(axis=1)  # row g: U_i^g <= U_0 U_i
+        if not kept.all():
+            conj_ok = False
+            report["witness"] = {"conjugate": int(np.argmin(kept))}
             break
     report["conjugates_in_u0ui"] = conj_ok
 
@@ -297,7 +291,7 @@ def lemma41_invariants(G: FiniteGroup, cfg: ASConfiguration) -> Dict[str, object
                             count += 1
                 if count != 1:
                     unique_fact = False
-                    report["witness"] = {"factorisation": [g, i, count]}
+                    report["witness"] = report["witness"] or {"factorisation": [g, i, count]}
                     break
             if not unique_fact:
                 break
@@ -315,7 +309,7 @@ def lemma41_invariants(G: FiniteGroup, cfg: ASConfiguration) -> Dict[str, object
         for k in range(j + 1, nsubs):
             if len(product_set(G, sorted(stars[j - 1]), subs[k].elements)) != G.n:
                 triple_prod = False
-                report["witness"] = {"triple_product": [0, j, k]}
+                report["witness"] = report["witness"] or {"triple_product": [0, j, k]}
     report["triple_products"] = triple_prod
 
     report["ok"] = all(
@@ -468,36 +462,6 @@ def _is_extraspecial(G: FiniteGroup) -> bool:
     return derived(G).elements == z.elements and frattini(G).elements == z.elements
 
 
-def _index2_subgroups(G: FiniteGroup, H: Subgroup) -> List[Subgroup]:
-    """Index-2 subgroups of an abelian subgroup H: kernels of the
-    nonzero characters of H / H^2."""
-    sq = subgroup_generate(G, {G.power(h, 2) for h in H.elements})
-    basis = []
-    span = set(sq.elements)
-    spanlist = list(sq.elements)
-    for h in H.elements:
-        if h not in span:
-            basis.append(h)
-            spanlist += [int(G.mul[x, h]) for x in spanlist]
-            span = set(spanlist)
-    r = len(basis)
-    # coordinates of each element of H over the basis mod squares
-    sqset = sq.element_set()
-    coord: Dict[int, int] = {}
-    for v in range(1 << r):
-        g = 0
-        for i in range(r):
-            if (v >> i) & 1:
-                g = int(G.mul[g, basis[i]])
-        for s in sq.elements:
-            coord[int(G.mul[s, g])] = v
-    out = []
-    for w in range(1, 1 << r):
-        els = tuple(h for h in H.elements if bin(coord[h] & w).count("1") % 2 == 0)
-        out.append(Subgroup(G, els))
-    return out
-
-
 def extraspecial_quotient_exists(G: FiniteGroup) -> Optional[Subgroup]:
     """A normal subgroup N of index 8 or 32 with extraspecial quotient,
     or None.
@@ -520,7 +484,7 @@ def extraspecial_quotient_exists(G: FiniteGroup) -> Optional[Subgroup]:
         return None if wit is None else _preimage(G, proj, wit.elements)
     # G now has class <= 2 and exponent <= 4.
     if der.order > 2:
-        for M in _index2_subgroups(G, der):  # G' is central, so M is normal
+        for M in index2_subgroups(der):  # G' is central, so M is normal
             Q, proj = quotient(G, M)
             wit = extraspecial_quotient_exists(Q)
             if wit is not None:
@@ -539,7 +503,7 @@ def extraspecial_quotient_exists(G: FiniteGroup) -> Optional[Subgroup]:
         # N central with N cap G' = 1 forces N of index 2 in Z(G).
         if z.order != 2 * target:
             continue
-        for N in _index2_subgroups(G, z):
+        for N in index2_subgroups(z):
             if c in N.element_set():
                 continue
             Q, _ = quotient(G, N)

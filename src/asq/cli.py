@@ -243,11 +243,8 @@ def _ruleout_212m(rep: RunReport, seed_size: int, threads: int) -> None:
     _expect(rep, {"center_order": 2, "families": 0})
 
 
-def cmd_ruleout(ident: str, seed_size: Optional[int] = None,
-                threads: Optional[int] = None) -> RunReport:
-    """None for seed_size or threads means the flag was not given: the
-    seed size is then 6 and the thread count the default.  210b, which
-    uses neither, rejects them when given."""
+def cmd_ruleout(ident: str, seed_size: int = 6, threads: int = 1) -> RunReport:
+    """210b searches no arcs and uses neither seed_size nor threads."""
     dispatch = {
         "208a": _ruleout_208a,
         "210b": _ruleout_210b,
@@ -256,10 +253,6 @@ def cmd_ruleout(ident: str, seed_size: Optional[int] = None,
     }
     if ident not in dispatch:
         raise InputError(f"unknown group id {ident!r}; have {TABLE4_IDS}")
-    if ident == "210b" and (seed_size is not None or threads is not None):
-        raise InputError("ruleout 210b searches no arcs: it takes no --seed-size or --threads")
-    seed_size = 6 if seed_size is None else seed_size
-    threads = _default_threads() if threads is None else threads
     rep = RunReport("ruleout", inputs={"group": ident, "seed_size": seed_size})
     dispatch[ident](rep, seed_size, threads)
     return rep
@@ -496,26 +489,33 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# The commands that search pseudo-arcs, and so the only ones that take
+# --seed-size and --threads (or read ASQ_THREADS).
+ARC_SEARCHES = {"pseudoarcs", "ruleout 208a", "ruleout 211p", "ruleout 212m"}
+
+
 def run(argv: Optional[Sequence[str]] = None) -> Tuple[RunReport, int]:
     args = build_parser().parse_args(argv)
-    if args.cmd in ("verify", "classify", "filters", "demo") and (
-            args.seed_size is not None or args.threads is not None):
-        raise InputError(f"{args.cmd} searches no arcs: it takes no --seed-size or --threads")
-    threads = args.threads if args.threads is not None else _default_threads()
-    if threads < 1:
-        raise InputError("--threads must be positive")
+    name = f"ruleout {args.ident}" if args.cmd == "ruleout" else args.cmd
+    arc_flags: Dict[str, int] = {}
+    if name in ARC_SEARCHES:
+        arc_flags["seed_size"] = 6 if args.seed_size is None else args.seed_size
+        arc_flags["threads"] = _default_threads() if args.threads is None else args.threads
+        if arc_flags["threads"] < 1:
+            raise InputError("--threads must be positive")
+    elif args.seed_size is not None or args.threads is not None:
+        raise InputError(f"{name} searches no arcs: it takes no --seed-size or --threads")
     t0 = time.monotonic()
     if args.cmd == "verify":
         rep = cmd_verify(args.group_file, args.config_file)
     elif args.cmd == "ruleout":
-        rep = cmd_ruleout(args.ident, seed_size=args.seed_size, threads=args.threads)
+        rep = cmd_ruleout(args.ident, **arc_flags)
     elif args.cmd == "classify":
         rep = cmd_classify(args.order)
     elif args.cmd == "filters":
         rep = cmd_filters(args.group)
     elif args.cmd == "pseudoarcs":
-        seed_size = 6 if args.seed_size is None else args.seed_size
-        rep = cmd_pseudoarcs(args.form, seed_size, args.target, threads=threads)
+        rep = cmd_pseudoarcs(args.form, target=args.target, **arc_flags)
     else:
         rep = cmd_demo(args.name)
     rep.wall_time = time.monotonic() - t0

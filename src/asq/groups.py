@@ -34,6 +34,7 @@ __all__ = [
     "is_normal",
     "centralizer",
     "conjugation_table",
+    "index2_subgroups",
     "center",
     "derived",
     "agemo",
@@ -388,27 +389,15 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> TableGroup:
     return TableGroup(table, name=f"{G.name or 'G'}x{H.name or 'H'}")
 
 
-def complements(H: Subgroup, N: Subgroup) -> List[Subgroup]:
-    """All K <= H with K meeting N trivially and KN = H (N central of
-    order 2 inside H), sorted by elements.
-
-    Such a K has index 2 in H, so it is the kernel of a character of
-    the elementary abelian quotient H / <h^2 : h in H> that is nonzero
-    at the generator c of N; each K is built once, from its character.
-    Its gens are the lexicographically last increasing sequence of its
-    elements, each outside the subgroup generated by those before, that
-    generates K."""
+def index2_subgroups(H: Subgroup) -> List[Subgroup]:
+    """The kernels of the nonzero characters of the elementary abelian
+    quotient H / <h^2 : h in H>, i.e. the index-2 subgroups of H.  A
+    character is a bit mask w over a greedy basis of the quotient (taken
+    in element order), and the kernels come in the order of w."""
     G = H.parent
-    if N.order != 2 or not set(N.elements) <= set(H.elements):
-        raise ValueError("N must have order 2 inside H")
-    c = N.elements[1]
-    if any(G.mul[c, h] != G.mul[h, c] for h in H.elements):
-        raise ValueError("N must be central in H")
     elems = sorted(H.elements)
     squares = subgroup_generate(G, {int(G.mul[h, h]) for h in elems})
-    if c in squares.element_set():
-        return []
-    # coord[h]: the image of h in H / <h^2> over a greedy basis
+    # coord[h]: the image of h in H / <h^2> over the greedy basis
     coord = dict.fromkeys(squares.elements, 0)
     rank = 0
     for h in elems:
@@ -416,12 +405,26 @@ def complements(H: Subgroup, N: Subgroup) -> List[Subgroup]:
             for x, v in list(coord.items()):
                 coord[int(G.mul[x, h])] = v | 1 << rank
             rank += 1
-    out = []
-    for w in range(1, 1 << rank):
-        if (coord[c] & w).bit_count() % 2:
-            kernel = tuple(h for h in elems if (coord[h] & w).bit_count() % 2 == 0)
-            gens = _last_generating_sequence(G, kernel, (), frozenset((0,)))
-            out.append(Subgroup(G, kernel, gens))
+    return [Subgroup(G, tuple(h for h in elems if (coord[h] & w).bit_count() % 2 == 0))
+            for w in range(1, 1 << rank)]
+
+
+def complements(H: Subgroup, N: Subgroup) -> List[Subgroup]:
+    """All K <= H with K meeting N trivially and KN = H (N central of
+    order 2 inside H), sorted by elements.
+
+    Such a K has index 2 in H, so it is one of the index2_subgroups of
+    H that avoid the generator c of N.  Its gens are the
+    lexicographically last increasing sequence of its elements, each
+    outside the subgroup generated by those before, that generates K."""
+    G = H.parent
+    if N.order != 2 or not set(N.elements) <= set(H.elements):
+        raise ValueError("N must have order 2 inside H")
+    c = N.elements[1]
+    if any(G.mul[c, h] != G.mul[h, c] for h in H.elements):
+        raise ValueError("N must be central in H")
+    out = [Subgroup(G, K.elements, _last_generating_sequence(G, K.elements, (), frozenset((0,))))
+           for K in index2_subgroups(H) if c not in K.elements]
     out.sort(key=lambda s: s.elements)
     return out
 

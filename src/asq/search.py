@@ -8,6 +8,10 @@ rejection), extend_arcs completes them by depth-first search, lift_arc
 turns arc planes into Frattini-complement candidate pools, and
 as_backtrack searches those pools for (q+1)-families; a separate
 complete_with_U0 pass adjoins the normal member.
+
+Both arc searches carry, per node, the row of planes that keep the
+node's set a partial pseudo-arc; PlaneCatalogue.compatible_row is the
+one kernel that derives a child's row from its parent's.
 """
 from __future__ import annotations
 
@@ -86,10 +90,11 @@ def plane_action(form: QuadraticForm, planes: Sequence[gf2.Subspace]) -> PermGro
 
 class PlaneCatalogue:
     """Immutable search context: the totally singular planes of a form,
-    bit-packed membership masks (as Python ints and as an (n, words)
-    uint64 array), the pairwise-disjointness matrix, and (where the form
-    admits a structural generator set) the plane action of its isometry
-    group."""
+    their bit-packed membership masks as an (n, words) uint64 array, the
+    pairwise-disjointness matrix, and (where the form admits a
+    structural generator set) the plane action of its isometry group.
+    compatible_row is the one test of whether a set of planes stays a
+    partial pseudo-arc; is_partial_pseudo_arc is its slow oracle."""
 
     def __init__(self, form: QuadraticForm, symmetry: bool = True):
         self.form = form
@@ -98,71 +103,44 @@ class PlaneCatalogue:
         self.index: Dict[Tuple[int, ...], int] = {
             p.key(): i for i, p in enumerate(self.planes)
         }
-        self.masks: List[int] = []
-        for p in self.planes:
-            m = 0
-            for v in gf2.subspace_vectors(p):
-                m |= 1 << v
-            self.masks.append(m)
-        self.words = np.zeros((self.n, len(_words(0, form.dim))), dtype=np.uint64)
-        for i, m in enumerate(self.masks):
-            self.words[i] = _words(m, form.dim)
+        vectors = [list(gf2.subspace_vectors(p)) for p in self.planes]
+        self.words = _words(np.array(vectors, dtype=np.int64).reshape(self.n, 8), form.dim)
         self.disjoint = pairwise_disjoint(self.words)
         self.group: Optional[PermGroup] = plane_action(form, self.planes) if symmetry else None
-        self._span: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        self._span: Dict[Tuple[int, int], Tuple[np.ndarray, int]] = {}
 
-    def span_mask(self, i: int, j: int) -> Tuple[int, int]:
-        """(membership mask, rank) of W_i + W_j, cached."""
+    def span_mask(self, i: int, j: int) -> Tuple[np.ndarray, int]:
+        """(membership words, rank) of W_i + W_j, cached."""
         key = (i, j) if i < j else (j, i)
         hit = self._span.get(key)
         if hit is None:
             sp = gf2.span(self.planes[i], self.planes[j])
-            m = 0
-            for v in gf2.subspace_vectors(sp):
-                m |= 1 << v
-            hit = (m, sp.rank)
-            self._span[key] = hit
+            vectors = np.array(list(gf2.subspace_vectors(sp)), dtype=np.int64)
+            hit = self._span[key] = (_words(vectors[None, :], self.form.dim)[0], sp.rank)
         return hit
-
-    def triple_spans(self, i: int, j: int, k: int) -> bool:
-        """Does W_i + W_j + W_k fill the space?  By the dimension
-        formula this needs |(W_i+W_j) cap W_k| = 2^(rank_ij + 3 - d)."""
-        m, r = self.span_mask(i, j)
-        need = r + 3 - self.form.dim
-        if need < 0:
-            return False
-        return (m & self.masks[k]).bit_count() == (1 << need)
 
     def compatible_row(self, row: np.ndarray, s: Sequence[int], x: int) -> np.ndarray:
         """The compatibility row of s + [x] from the row of s, where
-        row[k] = compatible(s, k): keep the planes k disjoint from x
-        with W_a + W_x + W_k filling the space for every a in s."""
+        row[k] says whether s + [k] is a partial pseudo-arc: keep the
+        planes k disjoint from x with W_a + W_x + W_k filling the space
+        for every a in s.  By the dimension formula that needs
+        |(W_a + W_x) cap W_k| = 2^(rank(W_a + W_x) + 3 - dim)."""
         out = row & self.disjoint[x]
         for a in s:
             ks = np.flatnonzero(out)
-            m, r = self.span_mask(a, x)
-            meet = np.bitwise_count(self.words[ks] & _words(m, self.form.dim)).sum(axis=1)
+            words, r = self.span_mask(a, x)
+            meet = np.bitwise_count(self.words[ks] & words).sum(axis=1)
             out[ks[meet != 1 << (r + 3 - self.form.dim)]] = False
         return out
 
-    def compatible(self, s: Sequence[int], x: int) -> bool:
-        """Is s + [x] still a partial pseudo-arc?"""
-        dj = self.disjoint
-        for a in s:
-            if not dj[a, x]:
-                return False
-        for ii in range(len(s)):
-            for jj in range(ii + 1, len(s)):
-                if not self.triple_spans(s[ii], s[jj], x):
-                    return False
-        return True
 
-
-def _words(mask: int, dim: int) -> np.ndarray:
-    """A 2^dim-bit membership mask as little-endian uint64 words."""
-    n_words = ((1 << dim) + 63) // 64
-    return np.array([(mask >> (64 * w)) & 0xFFFFFFFFFFFFFFFF for w in range(n_words)],
-                    dtype=np.uint64)
+def _words(vectors: np.ndarray, dim: int) -> np.ndarray:
+    """Row i of vectors (an int array of shape (m, k)) as a 2^dim-bit
+    membership mask in little-endian uint64 words, shape (m, words)."""
+    out = np.zeros((len(vectors), ((1 << dim) + 63) // 64), dtype=np.uint64)
+    bits = np.left_shift(np.uint64(1), (vectors & 63).astype(np.uint64))
+    np.bitwise_or.at(out, (np.arange(len(vectors))[:, None], vectors >> 6), bits)
+    return out
 
 
 def is_partial_pseudo_arc(form: QuadraticForm, planes: Sequence[gf2.Subspace]) -> bool:
@@ -225,32 +203,33 @@ def arc_seeds(cat: PlaneCatalogue, seed_size: int,
 def _extend_one(cat: PlaneCatalogue, seed: Tuple[int, ...],
                 target: int) -> Tuple[List[Tuple[int, ...]], int]:
     """All completions of one seed to size target (raw, not deduped).
-    Returns (completions, node count)."""
-    s = list(seed)
-    seedset = set(s)
-    cands = [x for x in range(cat.n) if x not in seedset and cat.compatible(s, x)]
+    Returns (completions, node count).  Each node carries the
+    compatibility row of its set, restricted to planes above its last
+    member, as arc_seeds does."""
+    row = np.ones(cat.n, dtype=bool)
+    for i, x in enumerate(seed):
+        row = cat.compatible_row(row, seed[:i], x)
     results: List[Tuple[int, ...]] = []
     nodes = 0
 
-    def dfs(cur: List[int], pool: List[int]) -> None:
+    def dfs(cur: List[int], row: Optional[np.ndarray]) -> None:
+        """row[k] is True iff cur + [k] is a partial pseudo-arc (None
+        once cur has target members); dfs owns it and clears it as it
+        goes, so that it holds the planes after the current choice."""
         nonlocal nodes
         nodes += 1
         need = target - len(cur)
         if need == 0:
             results.append(tuple(sorted(cur)))
             return
+        pool = np.flatnonzero(row).tolist()
         for pos, c in enumerate(pool):
             if len(pool) - pos < need:
                 break
-            nxt = []
-            for d in pool[pos + 1:]:
-                if not cat.disjoint[c, d]:
-                    continue
-                if all(cat.triple_spans(a, c, d) for a in cur):
-                    nxt.append(d)
-            dfs(cur + [c], nxt)
+            row[c] = False
+            dfs(cur + [c], None if need == 1 else cat.compatible_row(row, cur, c))
 
-    dfs(s, cands)
+    dfs(list(seed), row)
     del dfs  # the closure refers to itself; keep the catalogue collectable
     return results, nodes
 
@@ -587,11 +566,13 @@ def minus_type_obstruction(G: CocycleGroup, seed_size: int = 6,
 
 
 def brute_force_as_configs(G: FiniteGroup) -> List[ASConfiguration]:
-    """Ground-truth oracle: enumerate every order-q subgroup, search all
-    (q+2)-families by plain backtracking (no symmetry), then emit one
-    configuration per normal member acting as U_0."""
-    if G.n not in (8, 27, 64):
-        raise ValueError("brute force supports orders 8, 27 and 64 only")
+    """Ground-truth oracle at orders 8 and 27: enumerate every order-q
+    subgroup, search all (q+2)-families by plain backtracking (no
+    symmetry), then emit one configuration per normal member acting as
+    U_0.  Order 64 is refused: its families of six among hundreds of
+    subgroups are out of reach without symmetry pruning."""
+    if G.n not in (8, 27):
+        raise ValueError("brute force supports orders 8 and 27 only")
     q = _cube_root(G.n)
     subs = _order_q_subgroups(G, q)
     families = _ProductSearch(G, subs).backtrack(range(len(subs)), q + 2)

@@ -80,6 +80,13 @@ def test_lemma41_invariants(heis_cfg):
     G, cfg = heis_cfg
     rep = lemma41_invariants(G, cfg)
     assert rep["ok"], rep
+    # D8 = <r, s>, element r^a s^b at index a + 4b.  With U_0 = <s> and
+    # U_1 = <rs>, U_1^r = <r^3 s> leaves U_0 U_1 = {1, r^3, s, rs}.
+    D = dihedral8()
+    subs = tuple(Subgroup(D, (0, x)) for x in (4, 5, 6, 7))
+    rep = lemma41_invariants(D, ASConfiguration(D, 2, subs))
+    assert not rep["conjugates_in_u0ui"] and not rep["ok"]
+    assert rep["witness"] == {"conjugate": 1}
 
 
 def test_delta_and_pds(heis_cfg):

@@ -129,9 +129,12 @@ def test_flags_before_subcommand_are_kept():
     assert (args.threads, args.seed_size, args.json, args.quiet) == (4, None, None, False)
 
 
-def test_bad_threads_env(monkeypatch):
+def test_bad_threads_env(monkeypatch, capsys):
+    # ASQ_THREADS is read only by the commands that search arcs
     monkeypatch.setenv("ASQ_THREADS", "many")
-    assert cli.main(["--quiet", "classify", "8"]) == 2
+    assert cli.main(["--quiet", "pseudoarcs", "minus8"]) == 2
+    assert "ASQ_THREADS" in capsys.readouterr().err
+    assert cli.main(["--quiet", "classify", "8"]) == 0
 
 
 def test_report_passed_property():

@@ -11,6 +11,7 @@ from asq import gf2
 from asq.asconfig import check_as_axioms
 from asq.groups import (
     HeisenbergGroup,
+    elementary_abelian,
     order8_catalogue,
     order27_catalogue,
     product_set,
@@ -114,6 +115,13 @@ def test_brute_force_order27_run_twice():
             assert check_as_axioms(c.group, c)["ok"]
 
 
+def test_brute_force_rejects_order64():
+    # order 64 searches families of six among 651 subgroups with no
+    # symmetry pruning: refused up front instead of running for hours
+    with pytest.raises(ValueError, match="orders 8 and 27"):
+        brute_force_as_configs(elementary_abelian(6))
+
+
 def test_backtrack_agrees_with_brute_force():
     # group-level backtracking + U_0 completion reproduces the oracle
     for G in order8_catalogue() + order27_catalogue():
@@ -166,37 +174,33 @@ def test_seeds_revalidate(cat_minus):
         assert is_partial_pseudo_arc(cat_minus.form, planes)
 
 
-def test_compatible_matches_generic_check(cat_minus):
-    rng = random.Random(29)
-    cat = cat_minus
-    for _ in range(200):
-        k = rng.randint(1, 4)
-        idx = rng.sample(range(cat.n), k + 1)
-        s, x = idx[:-1], idx[-1]
-        if not is_partial_pseudo_arc(cat.form, [cat.planes[i] for i in s]):
-            continue
-        want = is_partial_pseudo_arc(cat.form, [cat.planes[i] for i in s + [x]])
-        assert cat.compatible(s, x) == want
-
-
 def test_search_trace_accounting(cat_minus):
     # node counts pinned: a change to them is a change to the pruning
     for size, nodes, solutions in ((4, 9, 5), (5, 15, 6)):
         tr = SearchTrace(seed=None)
         seeds = arc_seeds(cat_minus, size, trace=tr)
         assert (tr.nodes, tr.solutions, len(seeds)) == (nodes, solutions, solutions)
+    seeds = arc_seeds(cat_minus, 4)
+    trs = []
+    arcs = extend_arcs(cat_minus, seeds, 6, traces=trs)
+    assert [tr.seed for tr in trs] == seeds
+    assert [tr.nodes for tr in trs] == [14, 20, 25, 30, 24]
+    assert [tr.solutions for tr in trs] == [0, 6, 12, 10, 10]
+    assert len(arcs) == 2
 
 
 def test_compatible_row_matches_compatible(cat_minus):
-    # the forward-filtered rows of arc_seeds against the slow oracle,
-    # along random growing partial arcs
+    # the forward-filtered rows of both arc searches against the slow
+    # oracle, along random growing partial arcs
     rng = random.Random(31)
     cat = cat_minus
     checked = 0
     for _ in range(6):
         s, row = [], np.ones(cat.n, dtype=bool)
         while True:
-            assert row.tolist() == [cat.compatible(s, k) for k in range(cat.n)]
+            planes = [cat.planes[i] for i in s]
+            want = [is_partial_pseudo_arc(cat.form, planes + [p]) for p in cat.planes]
+            assert row.tolist() == want
             checked += 1
             options = np.flatnonzero(row)
             if len(options) == 0 or len(s) == 5:
