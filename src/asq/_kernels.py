@@ -1,15 +1,25 @@
-"""Hot numeric kernels, in numpy: pairwise meet sizes of membership
-bitsets and difference counts over a multiplication table."""
+"""Hot numeric kernels, in numpy: membership bitsets, their pairwise
+meet sizes, and difference counts over a multiplication table."""
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BACKEND", "pairwise_disjoint", "difference_counts"]
+__all__ = ["BACKEND", "membership_words", "pairwise_disjoint", "difference_counts"]
 
 BACKEND = "numpy"
 
 # Bytes of uint64 ANDs held at once by pairwise_disjoint.
 _CHUNK_BYTES = 1 << 21
+
+
+def membership_words(members: np.ndarray, n: int) -> np.ndarray:
+    """Row i of members (an int array of shape (m, k), entries in
+    0..n-1) as an n-bit membership mask in little-endian uint64 words,
+    shape (m, (n + 63) // 64)."""
+    out = np.zeros((len(members), (n + 63) // 64), dtype=np.uint64)
+    bits = np.left_shift(np.uint64(1), (members & 63).astype(np.uint64))
+    np.bitwise_or.at(out, (np.arange(len(members))[:, None], members >> 6), bits)
+    return out
 
 
 def pairwise_disjoint(masks: np.ndarray, meet: int = 1) -> np.ndarray:

@@ -11,12 +11,11 @@ order-512 candidate list down to four groups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import gf2
-from ._kernels import difference_counts, pairwise_disjoint
+from ._kernels import difference_counts, membership_words, pairwise_disjoint
 from .groups import (
     FiniteGroup,
     Subgroup,
@@ -354,35 +353,6 @@ def _is_elem_abelian(G: FiniteGroup, elems: Sequence[int], p: int) -> bool:
     return all(G.mul[a, b] == G.mul[b, a] for a in elems for b in elems)
 
 
-def _abelian_basis(G: FiniteGroup, elems: Sequence[int]) -> List[int]:
-    """A minimal generating set of an elementary abelian 2-subgroup,
-    chosen greedily in element order."""
-    basis: List[int] = []
-    span = {0}
-    for g in elems:
-        if g not in span:
-            basis.append(g)
-            span |= {int(G.mul[x, g]) for x in span}
-    return basis
-
-
-def _elem_ab_subgroups(G: FiniteGroup, big: Subgroup, order: int) -> Iterator[Subgroup]:
-    """All subgroups of a given order of an elementary abelian subgroup,
-    generated lazily."""
-    basis = _abelian_basis(G, big.elements)
-    r = len(basis)
-    k = order.bit_length() - 1
-    for sub in gf2.enumerate_subspaces(r, k):
-        els = {0}
-        for row in sub.basis:
-            g = 0
-            for i in range(r):
-                if (row >> i) & 1:
-                    g = int(G.mul[g, basis[i]])
-            els |= {int(G.mul[x, g]) for x in els}
-        yield Subgroup(G, tuple(sorted(els)))
-
-
 def _preimage(G: FiniteGroup, proj: np.ndarray, elems: Sequence[int]) -> Subgroup:
     idx = np.nonzero(np.isin(proj, np.asarray(list(elems))))[0]
     return Subgroup(G, tuple(int(x) for x in idx))
@@ -430,9 +400,8 @@ def structural_filter(G: FiniteGroup) -> FilterReport:
         z_elem_ab = _is_elem_abelian(G, z.elements, 2)
         g2 = agemo(G, 1).element_set()
         fratset = frat.element_set()
-        full = Subgroup(Q, tuple(range(Q.n)))
         found = False
-        for sub in _elem_ab_subgroups(Q, full, q // frat.order):
+        for sub in enumerate_elem_abelian_subgroups(Q, q // frat.order):
             u0 = _preimage(G, proj, sub.elements)
             u0set = u0.element_set()
             in_z = u0set <= zset
@@ -516,21 +485,26 @@ def extraspecial_quotient_exists(G: FiniteGroup) -> Optional[Subgroup]:
 # subgroup counting and the compatibility clique
 
 
-def good_subgroups(G: FiniteGroup, q: int) -> List[Subgroup]:
-    """Non-normal subgroups of order q meeting Phi(G) trivially.
+def good_subgroups(G: FiniteGroup, q: int) -> Tuple[Subgroup, ...]:
+    """Non-normal subgroups of order q meeting Phi(G) trivially, kept
+    on G: a second call returns the same tuple.
 
     In a 2-group, H cap Phi = 1 forces H elementary abelian (squares
     and commutators land in Phi), so the elementary abelian enumeration
     is exhaustive.
     """
-    frat = frattini(G)
-    subs = enumerate_elem_abelian_subgroups(G, q, avoid=[frat.elements])
-    zset = center(G).element_set()
-    if zset.issuperset(frat.elements):
-        # With Phi central, h^g = h [h,g] and [h,g] in Phi, so such an H
-        # is normal exactly when it is central.
-        return [s for s in subs if not zset.issuperset(s.elements)]
-    return [s for s in subs if not is_normal(G, s)]
+    key = ("good_subgroups", q)
+    if key not in G._cache:
+        frat = frattini(G)
+        subs = enumerate_elem_abelian_subgroups(G, q, avoid=[frat.elements])
+        zset = center(G).element_set()
+        if zset.issuperset(frat.elements):
+            # With Phi central, h^g = h [h,g] and [h,g] in Phi, so such
+            # an H is normal exactly when it is central.
+            G._cache[key] = tuple(s for s in subs if not zset.issuperset(s.elements))
+        else:
+            G._cache[key] = tuple(s for s in subs if not is_normal(G, s))
+    return G._cache[key]
 
 
 def enough_subgroups(G: FiniteGroup, q: int) -> bool:
@@ -569,11 +543,8 @@ def clique_size_qplus1(G: FiniteGroup, q: int) -> bool:
     frat = frattini(G)
     stars = sorted({product_set(G, frat.elements, s.elements) for s in subs})
     m = len(stars)
-    words = (G.n + 63) // 64
-    masks = np.zeros((m, words), dtype=np.uint64)
-    for i, star in enumerate(stars):
-        for g in star:
-            masks[i, g >> 6] |= np.uint64(1 << (g & 63))
+    # every H meets Phi trivially, so each Phi H has |Phi| q elements
+    masks = membership_words(np.array(stars, dtype=np.int64), G.n)
     adj = pairwise_disjoint(masks, meet=frat.order)
     np.fill_diagonal(adj, False)
 

@@ -26,6 +26,7 @@ except Exception:  # pragma: no cover - not installed
 from . import gf2
 from .asconfig import (
     ASConfiguration,
+    _cube_root,
     _validate,
     check_as_axioms,
     check_pds,
@@ -49,6 +50,7 @@ from .groups import (
     TABLE4_IDS,
     HeisenbergGroup,
     Subgroup,
+    _prime_of,
     elementary_abelian,
     load_group,
     order8_catalogue,
@@ -292,12 +294,15 @@ def _load_group_arg(arg: str):
 def cmd_filters(group_arg: str) -> RunReport:
     rep = RunReport("filters", inputs={"group": group_arg})
     G = _load_group_arg(group_arg)
-    q = round(G.n ** (1 / 3))
+    try:  # the filters need |G| = q^3 with q a prime power
+        q, p = _cube_root(G.n), _prime_of(G.n)
+    except ValueError as e:
+        raise InputError(str(e))
     fr = structural_filter(G)
     for name, ok in fr.conditions.items():
         rep.verdicts[name] = ok
     rep.notes.update(fr.notes)
-    if q & (q - 1) == 0:  # the subgroup-clique predicates are 2-group only
+    if p == 2:  # the subgroup-clique predicates are 2-group only
         rep.verdicts["enough_subgroups"] = enough_subgroups(G, q)
         rep.verdicts["clique_of_size_q_plus_1"] = clique_size_qplus1(G, q)
     return rep

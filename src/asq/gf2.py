@@ -3,10 +3,14 @@
 A vector in F_2^d is an int with the low d bits used; bit i is the
 coefficient of e_{i+1}.  A subspace is a tuple of basis vectors in
 reduced row-echelon form, which doubles as a canonical key.
+
+One row reduction (_reduce) serves rref, rank_of, meet (Zassenhaus),
+kernel and linear_map; the last three reduce augmented rows, a low
+block of bits for elimination and a high block carried along.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 __all__ = [
     "MAX_DIM",
@@ -16,14 +20,12 @@ __all__ = [
     "meet",
     "contains",
     "subspace_vectors",
-    "enumerate_subspaces",
     "rank_of",
     "complement_basis",
     "kernel",
-    "solve",
+    "linear_map",
     "format_vector",
     "parse_vector",
-    "subspace_count",
 ]
 
 MAX_DIM = 16
@@ -78,34 +80,35 @@ class Subspace:
         return subspace_vectors(self)
 
 
-def rref(vectors: Iterable[int], dim: int) -> Subspace:
-    """Reduced row-echelon basis of the span of the given vectors."""
-    _check_dim(dim)
-    rows: List[int] = []
-    for v in vectors:
-        _check_vector(v, dim)
-        for r in rows:
-            low = r & -r
-            if v & low:
+def _reduce(rows: Iterable[int]) -> List[int]:
+    """Reduced rows spanning the given ones: each row's pivot is its
+    lowest set bit, and that bit is clear in every other row.  There is
+    no dimension check, so augmented rows of any width reduce too."""
+    out: List[int] = []
+    for v in rows:
+        for r in out:
+            if v & (r & -r):
                 v ^= r
         if v:
             low = v & -v
-            rows = [r ^ v if r & low else r for r in rows]
-            rows.append(v)
+            out = [r ^ v if r & low else r for r in out]
+            out.append(v)
+    return out
+
+
+def rref(vectors: Iterable[int], dim: int) -> Subspace:
+    """Reduced row-echelon basis of the span of the given vectors."""
+    _check_dim(dim)
+    rows = _reduce(vectors)
+    for r in rows:  # the rows span the input, so a stray bit shows here
+        _check_vector(r, dim)
     rows.sort(key=lambda r: r & -r)
     return Subspace(dim, tuple(rows))
 
 
 def rank_of(vectors: Iterable[int], dim: int) -> int:
-    """Rank of a set of vectors (no basis reduction kept)."""
-    rows: List[int] = []
-    for v in vectors:
-        for r in rows:
-            v = min(v, v ^ r)
-        if v:
-            rows.append(v)
-            rows.sort(reverse=True)
-    return len(rows)
+    """Rank of a set of vectors: the number of reduced rows."""
+    return len(_reduce(vectors))
 
 
 def span(a: Subspace, b: Subspace) -> Subspace:
@@ -120,19 +123,12 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     if a.dim != b.dim:
         raise ValueError("ambient dimension mismatch")
     d = a.dim
-    # Zassenhaus: rows (x|x) for x in a and (y|0) for y in b, eliminating
-    # on the first block (stored in the high bits so it wins pivots); the
-    # reduced rows whose first block vanished carry an intersection basis.
-    rows = [(v << d) | v for v in a.basis] + [v << d for v in b.basis]
+    # Rows (x|x) for x in a and (y|0) for y in b, the first block in the
+    # low bits so that it wins the pivots: the reduced rows whose first
+    # block vanished carry a basis of the intersection.
+    rows = _reduce([v | v << d for v in a.basis] + list(b.basis))
     mask = (1 << d) - 1
-    reduced: List[int] = []
-    for v in rows:
-        for r in reduced:
-            v = min(v, v ^ r)
-        if v:
-            reduced.append(v)
-    inter = [v & mask for v in reduced if (v >> d) == 0]
-    return rref(inter, d)
+    return rref([r >> d for r in rows if not r & mask], d)
 
 
 def contains(s: Subspace, v: int) -> bool:
@@ -170,32 +166,31 @@ def complement_basis(s: Subspace) -> Tuple[int, ...]:
 def kernel(rows: List[int], dim: int) -> Subspace:
     """Kernel of the linear map x -> (x . row_i)_i given by bit rows."""
     _check_dim(dim)
-    basis = []
-    # Column-style elimination on the transpose: track, for each standard
-    # basis vector, its image and combine to kill images greedily.
-    pairs = [(1 << i, sum(((rows[j] >> i) & 1) << j for j in range(len(rows))))
-             for i in range(dim)]
-    reduced: List[Tuple[int, int]] = []
-    for vec, img in pairs:
-        for rvec, rimg in reduced:
-            if img & (rimg & -rimg):
-                img ^= rimg
-                vec ^= rvec
-        if img:
-            reduced.append((vec, img))
-        else:
-            basis.append(vec)
-    return rref(basis, dim)
+    m = len(rows)
+    images = [sum(((r >> i) & 1) << j for j, r in enumerate(rows)) for i in range(dim)]
+    # Rows (image of e_i | e_i): those whose image block vanished carry
+    # a basis of the kernel.
+    aug = _reduce(img | 1 << (m + i) for i, img in enumerate(images))
+    mask = (1 << m) - 1
+    return rref([r >> m for r in aug if not r & mask], dim)
 
 
-def solve(rows: List[int], dim: int, target: int) -> int | None:
-    """One solution x of (x . row_i) = target_i, or None."""
-    aug = [(rows[j] | ((target >> j & 1) << dim)) for j in range(len(rows))]
-    sol = kernel(aug, dim + 1)
-    for v in subspace_vectors(sol):
-        if (v >> dim) & 1:
-            return v & ((1 << dim) - 1)
-    return None
+def linear_map(sources: Sequence[int], images: Sequence[int], dim: int) -> Tuple[int, ...]:
+    """The matrix g (g[i] = image of e_{i+1}) sending each source to its
+    image; the sources must be a basis of F_2^dim."""
+    _check_dim(dim)
+    # Reduced, the rows (s | t) become (e_i | g[i]) once the sources are
+    # a basis.
+    rows = _reduce(s | t << dim for s, t in zip(sources, images, strict=True))
+    mask = (1 << dim) - 1
+    if len(rows) < len(sources) or any(not r & mask for r in rows):
+        raise ValueError("given vectors are dependent")
+    if len(rows) != dim:
+        raise ValueError("given vectors do not span the space")
+    out = [0] * dim
+    for r in rows:
+        out[(r & -r).bit_length() - 1] = r >> dim
+    return tuple(out)
 
 
 def format_vector(v: int, dim: int) -> str:
@@ -216,46 +211,3 @@ def parse_vector(s: str, dim: int | None = None) -> Tuple[int, int]:
         if c == "1":
             v |= 1 << i
     return v, dim
-
-
-def subspace_count(d: int, k: int) -> int:
-    """Gaussian binomial [d choose k]_2."""
-    if k < 0 or k > d:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= (1 << (d - i)) - 1
-        den *= (1 << (k - i)) - 1
-    return num // den
-
-
-def enumerate_subspaces(d: int, k: int) -> Iterator[Subspace]:
-    """Every k-subspace of F_2^d exactly once, in a fixed canonical order.
-
-    Iterates over pivot-column sets, then over assignments of the free
-    entries of the reduced echelon form.
-    """
-    _check_dim(d)
-    if k < 0 or k > d:
-        return
-    if k == 0:
-        yield Subspace(d, ())
-        return
-    from itertools import combinations
-
-    for pivots in combinations(range(d), k):
-        pivset = set(pivots)
-        # Free positions of row i: columns j > pivots[i], j not a pivot.
-        free = [[j for j in range(p + 1, d) if j not in pivset] for p in pivots]
-        total = sum(len(f) for f in free)
-        for assign in range(1 << total):
-            rows = []
-            pos = 0
-            for i, p in enumerate(pivots):
-                row = 1 << p
-                for j in free[i]:
-                    if (assign >> pos) & 1:
-                        row |= 1 << j
-                    pos += 1
-                rows.append(row)
-            yield Subspace(d, tuple(rows))

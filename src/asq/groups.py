@@ -181,10 +181,10 @@ class CocycleGroup(FiniteGroup):
         for i in range(d):
             row = self.form.coeff[i]
             v = np.arange(nvec, dtype=np.int64)
-            par = _parity_arr(v & row)
+            par = np.bitwise_count(v & row).astype(np.int64) & 1
             f |= par << i
         u = np.arange(nvec, dtype=np.int64)
-        beta = _parity_arr(u[:, None] & f[None, :])
+        beta = np.bitwise_count(u[:, None] & f[None, :]).astype(np.int64) & 1
         n = nvec << 1
         x = np.arange(n, dtype=np.int64)
         uu, aa = x & (nvec - 1), x >> d
@@ -204,15 +204,6 @@ def _distinct(values: np.ndarray, n: int) -> np.ndarray:
     mask = np.zeros(n, dtype=bool)
     mask[values.ravel()] = True
     return np.flatnonzero(mask)
-
-
-def _parity_arr(x: np.ndarray) -> np.ndarray:
-    x = x.copy()
-    shift = 32
-    while shift:
-        x ^= x >> shift
-        shift >>= 1
-    return x & 1
 
 
 class HeisenbergGroup(FiniteGroup):

@@ -30,7 +30,6 @@ __all__ = [
     "FieldReductionArc",
     "apply_matrix",
     "mat_mul",
-    "mat_identity",
     "mat_inverse",
     "transvection",
     "preserves_form",
@@ -38,7 +37,7 @@ __all__ = [
 
 
 def _parity(x: int) -> int:
-    return bin(x).count("1") & 1
+    return x.bit_count() & 1
 
 
 class QuadraticForm:
@@ -257,10 +256,6 @@ def singular_subspaces(q: QuadraticForm, k: int) -> List[Subspace]:
 # matrices acting on F_2^d
 
 
-def mat_identity(d: int) -> Tuple[int, ...]:
-    return tuple(1 << i for i in range(d))
-
-
 def apply_matrix(g: Tuple[int, ...], v: int) -> int:
     out = 0
     x = v
@@ -278,22 +273,7 @@ def mat_mul(g: Tuple[int, ...], h: Tuple[int, ...]) -> Tuple[int, ...]:
 
 def mat_inverse(g: Tuple[int, ...]) -> Tuple[int, ...]:
     d = len(g)
-    # Gauss-Jordan on [g | I].
-    aug = [(g[i], 1 << i) for i in range(d)]
-    out = [0] * d
-    used: List[Tuple[int, int]] = []
-    for a, b in aug:
-        for ra, rb in used:
-            if a & (ra & -ra):
-                a ^= ra
-                b ^= rb
-        if a == 0:
-            raise ValueError("matrix is singular")
-        used = [(ra ^ a, rb ^ b) if ra & (a & -a) else (ra, rb) for ra, rb in used]
-        used.append((a, b))
-    for a, b in used:
-        out[(a & -a).bit_length() - 1] = b
-    return tuple(out)
+    return gf2.linear_map(g, [1 << i for i in range(d)], d)
 
 
 def transvection(q: QuadraticForm, v: int) -> Tuple[int, ...]:
@@ -328,48 +308,14 @@ def isometry_generators(q: QuadraticForm) -> List[Tuple[int, ...]]:
         rb = rad.basis
         m = len(rb)
         if m >= 2:
-            # cycle and a single transvection generate GL(m, 2)
-            cyc = {rb[i]: rb[(i + 1) % m] for i in range(m)}
-            gens.append(_map_on_basis(d, comp, cyc))
-            tv = {rb[0]: rb[0] ^ rb[1]}
-            gens.append(_map_on_basis(d, comp + tuple(rb[1:]), tv))
+            # a cycle and one transvection of Rad generate GL(m, 2)
+            gens.append(gf2.linear_map(comp + rb, comp + rb[1:] + rb[:1], d))
+            gens.append(gf2.linear_map(comp + rb, comp + (rb[0] ^ rb[1],) + rb[1:], d))
         for c in comp:
             for s in srad.basis:
-                gens.append(_map_on_basis(d, tuple(x for x in comp if x != c) + rb, {c: c ^ s}))
+                sheared = tuple(x ^ s if x == c else x for x in comp)
+                gens.append(gf2.linear_map(comp + rb, sheared + rb, d))
     return gens
-
-
-def _map_on_basis(d: int, fixed: Tuple[int, ...], images: Dict[int, int]) -> Tuple[int, ...]:
-    """Matrix fixing `fixed` pointwise and mapping the keys of `images`.
-
-    The union of `fixed` and the keys must be a basis of F_2^d.
-    """
-    basis = list(fixed) + list(images)
-    imgs = list(fixed) + [images[b] for b in images]
-    # Reduce the (basis vector, image) pairs so each e_i can be expressed
-    # in the given basis and mapped through.
-    reduced: List[Tuple[int, int]] = []
-    for b, im in zip(basis, imgs):
-        for rb, rim in reduced:
-            if b & (rb & -rb):
-                b ^= rb
-                im ^= rim
-        if b == 0:
-            raise ValueError("given vectors are dependent")
-        reduced = [(rb ^ b, rim ^ im) if rb & (b & -b) else (rb, rim) for rb, rim in reduced]
-        reduced.append((b, im))
-    out = []
-    for i in range(d):
-        v = 1 << i
-        img = 0
-        for rb, rim in reduced:
-            if v & (rb & -rb):
-                v ^= rb
-                img ^= rim
-        if v:
-            raise ValueError("given vectors do not span the space")
-        out.append(img)
-    return tuple(out)
 
 
 # ----------------------------------------------------------------------

@@ -23,8 +23,8 @@ from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import gf2
-from ._kernels import pairwise_disjoint
-from .asconfig import ASConfiguration, _cube_root, _elem_ab_subgroups, _preimage, check_as_axioms
+from ._kernels import membership_words, pairwise_disjoint
+from .asconfig import ASConfiguration, _cube_root, _preimage, check_as_axioms
 from .groups import (
     CocycleGroup,
     FiniteGroup,
@@ -91,22 +91,21 @@ def plane_action(form: QuadraticForm, planes: Sequence[gf2.Subspace]) -> PermGro
 class PlaneCatalogue:
     """Immutable search context: the totally singular planes of a form,
     their bit-packed membership masks as an (n, words) uint64 array, the
-    pairwise-disjointness matrix, and (where the form admits a
-    structural generator set) the plane action of its isometry group.
-    compatible_row is the one test of whether a set of planes stays a
-    partial pseudo-arc; is_partial_pseudo_arc is its slow oracle."""
+    pairwise-disjointness matrix, and the plane action of the form's
+    isometry group (a ValueError for a form with no structural
+    generator set).  compatible_row is the one test of whether a set of
+    planes stays a partial pseudo-arc; is_partial_pseudo_arc is its
+    slow oracle."""
 
-    def __init__(self, form: QuadraticForm, symmetry: bool = True):
+    def __init__(self, form: QuadraticForm):
         self.form = form
         self.planes: List[gf2.Subspace] = singular_subspaces(form, 3)
         self.n = len(self.planes)
-        self.index: Dict[Tuple[int, ...], int] = {
-            p.key(): i for i, p in enumerate(self.planes)
-        }
         vectors = [list(gf2.subspace_vectors(p)) for p in self.planes]
-        self.words = _words(np.array(vectors, dtype=np.int64).reshape(self.n, 8), form.dim)
+        self.words = membership_words(
+            np.array(vectors, dtype=np.int64).reshape(self.n, 8), 1 << form.dim)
         self.disjoint = pairwise_disjoint(self.words)
-        self.group: Optional[PermGroup] = plane_action(form, self.planes) if symmetry else None
+        self.group: PermGroup = plane_action(form, self.planes)
         self._span: Dict[Tuple[int, int], Tuple[np.ndarray, int]] = {}
 
     def span_mask(self, i: int, j: int) -> Tuple[np.ndarray, int]:
@@ -116,7 +115,8 @@ class PlaneCatalogue:
         if hit is None:
             sp = gf2.span(self.planes[i], self.planes[j])
             vectors = np.array(list(gf2.subspace_vectors(sp)), dtype=np.int64)
-            hit = self._span[key] = (_words(vectors[None, :], self.form.dim)[0], sp.rank)
+            words = membership_words(vectors[None, :], 1 << self.form.dim)[0]
+            hit = self._span[key] = (words, sp.rank)
         return hit
 
     def compatible_row(self, row: np.ndarray, s: Sequence[int], x: int) -> np.ndarray:
@@ -132,15 +132,6 @@ class PlaneCatalogue:
             meet = np.bitwise_count(self.words[ks] & words).sum(axis=1)
             out[ks[meet != 1 << (r + 3 - self.form.dim)]] = False
         return out
-
-
-def _words(vectors: np.ndarray, dim: int) -> np.ndarray:
-    """Row i of vectors (an int array of shape (m, k)) as a 2^dim-bit
-    membership mask in little-endian uint64 words, shape (m, words)."""
-    out = np.zeros((len(vectors), ((1 << dim) + 63) // 64), dtype=np.uint64)
-    bits = np.left_shift(np.uint64(1), (vectors & 63).astype(np.uint64))
-    np.bitwise_or.at(out, (np.arange(len(vectors))[:, None], vectors >> 6), bits)
-    return out
 
 
 def is_partial_pseudo_arc(form: QuadraticForm, planes: Sequence[gf2.Subspace]) -> bool:
@@ -171,8 +162,6 @@ def arc_seeds(cat: PlaneCatalogue, seed_size: int,
     (PlaneCatalogue.compatible_row), so candidates are never re-tested
     against the members."""
     group = cat.group
-    if group is None:
-        raise ValueError("arc_seeds needs a plane symmetry group")
     t0 = time.monotonic()
     out: List[Tuple[int, ...]] = []
     points = np.arange(cat.n)
@@ -246,8 +235,7 @@ def extend_arcs(cat: PlaneCatalogue, seeds: Sequence[Tuple[int, ...]],
                 target: int, threads: int = 1,
                 traces: Optional[List[SearchTrace]] = None) -> List[PseudoArc]:
     """All completions of the seeds to size target, deduplicated up to
-    the catalogue symmetry by minimal image (by sorted tuple when the
-    catalogue carries no symmetry group)."""
+    the catalogue symmetry by minimal image."""
     global _POOL_CTX
     seeds = list(seeds)
     if threads > 1 and len(seeds) > 1:
@@ -266,9 +254,7 @@ def extend_arcs(cat: PlaneCatalogue, seeds: Sequence[Tuple[int, ...]],
                              solutions=len(completions))
             traces.append(tr)
         for comp in completions:
-            if cat.group is not None:
-                comp = min_image(cat.group, comp)
-            canon.setdefault(comp, None)
+            canon.setdefault(min_image(cat.group, comp), None)
     return [PseudoArc(cat.form, members) for members in sorted(canon)]
 
 
@@ -402,28 +388,14 @@ def as_backtrack(G: FiniteGroup, candidates: Sequence[Subgroup], target: int,
 
 
 def _order_q_subgroups(G: FiniteGroup, q: int) -> List[Subgroup]:
+    if q not in (2, 3):
+        raise ValueError(f"order-{q} subgroup enumeration not supported")
     orders = G.element_orders()
     found: Dict[Tuple[int, ...], Subgroup] = {}
-    if q in (2, 3):
-        for g in range(1, G.n):
-            if orders[g] == q:
-                s = subgroup_generate(G, (g,))
-                found.setdefault(s.key(), s)
-    elif q == 4:
-        for g in range(1, G.n):
-            if orders[g] == 4:
-                s = subgroup_generate(G, (g,))
-                found.setdefault(s.key(), s)
-        invol = [g for g in range(1, G.n) if orders[g] == 2]
-        for ai, a in enumerate(invol):
-            for b in invol[ai + 1:]:
-                if G.mul[a, b] != G.mul[b, a]:
-                    continue
-                s = subgroup_generate(G, (a, b))
-                if s.order == 4:
-                    found.setdefault(s.key(), s)
-    else:
-        raise ValueError(f"order-{q} subgroup enumeration not supported")
+    for g in range(1, G.n):
+        if orders[g] == q:
+            s = subgroup_generate(G, (g,))
+            found.setdefault(s.key(), s)
     return [found[k] for k in sorted(found)]
 
 
@@ -438,15 +410,12 @@ def complete_with_U0(G: FiniteGroup, family: Sequence[Subgroup]
     cands: List[Subgroup]
     if frat.order == q:
         cands = [frat]
-    elif frat.order == 1:
+    elif q % 2:  # q = 3 with Phi = 1 (other odd q are refused)
         cands = _order_q_subgroups(G, q)
-    else:
+    else:  # U_0 / Phi is elementary abelian in G / Phi
         Q, proj = quotient(G, frat)
-        full = Subgroup(Q, tuple(range(Q.n)))
-        cands = [
-            _preimage(G, proj, s.elements)
-            for s in _elem_ab_subgroups(Q, full, q // frat.order)
-        ]
+        cands = [_preimage(G, proj, s.elements)
+                 for s in enumerate_elem_abelian_subgroups(Q, q // frat.order)]
     fam_keys = {u.key() for u in family}
     out: List[ASConfiguration] = []
     for u0 in cands:

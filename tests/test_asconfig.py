@@ -12,6 +12,7 @@ from asq.asconfig import (
     delta,
     enough_subgroups,
     extraspecial_quotient_exists,
+    good_subgroups,
     kantor_from_as,
     lemma41_invariants,
     parse_config,
@@ -171,3 +172,5 @@ def test_enough_subgroups_and_clique():
     for G in (dihedral8(), quaternion8()):
         assert not enough_subgroups(G, 2)
         assert not clique_size_qplus1(G, 2)
+        # built once per group, and shared by both predicates
+        assert good_subgroups(G, 2) is good_subgroups(G, 2)

@@ -7,7 +7,7 @@ import pytest
 
 from asq import cli
 from asq.asconfig import save_config
-from asq.groups import HeisenbergGroup, save_group
+from asq.groups import HeisenbergGroup, cyclic, direct_product, save_group
 from asq.search import brute_force_as_configs
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs",
@@ -154,6 +154,17 @@ def test_report_passed_property():
 def test_bad_group_file_exit2(tmp_path, capsys, text):
     path = tmp_path / "bad.group"
     path.write_text(text)
+    assert cli.main(["--quiet", "filters", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("G", [cyclic(2), cyclic(4),
+                               direct_product(direct_product(cyclic(6), cyclic(6)), cyclic(6))])
+def test_filters_order_not_prime_power_cube_exit2(tmp_path, capsys, G):
+    # the filters need |G| = q^3 with q a prime power: 2, 4 and 216 fail
+    path = tmp_path / "g.group"
+    path.write_text(save_group(G))
     assert cli.main(["--quiet", "filters", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

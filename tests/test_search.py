@@ -19,7 +19,7 @@ from asq.groups import (
     table4_group,
 )
 from asq.permgroup import min_image
-from asq.quadform import preset
+from asq.quadform import preset, singular_subspaces
 from asq.search import (
     PlaneCatalogue,
     SearchTrace,
@@ -43,7 +43,7 @@ def minus_pools():
     """Candidates lifted from two disjoint minus8 planes, and from three
     planes forming a partial pseudo-arc, in the group 212m."""
     G = table4_group("212m")
-    planes = PlaneCatalogue(G.form, symmetry=False).planes
+    planes = singular_subspaces(G.form, 3)
     p0 = planes[0]
     p1 = next(p for p in planes if gf2.meet(p0, p).rank == 0)
     p2 = next(p for p in planes if is_partial_pseudo_arc(G.form, [p0, p1, p]))
