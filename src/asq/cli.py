@@ -67,6 +67,7 @@ from .quadform import (
 )
 from .search import (
     PlaneCatalogue,
+    PseudoArc,
     arc_seeds,
     as_backtrack,
     brute_force_as_configs,
@@ -179,35 +180,51 @@ def cmd_verify(group_file: str, config_file: str) -> RunReport:
     return rep
 
 
-def _check_seed_size(seed_size: int, target: int) -> None:
+def _arc_search(rep: RunReport, form, seed_size: int, target: int,
+                threads: int) -> Tuple[PlaneCatalogue, List[PseudoArc]]:
+    """The arc pipeline of every arc search: the plane catalogue of the
+    form, one canonical seed per orbit of seed_size planes, and every
+    extension of the seeds to target planes on threads workers."""
     if not 1 <= seed_size <= target:
         raise InputError(f"--seed-size must be between 1 and the target {target}, "
                          f"got {seed_size}")
+    try:
+        cat = PlaneCatalogue(form)
+    except ValueError as e:
+        raise InputError(f"cannot build a symmetry group for this form: {e}")
+    rep.counts["planes"] = cat.n
+    seeds = arc_seeds(cat, seed_size)
+    rep.counts["seeds"] = len(seeds)
+    arcs = extend_arcs(cat, seeds, target, threads=threads)
+    rep.counts["arcs"] = len(arcs)
+    return cat, arcs
+
+
+def _arc_families(rep: RunReport, G, cat: PlaneCatalogue,
+                  arcs: Sequence[PseudoArc]) -> None:
+    """Lift each arc to its candidate subgroups and search them for
+    families of the arc's size."""
+    per_arc = set()
+    dropped = families = 0
+    for arc in arcs:
+        pool, lost = lift_arc(G, [cat.planes[i] for i in arc.members])
+        per_arc.add(len(pool))
+        dropped += len(lost)
+        families += len(as_backtrack(G, pool, len(arc.members)))
+    if per_arc:
+        rep.counts["candidates_per_arc"] = per_arc.pop() if len(per_arc) == 1 else -1
+    rep.counts["dropped_planes"] = dropped
+    rep.counts["families"] = families
 
 
 def _ruleout_208a(rep: RunReport, seed_size: int, threads: int) -> None:
-    _check_seed_size(seed_size, 9)
-    G = table4_group("208a")
-    cat = PlaneCatalogue(preset("deg-hyp6"))
-    seeds = arc_seeds(cat, seed_size)
-    rep.counts["seeds"] = len(seeds)
-    arcs = extend_arcs(cat, seeds, 9, threads=threads)
-    rep.counts["arcs"] = len(arcs)
-    per_arc = set()
-    families = 0
-    for arc in arcs:
-        pool, dropped = lift_arc(G, [cat.planes[i] for i in arc.members])
-        per_arc.add(len(pool))
-        families += len(as_backtrack(G, pool, 9))
-        rep.counts["dropped_planes"] = rep.counts.get("dropped_planes", 0) + len(dropped)
-    rep.counts["candidates_per_arc"] = per_arc.pop() if len(per_arc) == 1 else -1
-    rep.counts["families"] = families
+    cat, arcs = _arc_search(rep, preset("deg-hyp6"), seed_size, 9, threads)
+    _arc_families(rep, table4_group("208a"), cat, arcs)
     _expect(rep, {"arcs": 8, "candidates_per_arc": 72, "families": 0})
 
 
-def _ruleout_210b(rep: RunReport, seed_size: int, threads: int) -> None:
-    G = table4_group("210b")
-    res = lemma53_counts(G)
+def _ruleout_210b(rep: RunReport) -> None:
+    res = lemma53_counts(table4_group("210b"))
     rep.counts["pool"] = res["pool"]
     dist = res["distribution"]
     for v in sorted(dist):
@@ -218,45 +235,37 @@ def _ruleout_210b(rep: RunReport, seed_size: int, threads: int) -> None:
 
 
 def _ruleout_211p(rep: RunReport, seed_size: int, threads: int) -> None:
-    _check_seed_size(seed_size, 9)
-    cat = PlaneCatalogue(preset("plus8"))
-    seeds = arc_seeds(cat, seed_size)
-    rep.counts["seeds"] = len(seeds)
-    arcs = extend_arcs(cat, seeds, 9, threads=threads)
-    rep.counts["extensions"] = len(arcs)
-    expected = {"extensions": 0}
+    _arc_search(rep, preset("plus8"), seed_size, 9, threads)
+    expected = {"arcs": 0}
     if seed_size == 6:
         expected["seeds"] = 1402
     _expect(rep, expected)
 
 
 def _ruleout_212m(rep: RunReport, seed_size: int, threads: int) -> None:
-    _check_seed_size(seed_size, 9)
     G = table4_group("212m")
-    res = minus_type_obstruction(G, seed_size=seed_size, threads=threads)
+    cat, arcs = _arc_search(rep, G.form, seed_size, 9, threads)
+    _arc_families(rep, G, cat, arcs)
+    res = minus_type_obstruction(G, cat.planes)
     rep.counts["center_order"] = res["center_order"]
     rep.counts["candidates"] = res["n_candidates"]
-    rep.counts["seeds"] = res["seeds"]
-    rep.counts["arcs"] = res["arcs"]
-    rep.counts["families"] = res["families"]
-    rep.verdicts["centralizer_is_perp_preimage"] = bool(
-        res["centralizer_is_perp_preimage"]
-    )
+    rep.verdicts["centralizer_is_perp_preimage"] = res["centralizer_is_perp_preimage"]
     _expect(rep, {"center_order": 2, "families": 0})
 
 
+_ARC_RULEOUTS = {"208a": _ruleout_208a, "211p": _ruleout_211p, "212m": _ruleout_212m}
+
+
 def cmd_ruleout(ident: str, seed_size: int = 6, threads: int = 1) -> RunReport:
-    """210b searches no arcs and uses neither seed_size nor threads."""
-    dispatch = {
-        "208a": _ruleout_208a,
-        "210b": _ruleout_210b,
-        "211p": _ruleout_211p,
-        "212m": _ruleout_212m,
-    }
-    if ident not in dispatch:
+    """210b searches no arcs and takes neither seed_size nor threads."""
+    if ident == "210b":
+        rep = RunReport("ruleout", inputs={"group": ident})
+        _ruleout_210b(rep)
+    elif ident in _ARC_RULEOUTS:
+        rep = RunReport("ruleout", inputs={"group": ident, "seed_size": seed_size})
+        _ARC_RULEOUTS[ident](rep, seed_size, threads)
+    else:
         raise InputError(f"unknown group id {ident!r}; have {TABLE4_IDS}")
-    rep = RunReport("ruleout", inputs={"group": ident, "seed_size": seed_size})
-    dispatch[ident](rep, seed_size, threads)
     return rep
 
 
@@ -326,17 +335,8 @@ def cmd_pseudoarcs(form_arg: str, seed_size: int, target: int,
         "pseudoarcs",
         inputs={"form": form_arg, "seed_size": seed_size, "target": target},
     )
-    _check_seed_size(seed_size, target)
     form = _load_form_arg(form_arg)
-    try:
-        cat = PlaneCatalogue(form)
-    except ValueError as e:
-        raise InputError(f"cannot build a symmetry group for this form: {e}")
-    rep.counts["planes"] = cat.n
-    seeds = arc_seeds(cat, seed_size)
-    rep.counts["seeds"] = len(seeds)
-    arcs = extend_arcs(cat, seeds, target, threads=threads)
-    rep.counts["arcs"] = len(arcs)
+    cat, arcs = _arc_search(rep, form, seed_size, target, threads)
     rep.verdicts["all_revalidate"] = all(
         is_partial_pseudo_arc(form, [cat.planes[i] for i in a.members]) for a in arcs
     )
@@ -496,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # The commands that search pseudo-arcs, and so the only ones that take
 # --seed-size and --threads (or read ASQ_THREADS).
-ARC_SEARCHES = {"pseudoarcs", "ruleout 208a", "ruleout 211p", "ruleout 212m"}
+ARC_SEARCHES = {"pseudoarcs"} | {f"ruleout {ident}" for ident in _ARC_RULEOUTS}
 
 
 def run(argv: Optional[Sequence[str]] = None) -> Tuple[RunReport, int]:

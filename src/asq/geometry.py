@@ -9,13 +9,14 @@ which is the arbiter for all order claims.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .asconfig import ASConfiguration, KantorFamily
-from .groups import FiniteGroup, product_set
+from .groups import FiniteGroup
 
 __all__ = [
     "IncidenceGeometry",
@@ -24,21 +25,20 @@ __all__ = [
     "verify_gq",
     "collinearity_srg",
     "regular_point",
-    "transpose",
-    "export_text",
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class IncidenceGeometry:
-    """Lines as sorted tuples of point indices, plus label maps."""
+    """Lines as sorted tuples of point indices.  The incidence and
+    collinearity matrices are built once, on first use."""
 
     n_points: int
     lines: List[Tuple[int, ...]]
-    point_labels: List[object] = field(default_factory=list)
-    line_labels: List[object] = field(default_factory=list)
 
-    def incidence_matrix(self) -> np.ndarray:
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """Points by lines, True where the point lies on the line."""
         inc = np.zeros((self.n_points, len(self.lines)), dtype=bool)
         for j, ln in enumerate(self.lines):
             if len(set(ln)) != len(ln):
@@ -46,13 +46,27 @@ class IncidenceGeometry:
             inc[list(ln), j] = True
         return inc
 
+    @cached_property
+    def common_lines(self) -> np.ndarray:
+        """The number of lines through each pair of points (diagonal 0)."""
+        inc = self.incidence.astype(np.int32)
+        common = inc @ inc.T
+        np.fill_diagonal(common, 0)
+        return common
+
+    @cached_property
     def collinearity(self) -> np.ndarray:
         """Adjacency matrix of the collinearity graph (diagonal False)."""
-        inc = self.incidence_matrix()
-        common = inc.astype(np.int32) @ inc.astype(np.int32).T
-        adj = common > 0
-        np.fill_diagonal(adj, False)
-        return adj
+        return self.common_lines > 0
+
+
+def _right_cosets(G: FiniteGroup, elements: Sequence[int]) -> np.ndarray:
+    """The right cosets Ug of the subgroup U with these elements, one
+    sorted row each, in order of their least elements.  Row g of the
+    sorted table is Ug, and a coset is kept at the row of its least
+    element, which is the only row whose least element is its index."""
+    rows = np.sort(G.mul[np.asarray(elements, dtype=np.intp)].T, axis=1)
+    return rows[rows[:, 0] == np.arange(G.n)]
 
 
 def as_quadrangle(cfg: ASConfiguration) -> IncidenceGeometry:
@@ -65,20 +79,9 @@ def as_quadrangle(cfg: ASConfiguration) -> IncidenceGeometry:
     rep = check_as_axioms(G, cfg)
     if not rep["ok"]:
         raise ValueError(f"not an AS-configuration: {rep}")
-    lines: List[Tuple[int, ...]] = []
-    labels: List[object] = []
-    for i, u in enumerate(cfg.subgroups):
-        seen: set = set()
-        uarr = np.asarray(u.elements, dtype=np.intp)
-        for g in range(G.n):
-            coset = tuple(sorted(int(x) for x in G.mul[uarr, g]))
-            if coset not in seen:
-                seen.add(coset)
-                lines.append(coset)
-                labels.append(("coset", i, coset[0]))
-    return IncidenceGeometry(G.n, lines,
-                             point_labels=[("element", g) for g in range(G.n)],
-                             line_labels=labels)
+    lines = [tuple(row) for u in cfg.subgroups
+             for row in _right_cosets(G, u.elements).tolist()]
+    return IncidenceGeometry(G.n, lines)
 
 
 def kantor_quadrangle(G: FiniteGroup, fam: KantorFamily, s: int, t: int) -> IncidenceGeometry:
@@ -90,46 +93,29 @@ def kantor_quadrangle(G: FiniteGroup, fam: KantorFamily, s: int, t: int) -> Inci
     rep = check_kantor(G, fam, s, t)
     if not rep["ok"]:
         raise ValueError(f"not a Kantor family: {rep}")
-    point_labels: List[object] = [("element", g) for g in range(G.n)]
-    star_cosets: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-    for i, astar in enumerate(fam.Fstar):
-        arr = np.asarray(astar.elements, dtype=np.intp)
-        for g in range(G.n):
-            coset = tuple(sorted(int(x) for x in G.mul[arr, g]))
-            key = (i, coset)
-            if key not in star_cosets:
-                star_cosets[key] = G.n + len(star_cosets)
-                point_labels.append(("star", i, coset[0]))
-    infinity = G.n + len(star_cosets)
-    point_labels.append(("infinity",))
-    n_points = infinity + 1
-
-    lines: List[Tuple[int, ...]] = []
-    line_labels: List[object] = []
-    for i, a in enumerate(fam.F):
-        arr = np.asarray(a.elements, dtype=np.intp)
-        seen: set = set()
-        for g in range(G.n):
-            coset = tuple(sorted(int(x) for x in G.mul[arr, g]))
-            if coset in seen:
-                continue
-            seen.add(coset)
-            # the unique coset of A* containing Ag (both contain g)
-            astar_arr = np.asarray(fam.Fstar[i].elements, dtype=np.intp)
-            star = tuple(sorted(int(x) for x in G.mul[astar_arr, coset[0]]))
-            lines.append(coset + (star_cosets[(i, star)],))
-            line_labels.append(("coset", i, coset[0]))
-    for i in range(len(fam.F)):
-        members = tuple(idx for (j, _), idx in star_cosets.items() if j == i)
-        lines.append(tuple(sorted(members)) + (infinity,))
-        line_labels.append(("bracket", i))
-    return IncidenceGeometry(n_points, lines, point_labels, line_labels)
+    n_points = G.n
+    star_of: List[np.ndarray] = []  # per A*: element -> point of its coset
+    brackets: List[Tuple[int, ...]] = []
+    for astar in fam.Fstar:
+        cosets = _right_cosets(G, astar.elements)
+        points = np.arange(n_points, n_points + len(cosets))
+        point_of = np.empty(G.n, dtype=np.intp)
+        point_of[cosets] = points[:, None]
+        star_of.append(point_of)
+        brackets.append(tuple(points.tolist()))
+        n_points += len(cosets)
+    infinity = n_points
+    # Ag lies in the one coset of A* that contains g
+    lines = [tuple(row) + (int(point_of[row[0]]),)
+             for a, point_of in zip(fam.F, star_of)
+             for row in _right_cosets(G, a.elements).tolist()]
+    return IncidenceGeometry(infinity + 1, lines + [b + (infinity,) for b in brackets])
 
 
 def verify_gq(geom: IncidenceGeometry) -> Tuple[int, int]:
     """Full generalised-quadrangle axiom scan; returns (s, t) or raises
     ValueError with the first violated axiom and a witness."""
-    inc = geom.incidence_matrix()
+    inc = geom.incidence
     line_sizes = inc.sum(axis=0)
     if line_sizes.min() != line_sizes.max():
         j = int(np.argmin(line_sizes))
@@ -140,13 +126,11 @@ def verify_gq(geom: IncidenceGeometry) -> Tuple[int, int]:
         p = int(np.argmin(degrees))
         raise ValueError(f"point {p} lies on {degrees[p]} lines, others differ")
     t = int(degrees[0]) - 1
-    common = inc.astype(np.int32) @ inc.astype(np.int32).T
-    np.fill_diagonal(common, 0)
+    common = geom.common_lines
     if common.max() > 1:
         p, r = np.unravel_index(int(np.argmax(common)), common.shape)
         raise ValueError(f"points {p} and {r} lie on {common[p, r]} common lines")
-    adj = common > 0
-    counts = adj.astype(np.int32) @ inc.astype(np.int32)
+    counts = geom.collinearity.astype(np.int32) @ inc.astype(np.int32)
     bad = (counts != 1) & ~inc
     if bad.any():
         p, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
@@ -159,7 +143,7 @@ def verify_gq(geom: IncidenceGeometry) -> Tuple[int, int]:
 def collinearity_srg(geom: IncidenceGeometry) -> Tuple[int, int, int, int]:
     """(v, k, lambda, mu) of the collinearity graph; raises if the
     graph is not strongly regular."""
-    adj = geom.collinearity()
+    adj = geom.collinearity
     v = geom.n_points
     degs = adj.sum(axis=1)
     if degs.min() != degs.max():
@@ -175,18 +159,14 @@ def collinearity_srg(geom: IncidenceGeometry) -> Tuple[int, int, int, int]:
     return v, k, int(lam_vals[0]), int(mu_vals[0])
 
 
-def regular_point(geom: IncidenceGeometry, p: int,
-                  expected: Optional[int] = None) -> bool:
+def regular_point(geom: IncidenceGeometry, p: int) -> bool:
     """Is |{p, r}^{perp perp}| = t+1 for every r not collinear with p?
 
     perp sets follow the convention x in x^perp.
     """
-    adj = geom.collinearity()
-    if expected is None:
-        inc = geom.incidence_matrix()
-        expected = int(inc.sum(axis=1)[0])  # t + 1
-    closed = adj.copy()
-    np.fill_diagonal(closed, True)
+    adj = geom.collinearity
+    expected = int(geom.incidence[0].sum())  # t + 1
+    closed = adj | np.eye(geom.n_points, dtype=bool)
     for r in range(geom.n_points):
         if r == p or adj[p, r]:
             continue
@@ -195,18 +175,3 @@ def regular_point(geom: IncidenceGeometry, p: int,
         if int(hull.sum()) != expected:
             return False
     return True
-
-
-def transpose(geom: IncidenceGeometry) -> IncidenceGeometry:
-    """The dual geometry: points become lines and vice versa."""
-    inc = geom.incidence_matrix()
-    lines = [tuple(int(x) for x in np.nonzero(inc[p])[0]) for p in range(geom.n_points)]
-    return IncidenceGeometry(len(geom.lines), lines,
-                             point_labels=list(geom.line_labels),
-                             line_labels=list(geom.point_labels))
-
-
-def export_text(geom: IncidenceGeometry) -> str:
-    out = [f"line {j}: " + " ".join(str(p) for p in ln)
-           for j, ln in enumerate(geom.lines)]
-    return "\n".join(out) + "\n"

@@ -193,10 +193,6 @@ class CocycleGroup(FiniteGroup):
         )
         super().__init__(mul, name=name)
 
-    def vector(self, g: int) -> int:
-        """Image in the Frattini quotient F_2^d (the low d bits)."""
-        return g & ((1 << self.d) - 1)
-
 
 def _distinct(values: np.ndarray, n: int) -> np.ndarray:
     """The sorted distinct entries of an array over 0..n-1, by a bool
@@ -218,10 +214,6 @@ class HeisenbergGroup(FiniteGroup):
         bb = (b[:, None] + b[None, :]) % p
         cc = (c[:, None] + c[None, :] + a[:, None] * b[None, :]) % p
         super().__init__(aa * p * p + bb * p + cc, name=f"Heisenberg({p})")
-
-    def triple(self, g: int) -> Tuple[int, int, int]:
-        p = self.p
-        return g // (p * p), (g // p) % p, g % p
 
 
 class TableGroup(FiniteGroup):

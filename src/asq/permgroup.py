@@ -292,13 +292,6 @@ class PermGroup:
         view.flags.writeable = False
         return view
 
-    def orbits(self) -> List[List[int]]:
-        self._ensure_orbits()
-        out: Dict[int, List[int]] = {}
-        for x in range(self.n):
-            out.setdefault(self._orbmin[x], []).append(x)
-        return [out[k] for k in sorted(out)]
-
     def to_orbit_min(self, x: int) -> np.ndarray:
         """A group element t with t[x] = orbit_min[x]: the product of the
         inverse generators along x's path in the Schreier forest."""

@@ -242,7 +242,7 @@ def extend_arcs(cat: PlaneCatalogue, seeds: Sequence[Tuple[int, ...]],
         _POOL_CTX = (cat, target)
         try:
             with multiprocessing.get_context("fork").Pool(threads) as pool:
-                raw = pool.map(_pool_worker, seeds, chunksize=1)
+                raw = pool.map(_pool_worker, seeds)
         finally:
             _POOL_CTX = None
     else:
@@ -310,7 +310,6 @@ class _ProductSearch:
         self.masks = [_bits(s.elements) for s in self.subs]
         self._products: Dict[int, int] = {}  # key i * len(subs) + j, i <= j
         self.nodes = 0
-        self.deepest = 0
 
     def product(self, i: int, j: int) -> int:
         if i > j:
@@ -329,16 +328,14 @@ class _ProductSearch:
         given order) that extends the fixed members to a family
         satisfying AS2.  The cands must already meet each fixed member
         trivially.  compat[c], when given, is the set of indices that
-        may follow c.  Adds the nodes visited to self.nodes and the
-        largest partial family to self.deepest."""
+        may follow c.  Adds the nodes visited to self.nodes."""
         masks, product = self.masks, self.product
         found: List[Tuple[int, ...]] = []
-        nodes, deepest = 0, 0
+        nodes = 0
 
         def dfs(cur: Tuple[int, ...], pool: List[int]) -> None:
-            nonlocal nodes, deepest
+            nonlocal nodes
             nodes += 1
-            deepest = max(deepest, len(cur))
             need = target - len(cur)
             if need == 0:
                 found.append(cur)
@@ -358,14 +355,12 @@ class _ProductSearch:
                 if 1 < need and len(rest) < need - 1:
                     # the child could place nothing: count it as visited
                     nodes += 1
-                    deepest = max(deepest, len(cur) + 1)
                 else:
                     dfs(cur + (c,), rest)
 
         dfs((), list(cands))
         del dfs  # the closure refers to itself and, through self, to G
         self.nodes += nodes
-        self.deepest = max(self.deepest, deepest)
         return found
 
 
@@ -478,33 +473,26 @@ def lemma53_counts(G: FiniteGroup, rng=None) -> Dict[str, object]:
         if fourths:
             size6 += len(search.backtrack(fourths, 6, fixed=(a,), compat=compat))
     return {
-        "max_partial_beyond_third": search.deepest,
-        "u1": u1,
-        "u2": u2,
         "pool": n,
         "distribution": distribution,
         "size6_families": size6,
     }
 
 
-def minus_type_obstruction(G: CocycleGroup, seed_size: int = 6,
-                           threads: int = 1) -> Dict[str, object]:
+def minus_type_obstruction(G: CocycleGroup, planes: Sequence[gf2.Subspace]
+                           ) -> Dict[str, object]:
     """The centraliser obstruction for the minus-type group: for every
-    totally singular plane W and every lifted candidate U over it,
-    C_G(U) is exactly the preimage of W^perp; since Z(G) has order 2,
-    three pairwise-compatible candidates cannot coexist.  The arc
-    pipeline (seeds of seed_size planes, extended on threads workers)
-    is run independently and must confirm zero families."""
+    totally singular plane W of its form (the planes given) and every
+    lifted candidate U over it, C_G(U) is exactly the preimage of
+    W^perp; since Z(G) has order 2, three pairwise-compatible
+    candidates cannot coexist."""
     form = G.form
-    z = center(G)
-    report: Dict[str, object] = {"center_order": z.order}
-    cat = PlaneCatalogue(form)
     top = 1 << G.d
     vectors = np.arange(top)
     comm = np.asarray(G.mul) == np.asarray(G.mul).T
     centraliser_ok = True
     n_candidates = 0
-    for p in cat.planes:
+    for p in planes:
         perp = vectors
         for b in p.basis:  # keep the v with B(b, v) = parity(row & v) = 0
             perp = perp[np.bitwise_count(perp & form.bilinear_row(b)) & 1 == 0]
@@ -518,20 +506,11 @@ def minus_type_obstruction(G: CocycleGroup, seed_size: int = 6,
             cz = np.flatnonzero(comm[:, list(u.elements)].all(axis=1))
             if not np.array_equal(cz, pre_perp):
                 centraliser_ok = False
-    report["n_planes"] = cat.n
-    report["n_candidates"] = n_candidates
-    report["centralizer_is_perp_preimage"] = centraliser_ok
-    seeds = arc_seeds(cat, seed_size)
-    arcs = extend_arcs(cat, seeds, 9, threads=threads)
-    report["seeds"] = len(seeds)
-    report["arcs"] = len(arcs)
-    families = 0
-    for arc in arcs:  # pragma: no cover - expected to be empty
-        pool, _ = lift_arc(G, [cat.planes[i] for i in arc.members])
-        families += len(as_backtrack(G, pool, 9))
-    report["families"] = families
-    report["ok"] = bool(centraliser_ok and z.order == 2 and families == 0)
-    return report
+    return {
+        "center_order": center(G).order,
+        "n_candidates": n_candidates,
+        "centralizer_is_perp_preimage": centraliser_ok,
+    }
 
 
 def brute_force_as_configs(G: FiniteGroup) -> List[ASConfiguration]:

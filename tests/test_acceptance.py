@@ -27,7 +27,6 @@ from asq.search import (
     is_partial_pseudo_arc,
     lemma53_counts,
     lift_arc,
-    minus_type_obstruction,
     plane_action,
 )
 from asq import cli
@@ -57,11 +56,6 @@ def plus_pipeline():
     seeds = arc_seeds(cat, 6)
     arcs = extend_arcs(cat, seeds, 9, threads=THREADS)
     return cat, seeds, arcs
-
-
-@pytest.fixture(scope="module")
-def minus_report():
-    return minus_type_obstruction(table4_group("212m"))
 
 
 # -- criteria ----------------------------------------------------------
@@ -94,7 +88,7 @@ def test_c2_deghyp_ruleout(deghyp_pipeline):
 def test_c3_plus_ruleout(plus_pipeline):
     cat, seeds, arcs = plus_pipeline
     ok = len(seeds) == 1402 and len(arcs) == 0
-    _line(3, "plus form: 1402 seeds, 0 extensions", ok)
+    _line(3, "plus form: 1402 seeds, 0 arcs", ok)
 
 
 def test_c4_lemma53_counts():
@@ -109,14 +103,9 @@ def test_c4_lemma53_counts():
     _line(4, "pool 784, distribution {0:112, 48:672}, no size 6", ok)
 
 
-def test_c5_minus_obstruction(minus_report):
-    res = minus_report
-    ok = (
-        res["center_order"] == 2
-        and res["centralizer_is_perp_preimage"]
-        and res["families"] == 0
-        and res["ok"]
-    )
+def test_c5_minus_obstruction():
+    rep = cli.cmd_ruleout("212m", seed_size=6, threads=THREADS)
+    ok = rep.passed and rep.counts["center_order"] == 2 and rep.counts["families"] == 0
     _line(5, "minus form: centraliser obstruction, 0 families", ok)
 
 

@@ -196,17 +196,29 @@ def test_ruleout_210b_rejects_arc_flags(capsys, flags):
     assert "210b" in capsys.readouterr().err
 
 
-def test_ruleout_212m_honours_arc_flags(monkeypatch):
+@pytest.mark.parametrize("argv", [["pseudoarcs", "plus8"], ["ruleout", "208a"],
+                                  ["ruleout", "211p"], ["ruleout", "212m"]], ids=" ".join)
+def test_arc_searches_honour_arc_flags(monkeypatch, argv):
+    # every arc search hands its flags to the one arc pipeline
     seen = []
 
-    def obstruction(G, seed_size=6, threads=1):
-        seen.append((seed_size, threads))
-        return {"center_order": 2, "n_candidates": 0, "seeds": 0, "arcs": 0,
-                "families": 0, "centralizer_is_perp_preimage": True}
+    class Catalogue:
+        def __init__(self, form):
+            self.n, self.planes = 0, []
 
-    monkeypatch.setattr(cli, "minus_type_obstruction", obstruction)
-    assert cli.main(["--quiet", "ruleout", "212m", "--seed-size", "5", "--threads", "3"]) == 0
-    assert cli.main(["--quiet", "ruleout", "212m", "--threads", "2"]) == 0
-    assert seen == [(5, 3), (6, 2)]
-    assert cli.main(["--quiet", "ruleout", "212m", "--seed-size", "99"]) == 2
-    assert len(seen) == 2
+    def seeds(cat, seed_size):
+        seen.append(seed_size)
+        return []
+
+    def extend(cat, seeds, target, threads=1):
+        seen.append((target, threads))
+        return []
+
+    monkeypatch.setattr(cli, "PlaneCatalogue", Catalogue)
+    monkeypatch.setattr(cli, "arc_seeds", seeds)
+    monkeypatch.setattr(cli, "extend_arcs", extend)
+    assert cli.main(["--quiet"] + argv + ["--seed-size", "5", "--threads", "3"]) != 2
+    assert cli.main(["--quiet"] + argv + ["--threads", "2"]) != 2
+    assert seen == [5, (9, 3), 6, (9, 2)]
+    assert cli.main(["--quiet"] + argv + ["--seed-size", "99"]) == 2
+    assert len(seen) == 4

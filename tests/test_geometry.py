@@ -2,14 +2,14 @@
 import pytest
 
 from asq.asconfig import kantor_from_as
+from asq.cli import _hyperoval_config
 from asq.geometry import (
     IncidenceGeometry,
+    _right_cosets,
     as_quadrangle,
     collinearity_srg,
-    export_text,
     kantor_quadrangle,
     regular_point,
-    transpose,
     verify_gq,
 )
 from asq.groups import HeisenbergGroup
@@ -33,11 +33,6 @@ def grid(s):
 def test_grid_is_gq():
     for s in (2, 3, 4):
         assert verify_gq(grid(s)) == (s, 1)
-
-
-def test_dual_grid():
-    g = transpose(grid(3))
-    assert verify_gq(g) == (1, 3)
 
 
 def test_verify_gq_rejects_broken():
@@ -80,7 +75,48 @@ def test_srg_rejects_irregular():
         collinearity_srg(geom)
 
 
-def test_export_text():
-    txt = export_text(grid(1))
-    assert txt.splitlines()[0] == "line 0: 0 1"
-    assert len(txt.splitlines()) == 4
+def _cosets_by_loop(G, elements):
+    """Slow oracle: the right cosets Ug, sorted, in first-seen order
+    over g = 0, 1, ..."""
+    seen = {}
+    for g in range(G.n):
+        seen.setdefault(tuple(sorted(G.mul[u, g] for u in elements)), None)
+    return [tuple(int(x) for x in c) for c in seen]
+
+
+def _kantor_lines_by_loop(G, fam):
+    """Slow oracle for kantor_quadrangle: star points numbered from
+    G.n per A* in first-seen order, each coset Ag extended by the A*
+    coset holding g, then the lines [A] through infinity."""
+    star = {}
+    for i, astar in enumerate(fam.Fstar):
+        for c in _cosets_by_loop(G, astar.elements):
+            star[(i, c)] = G.n + len(star)
+    infinity = G.n + len(star)
+    lines = []
+    for i, a in enumerate(fam.F):
+        for c in _cosets_by_loop(G, a.elements):
+            mine = next(p for (j, sc), p in star.items() if j == i and c[0] in sc)
+            lines.append(c + (mine,))
+    for i in range(len(fam.F)):
+        lines.append(tuple(p for (j, _), p in star.items() if j == i) + (infinity,))
+    return infinity + 1, lines
+
+
+def test_cosets_match_oracle():
+    H = HeisenbergGroup(3)
+    cases = [(H, cfg, 3) for cfg in brute_force_as_configs(H)]
+    hyperoval = _hyperoval_config()
+    cases.append((hyperoval.group, hyperoval, 4))
+    assert len(cases) == 10
+    for G, cfg, q in cases:
+        want = []
+        for u in cfg.subgroups:
+            cosets = _cosets_by_loop(G, u.elements)
+            assert [tuple(r) for r in _right_cosets(G, u.elements).tolist()] == cosets
+            want += cosets
+        geom = as_quadrangle(cfg)
+        assert (geom.n_points, geom.lines) == (G.n, want)
+        fam = kantor_from_as(cfg)
+        kg = kantor_quadrangle(G, fam, q, q)
+        assert (kg.n_points, kg.lines) == _kantor_lines_by_loop(G, fam)
