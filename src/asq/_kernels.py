@@ -1,15 +1,27 @@
-"""Hot numeric kernels, in numpy: membership bitsets, their pairwise
-meet sizes, and difference counts over a multiplication table."""
+"""Hot numeric kernels, in numpy: XOR spans, membership bitsets, their
+pairwise meet sizes, and difference counts over a multiplication table."""
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BACKEND", "membership_words", "pairwise_disjoint", "difference_counts"]
+__all__ = ["BACKEND", "xor_span", "membership_words", "pairwise_disjoint", "difference_counts"]
 
 BACKEND = "numpy"
 
 # Bytes of uint64 ANDs held at once by pairwise_disjoint.
 _CHUNK_BYTES = 1 << 21
+
+
+def xor_span(cols: np.ndarray) -> np.ndarray:
+    """cols: ints of shape (..., k).  Entry m of the (..., 2^k) result is
+    the XOR of cols[..., i] over the set bits i of m: a span's vectors in
+    subset order, or a matrix's image of every vector of F_2^k."""
+    cols = np.asarray(cols, dtype=np.int64)
+    k = cols.shape[-1]
+    out = np.zeros(cols.shape[:-1] + (1 << k,), dtype=np.int64)
+    for i in range(k):
+        out[..., 1 << i:2 << i] = out[..., :1 << i] ^ cols[..., i:i + 1]
+    return out
 
 
 def membership_words(members: np.ndarray, n: int) -> np.ndarray:

@@ -64,6 +64,7 @@ from .quadform import (
     load_form,
     preset,
     gamma_forms,
+    radicals,
 )
 from .search import (
     PlaneCatalogue,
@@ -184,19 +185,26 @@ def _arc_search(rep: RunReport, form, seed_size: int, target: int,
                 threads: int) -> Tuple[PlaneCatalogue, List[PseudoArc]]:
     """The arc pipeline of every arc search: the plane catalogue of the
     form, one canonical seed per orbit of seed_size planes, and every
-    extension of the seeds to target planes on threads workers."""
+    extension of the seeds to target planes on threads workers.  The
+    wall seconds of the three stages go to notes["stage_s"]."""
     if not 1 <= seed_size <= target:
         raise InputError(f"--seed-size must be between 1 and the target {target}, "
                          f"got {seed_size}")
-    try:
-        cat = PlaneCatalogue(form)
-    except ValueError as e:
-        raise InputError(f"cannot build a symmetry group for this form: {e}")
+    if radicals(form)[2].tag == "mixed":
+        raise InputError("cannot build a symmetry group for this form: "
+                         "mixed-radical forms have no structural generator set here")
+    t0 = time.monotonic()
+    cat = PlaneCatalogue(form)
+    t1 = time.monotonic()
     rep.counts["planes"] = cat.n
     seeds = arc_seeds(cat, seed_size)
+    t2 = time.monotonic()
     rep.counts["seeds"] = len(seeds)
     arcs = extend_arcs(cat, seeds, target, threads=threads)
+    t3 = time.monotonic()
     rep.counts["arcs"] = len(arcs)
+    rep.notes["stage_s"] = {"catalogue": t1 - t0, "arc_seeds": t2 - t1,
+                            "extend_arcs": t3 - t2}
     return cat, arcs
 
 

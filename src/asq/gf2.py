@@ -141,18 +141,12 @@ def contains(s: Subspace, v: int) -> bool:
 
 
 def subspace_vectors(s: Subspace) -> Iterator[int]:
-    """All 2^rank vectors of a subspace, Gray-code free, zero first."""
-    k = len(s.basis)
-    for m in range(1 << k):
-        v = 0
-        mm = m
-        i = 0
-        while mm:
-            if mm & 1:
-                v ^= s.basis[i]
-            mm >>= 1
-            i += 1
-        yield v
+    """All 2^rank vectors of a subspace in subset order (vector m is the
+    XOR of the basis rows at the set bits of m), zero first."""
+    out = [0]
+    for b in s.basis:
+        out += [v ^ b for v in out]
+    return iter(out)
 
 
 def complement_basis(s: Subspace) -> Tuple[int, ...]:

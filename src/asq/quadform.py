@@ -9,9 +9,12 @@ action is apply_matrix(g, v) = XOR of g[i] over the set bits of v.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from . import gf2
+from ._kernels import xor_span
 from .gf2 import Subspace
 
 __all__ = [
@@ -52,47 +55,25 @@ class QuadraticForm:
         self.dim = dim
         # Keep only the upper triangle (j >= i) of each row.
         self.coeff = tuple((row & mask) & ~((1 << i) - 1) for i, row in enumerate(coeff))
-        brows = []
-        for i in range(dim):
-            row = self.coeff[i] & ~(1 << i)  # strict upper part
-            for j in range(i):
-                row |= ((self.coeff[j] >> i) & 1) << j
-            brows.append(row)
-        self._brows = tuple(brows)
+        # row i of B = M + M^T: row i of M plus column i, the diagonal cancelling
+        self._brows = tuple(row ^ sum((self.coeff[j] >> i & 1) << j for j in range(dim))
+                            for i, row in enumerate(self.coeff))
 
     def evaluate(self, v: int) -> int:
-        """Q(v) = sum over i <= j of M_ij v_i v_j."""
+        """Q(v) = sum over i <= j of M_ij v_i v_j = parity(v & v^T M)."""
         if v >> self.dim:
             raise ValueError("vector outside ambient dimension")
-        acc = 0
-        x = v
-        while x:
-            i = (x & -x).bit_length() - 1
-            acc ^= _parity(self.coeff[i] & v)
-            x &= x - 1
-        return acc
+        return _parity(apply_matrix(self.coeff, v) & v)
 
     def bilinear(self, u: int, v: int) -> int:
         """B(u, v) with B = M + M^T."""
         if (u | v) >> self.dim:
             raise ValueError("vector outside ambient dimension")
-        acc = 0
-        x = u
-        while x:
-            i = (x & -x).bit_length() - 1
-            acc ^= _parity(self._brows[i] & v)
-            x &= x - 1
-        return acc
+        return _parity(self.bilinear_row(u) & v)
 
     def bilinear_row(self, u: int) -> int:
         """The vector w with B(u, v) = parity(w & v) for all v."""
-        acc = 0
-        x = u
-        while x:
-            i = (x & -x).bit_length() - 1
-            acc ^= self._brows[i]
-            x &= x - 1
-        return acc
+        return apply_matrix(self._brows, u)
 
     def key(self) -> Tuple[int, ...]:
         return self.coeff
@@ -201,9 +182,7 @@ def radicals(q: QuadraticForm) -> Tuple[Subspace, Subspace, FormClass]:
         else:
             srad_basis.append(r)
     srad = gf2.rref(srad_basis, d)
-    comp = gf2.complement_basis(rad)
-    comp_space = Subspace(d, comp)  # standard vectors are already RREF
-    zeros = sum(1 for v in gf2.subspace_vectors(comp_space) if q.evaluate(v) == 0)
+    zeros = sum(q.evaluate(v) == 0 for v in xor_span(gf2.complement_basis(rad)).tolist())
     if srad.rank == rad.rank:
         m2 = d - rad.rank  # = 2m, the nondegenerate part is even-dimensional
         if m2 == 0:
@@ -216,40 +195,48 @@ def radicals(q: QuadraticForm) -> Tuple[Subspace, Subspace, FormClass]:
     return rad, srad, FormClass(tag, rad.rank, srad.rank)
 
 
+def _singular_points(q: QuadraticForm) -> Tuple[np.ndarray, np.ndarray]:
+    """The nonzero singular vectors, ascending, and their bilinear rows,
+    from tables of all 2^d vectors: Q(v) = parity(v & v^T M)."""
+    v = np.arange(1 << q.dim)
+    pts = np.flatnonzero((np.bitwise_count(v & xor_span(q.coeff))[1:] & 1) == 0) + 1
+    return pts, xor_span(q._brows)[pts]
+
+
 def singular_vectors(q: QuadraticForm) -> List[int]:
     """All nonzero v with Q(v) = 0."""
-    return [v for v in range(1, 1 << q.dim) if q.evaluate(v) == 0]
+    return _singular_points(q)[0].tolist()
 
 
 def singular_subspaces(q: QuadraticForm, k: int) -> List[Subspace]:
     """All totally singular k-subspaces, in canonical key order.
 
-    Extends singular subspaces a point at a time through the B-perp
-    filter: a singular vector v extends S iff B(v, S) = 0, and then the
-    whole of <S, v> is automatically singular.
+    Whole-array levels: S is held by its least-vector basis v_1 < ... <
+    v_j (v_i least in S outside <v_1..v_{i-1}>) and the mask T of the
+    top bits of its vectors.  A singular c with B(c, S) = 0 spans a
+    totally singular <S, c>; c is least in c + S iff c & T = 0, and c
+    then extends the least-vector basis iff c > v_j, so each subspace
+    arises once.  One gf2.rref per result gives its Subspace.
     """
     if k > q.dim:
         return []
-    if k == 0:
-        return [gf2.rref([], q.dim)]
-    points = singular_vectors(q)
-    level: Dict[Tuple[int, ...], Subspace] = {}
-    for v in points:
-        s = gf2.rref([v], q.dim)
-        level[s.key()] = s
-    for _ in range(k - 1):
-        nxt: Dict[Tuple[int, ...], Subspace] = {}
-        for s in level.values():
-            perp_rows = [q.bilinear_row(b) for b in s.basis]
-            for v in points:
-                if gf2.contains(s, v):
-                    continue
-                if any(_parity(row & v) for row in perp_rows):
-                    continue
-                t = gf2.rref(list(s.basis) + [v], q.dim)
-                nxt[t.key()] = t
-        level = nxt
-    return [level[kk] for kk in sorted(level)]
+    pts, rows = _singular_points(q)
+    perp = (np.bitwise_count(rows[:, None] & pts) & 1) == 0
+    top = np.left_shift(1, np.frexp(pts)[1] - 1)
+    basis = np.zeros((1, 0), dtype=np.intp)  # indices into pts
+    tops = np.zeros(1, dtype=np.int64)
+    for _ in range(k):
+        cand = (pts & tops[:, None]) == 0
+        if basis.shape[1]:
+            cand &= pts > pts[basis[:, -1:]]
+        for col in basis.T:
+            cand &= perp[col]
+        parent, c = np.nonzero(cand)
+        basis = np.column_stack([basis[parent], c])
+        tops = tops[parent] | top[c]
+    out = [gf2.rref(b, q.dim) for b in pts[basis].tolist()]
+    out.sort(key=Subspace.key)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -332,11 +319,8 @@ def _normal_basis(q: QuadraticForm) -> Tuple[List[int], FormClass]:
     d = q.dim
     aniso_rad = None
     if cls.tag == "mixed":
-        for r in rad.basis:
-            if q.evaluate(r):
-                aniso_rad = r
-                break
-        else:  # pragma: no cover
+        aniso_rad = next((r for r in rad.basis if q.evaluate(r)), None)
+        if aniso_rad is None:  # pragma: no cover
             raise AssertionError("mixed class without anisotropic radical vector")
     # Work inside a complement of the radical, refining to hyperbolic pairs.
     space = list(gf2.complement_basis(rad))
@@ -356,16 +340,8 @@ def _normal_basis(q: QuadraticForm) -> Tuple[List[int], FormClass]:
         w ^= u if q.evaluate(w) else 0
         pairs.append((u, w))
         # restrict to the perp of the pair inside the current space
-        rows = [q.bilinear_row(u), q.bilinear_row(w)]
-        new_space = []
-        cur = gf2.rref([], d)
-        for v in vecs:
-            if _parity(rows[0] & v) or _parity(rows[1] & v):
-                continue
-            if not gf2.contains(cur, v):
-                new_space.append(v)
-                cur = gf2.rref(new_space, d)
-        space = new_space
+        perp = [v for v in vecs if not q.bilinear(u, v) and not q.bilinear(w, v)]
+        space = list(gf2.rref(perp, d).basis)
     if aniso_pair is not None and aniso_rad is not None:
         # x^2 + xy + y^2 + r^2 rewrites hyperbolically via (x+r, y+r).
         a, b = aniso_pair
@@ -439,6 +415,17 @@ def _embed9(x: int, y: int, z: int) -> int:
     return x | (y << 3) | (z << 6)
 
 
+def _form_of(dim: int, q: Callable[[int], int]) -> QuadraticForm:
+    """The form with values q(v): M_ii = q(e_i) and, for i < j,
+    M_ij = q(e_i + e_j) + q(e_i) + q(e_j)."""
+    rows = [0] * dim
+    for i in range(dim):
+        for j in range(i, dim):
+            b = q(1 << i | 1 << j) ^ (q(1 << i) ^ q(1 << j) if i < j else 0)
+            rows[i] |= b << j
+    return QuadraticForm(dim, tuple(rows))
+
+
 def _gamma_form(gamma: int) -> QuadraticForm:
     """Q_gamma(x, y, z) = T(gamma (xy + z^2)) as a form on F_2^9."""
 
@@ -446,14 +433,7 @@ def _gamma_form(gamma: int) -> QuadraticForm:
         x, y, z = v & 7, (v >> 3) & 7, (v >> 6) & 7
         return f8_trace(f8_mul(gamma, f8_mul(x, y) ^ f8_mul(z, z)))
 
-    rows = [0] * 9
-    for i in range(9):
-        rows[i] |= q(1 << i) << i
-    for i in range(9):
-        for j in range(i + 1, 9):
-            b = q((1 << i) | (1 << j)) ^ q(1 << i) ^ q(1 << j)
-            rows[i] |= b << j
-    return QuadraticForm(9, tuple(rows))
+    return _form_of(9, q)
 
 
 def gamma_forms() -> Dict[int, QuadraticForm]:
@@ -472,19 +452,11 @@ class FieldReductionArc:
 
 def field_reduction_arc() -> FieldReductionArc:
     """The conic xy + z^2 = 0 over F_8, field-reduced and quotiented."""
-    form = QuadraticForm(
-        9,
-        _terms_to_coeff(9, [(0, 3), (1, 5), (2, 4), (6, 6)]),
-    )
+    form = QuadraticForm(9, _terms_to_coeff(9, [(0, 3), (1, 5), (2, 4), (6, 6)]))
     # points of the conic: (1, y, y^4) for y in F_8, plus (0, 1, 0)
     pts = [(1, y, f8_pow(y, 4)) for y in range(8)] + [(0, 1, 0)]
-    planes = []
-    for (x, y, z) in pts:
-        vecs = [
-            _embed9(f8_mul(lam, x), f8_mul(lam, y), f8_mul(lam, z))
-            for lam in (1, 2, 4)
-        ]
-        planes.append(gf2.rref(vecs, 9))
+    planes = [gf2.rref([_embed9(f8_mul(lam, x), f8_mul(lam, y), f8_mul(lam, z))
+                        for lam in (1, 2, 4)], 9) for x, y, z in pts]
     # quotient by P = <(0,0,alpha)> = bit 7
     def project(v: int) -> int:
         return (v & 0x7F) | ((v >> 1) & 0x80)
@@ -492,20 +464,7 @@ def field_reduction_arc() -> FieldReductionArc:
     def lift(v: int) -> int:
         return (v & 0x7F) | ((v & 0x80) << 1)
 
-    rows = [0] * 8
-    for i in range(8):
-        rows[i] |= form.evaluate(lift(1 << i)) << i
-    for i in range(8):
-        for j in range(i + 1, 8):
-            b = (
-                form.evaluate(lift((1 << i) | (1 << j)))
-                ^ form.evaluate(lift(1 << i))
-                ^ form.evaluate(lift(1 << j))
-            )
-            rows[i] |= b << j
-    qform = QuadraticForm(8, tuple(rows))
-    qarc = tuple(
-        gf2.rref([project(v) for v in gf2.subspace_vectors(p)], 8) for p in planes
-    )
+    qform = _form_of(8, lambda v: form.evaluate(lift(v)))
+    qarc = tuple(gf2.rref(map(project, p.basis), 8) for p in planes)  # project is linear
     qrad, _, _ = radicals(qform)
     return FieldReductionArc(form, tuple(planes), qform, qarc, qrad)

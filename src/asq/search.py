@@ -9,9 +9,13 @@ turns arc planes into Frattini-complement candidate pools, and
 as_backtrack searches those pools for (q+1)-families; a separate
 complete_with_U0 pass adjoins the normal member.
 
-Both arc searches carry, per node, the row of planes that keep the
-node's set a partial pseudo-arc; PlaneCatalogue.compatible_row is the
-one kernel that derives a child's row from its parent's.
+The plane catalogue is built as whole arrays: singular_subspaces emits
+each plane once, from its least-vector basis, and reduces it with one
+gf2.rref; plane_action finds a plane's image under each generator by the
+image's packed least-vector key, with no row reduction.  Both arc
+searches carry, per node, the row of planes that keep the node's set a
+partial pseudo-arc; PlaneCatalogue.compatible_row is the one kernel that
+derives a child's row from its parent's.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import gf2
-from ._kernels import membership_words, pairwise_disjoint
+from ._kernels import membership_words, pairwise_disjoint, xor_span
 from .asconfig import ASConfiguration, _cube_root, _preimage, check_as_axioms
 from .groups import (
     CocycleGroup,
@@ -39,7 +43,7 @@ from .groups import (
     subgroup_generate,
 )
 from .permgroup import PermGroup, is_min_image, min_image
-from .quadform import QuadraticForm, apply_matrix, isometry_generators, singular_subspaces
+from .quadform import QuadraticForm, isometry_generators, singular_subspaces
 
 __all__ = [
     "PseudoArc",
@@ -75,24 +79,51 @@ class SearchTrace:
     wall_time: float = 0.0
 
 
+def _plane_vectors(planes: Sequence[gf2.Subspace]) -> np.ndarray:
+    """The 8 vectors of each plane, shape (n, 8), zero first, from the
+    bases in one XOR pass."""
+    return xor_span(np.array([p.basis for p in planes], dtype=np.int64).reshape(-1, 3))
+
+
+def _least_vector_keys(vectors: np.ndarray, dim: int) -> np.ndarray:
+    """Each row of 8 plane vectors keyed by its least-vector basis: the
+    least nonzero vector, the next, and the least outside their span,
+    packed into one int64."""
+    s = np.sort(vectors, axis=1)
+    third = np.where(s[:, 3] == s[:, 1] ^ s[:, 2], s[:, 4], s[:, 3])
+    return (s[:, 1] << 2 * dim) | (s[:, 2] << dim) | third
+
+
 def plane_action(form: QuadraticForm, planes: Sequence[gf2.Subspace]) -> PermGroup:
-    """The isometry generators as permutations of the plane catalogue."""
-    index = {p.key(): i for i, p in enumerate(planes)}
-    perms = []
-    for g in isometry_generators(form):
-        img = [
-            index[gf2.rref([apply_matrix(g, b) for b in p.basis], form.dim).key()]
-            for p in planes
-        ]
-        perms.append(img)
+    """The isometry generators as permutations of the plane catalogue.
+
+    Each generator acts on all 2^d points at once; a plane's image is
+    that action on its 8 vectors, found by its least-vector key among
+    the catalogue's sorted keys.  An image outside the catalogue (a
+    generator that is no isometry) raises AssertionError."""
+    d = form.dim
+    vectors = _plane_vectors(planes)
+    keys = _least_vector_keys(vectors, d)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    point_images = xor_span(np.array(isometry_generators(form), dtype=np.int64).reshape(-1, d))
+    # int32 rows, which PermGroup keeps without a copy
+    perms = np.empty((len(point_images), len(planes)), dtype=np.int32)
+    for perm, point_image in zip(perms, point_images):
+        image_keys = _least_vector_keys(point_image[vectors], d)
+        pos = np.minimum(np.searchsorted(sorted_keys, image_keys), len(keys) - 1)
+        if not np.array_equal(sorted_keys[pos], image_keys):
+            raise AssertionError("a generator maps a plane outside the catalogue")
+        perm[:] = order[pos]
     return PermGroup(perms, len(planes))
 
 
 class PlaneCatalogue:
-    """Immutable search context: the totally singular planes of a form,
-    their bit-packed membership masks as an (n, words) uint64 array, the
-    pairwise-disjointness matrix, and the plane action of the form's
-    isometry group (a ValueError for a form with no structural
+    """Immutable search context: the totally singular planes of a form
+    (one gf2.rref per plane), their bit-packed membership masks as an
+    (n, words) uint64 array, the pairwise-disjointness matrix, and the
+    plane action of the form's isometry group (planes found by their
+    least-vector keys; a ValueError for a form with no structural
     generator set).  compatible_row is the one test of whether a set of
     planes stays a partial pseudo-arc; is_partial_pseudo_arc is its
     slow oracle."""
@@ -101,9 +132,7 @@ class PlaneCatalogue:
         self.form = form
         self.planes: List[gf2.Subspace] = singular_subspaces(form, 3)
         self.n = len(self.planes)
-        vectors = [list(gf2.subspace_vectors(p)) for p in self.planes]
-        self.words = membership_words(
-            np.array(vectors, dtype=np.int64).reshape(self.n, 8), 1 << form.dim)
+        self.words = membership_words(_plane_vectors(self.planes), 1 << form.dim)
         self.disjoint = pairwise_disjoint(self.words)
         self.group: PermGroup = plane_action(form, self.planes)
         self._span: Dict[Tuple[int, int], Tuple[np.ndarray, int]] = {}
@@ -114,8 +143,7 @@ class PlaneCatalogue:
         hit = self._span.get(key)
         if hit is None:
             sp = gf2.span(self.planes[i], self.planes[j])
-            vectors = np.array(list(gf2.subspace_vectors(sp)), dtype=np.int64)
-            words = membership_words(vectors[None, :], 1 << self.form.dim)[0]
+            words = membership_words(xor_span(sp.basis)[None, :], 1 << self.form.dim)[0]
             hit = self._span[key] = (words, sp.rank)
         return hit
 
@@ -273,10 +301,7 @@ def lift_arc(G: CocycleGroup, planes: Sequence[gf2.Subspace]
     pool: List[Subgroup] = []
     dropped: List[gf2.Subspace] = []
     for p in planes:
-        elems = []
-        for v in gf2.subspace_vectors(p):
-            elems.append(v)
-            elems.append(v | top)
+        elems = [v | t for v in gf2.subspace_vectors(p) for t in (0, top)]
         pre = Subgroup(G, tuple(sorted(elems)))
         comps = complements(pre, frat)
         if not comps:

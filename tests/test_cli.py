@@ -5,7 +5,7 @@ import os
 import jsonschema
 import pytest
 
-from asq import cli
+from asq import cli, search
 from asq.asconfig import save_config
 from asq.groups import HeisenbergGroup, cyclic, direct_product, save_group
 from asq.search import brute_force_as_configs
@@ -99,6 +99,24 @@ def test_demo_unknown():
 
 def test_pseudoarcs_mixed_form_exit2():
     assert cli.main(["--quiet", "pseudoarcs", "deg-c4"]) == 2
+
+
+def test_non_isometry_generator_is_a_defect(monkeypatch):
+    # a plane image missing from the catalogue is a fault, not bad input:
+    # swapping e2 and e3 moves Q, so it maps singular planes off the catalogue
+    swap = (1, 4, 2) + tuple(1 << i for i in range(3, 8))
+    monkeypatch.setattr(search, "isometry_generators", lambda form: [swap])
+    with pytest.raises(AssertionError):
+        cli.main(["--quiet", "pseudoarcs", "minus8", "--target", "5", "--seed-size", "4"])
+
+
+def test_arc_search_reports_stage_times(tmp_path, schema):
+    argv = ["pseudoarcs", "minus8", "--target", "5", "--seed-size", "4"]
+    code, rep = run_json(tmp_path, argv, schema)
+    assert code == 0
+    stages = rep["notes"]["stage_s"]
+    assert sorted(stages) == ["arc_seeds", "catalogue", "extend_arcs"]
+    assert all(t >= 0 for t in stages.values())
 
 
 def test_flags_accepted_after_subcommand(tmp_path, schema):

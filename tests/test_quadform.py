@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asq import gf2
+from asq.permgroup import PermGroup
 from asq.quadform import (
     PRESETS,
     QuadraticForm,
+    _parity,
     apply_matrix,
     field_reduction_arc,
     forms_equivalent,
@@ -25,6 +27,7 @@ from asq.quadform import (
     singular_vectors,
     transvection,
 )
+from asq.search import plane_action
 
 DIMS = st.integers(min_value=1, max_value=10)
 
@@ -42,6 +45,16 @@ def form_and_vectors(draw, n_vectors=2):
 def test_polarisation_identity(fv):
     q, (u, v) = fv
     assert q.evaluate(u ^ v) ^ q.evaluate(u) ^ q.evaluate(v) == q.bilinear(u, v)
+
+
+@settings(max_examples=100)
+@given(form_and_vectors(1))
+def test_evaluate_matches_definition(fv):
+    q, (v,) = fv
+    bits = [(v >> i) & 1 for i in range(q.dim)]
+    want = sum((q.coeff[i] >> j) & 1 and bits[i] and bits[j]
+               for i in range(q.dim) for j in range(i, q.dim)) & 1
+    assert q.evaluate(v) == want
 
 
 @settings(max_examples=100)
@@ -142,3 +155,101 @@ def test_field_reduction_arc():
     assert arc.quotient_form.dim == 8
     assert len(arc.quotient_arc) == 9
     assert radicals(arc.quotient_form)[2].degenerate
+
+
+# ----------------------------------------------------------------------
+# the whole-array plane catalogue against the per-plane code it replaced
+
+
+def singular_subspaces_oracle(q, k):
+    """Slow oracle for singular_subspaces: extend singular subspaces a
+    point at a time through the B-perp filter, one rref per extension."""
+    if k > q.dim:
+        return []
+    if k == 0:
+        return [gf2.rref([], q.dim)]
+    points = [v for v in range(1, 1 << q.dim) if q.evaluate(v) == 0]
+    level = {}
+    for v in points:
+        s = gf2.rref([v], q.dim)
+        level[s.key()] = s
+    for _ in range(k - 1):
+        nxt = {}
+        for s in level.values():
+            perp_rows = [q.bilinear_row(b) for b in s.basis]
+            for v in points:
+                if gf2.contains(s, v):
+                    continue
+                if any(_parity(row & v) for row in perp_rows):
+                    continue
+                t = gf2.rref(list(s.basis) + [v], q.dim)
+                nxt[t.key()] = t
+        level = nxt
+    return [level[kk] for kk in sorted(level)]
+
+
+def plane_action_oracle(form, planes):
+    """Slow oracle for plane_action: one rref per plane image."""
+    index = {p.key(): i for i, p in enumerate(planes)}
+    perms = []
+    for g in isometry_generators(form):
+        img = [
+            index[gf2.rref([apply_matrix(g, b) for b in p.basis], form.dim).key()]
+            for p in planes
+        ]
+        perms.append(img)
+    return PermGroup(perms, len(planes))
+
+
+def rebased(q, a):
+    """The form x -> Q(a x) for an invertible matrix a."""
+    d = q.dim
+    f = lambda v: q.evaluate(apply_matrix(a, v))  # noqa: E731
+    rows = [sum((f(1 << i | 1 << j) ^ (f(1 << i) ^ f(1 << j) if i < j else 0)) << j
+                for j in range(i, d)) for i in range(d)]
+    out = QuadraticForm(d, tuple(rows))
+    assert all(out.evaluate(v) == f(v) for v in range(1 << d))
+    return out
+
+
+def basis_change(d, seed):
+    """A seeded random invertible matrix on F_2^d."""
+    rng = random.Random(seed)
+    while True:
+        a = tuple(rng.randrange(1, 1 << d) for _ in range(d))
+        if gf2.rank_of(a, d) == d:
+            return a
+
+
+CATALOGUE_FORMS = {
+    "plus8": lambda: preset("plus8"),
+    "minus8": lambda: preset("minus8"),
+    "deg-hyp6": lambda: preset("deg-hyp6"),
+    "deg-c4": lambda: preset("deg-c4"),
+    "field-reduction-9": lambda: field_reduction_arc().form,
+    "plus8-rebased": lambda: rebased(preset("plus8"), basis_change(8, 11)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUE_FORMS))
+def test_singular_planes_match_oracle(name):
+    q = CATALOGUE_FORMS[name]()
+    fast = singular_subspaces(q, 3)
+    assert [p.key() for p in fast] == [p.key() for p in singular_subspaces_oracle(q, 3)]
+    if name not in ("deg-c4", "field-reduction-9"):  # no structural generator set
+        want = plane_action_oracle(q, fast).gens
+        got = plane_action(q, fast).gens
+        assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
+
+
+def test_singular_subspaces_random_forms_match_oracle():
+    rng = random.Random(2014)
+    for d in range(3, 8):
+        forms = [QuadraticForm(d, (0,) * d)]
+        forms += [QuadraticForm(d, tuple(rng.randrange(1 << d) for _ in range(d)))
+                  for _ in range(3)]
+        for q in forms:
+            assert singular_vectors(q) == [v for v in range(1, 1 << d) if q.evaluate(v) == 0]
+            for k in (0, 1, 2, 3, d + 1):
+                got = [p.key() for p in singular_subspaces(q, k)]
+                assert got == [p.key() for p in singular_subspaces_oracle(q, k)], (q, k)
