@@ -184,9 +184,10 @@ def cmd_verify(group_file: str, config_file: str) -> RunReport:
 def _arc_search(rep: RunReport, form, seed_size: int, target: int,
                 threads: int) -> Tuple[PlaneCatalogue, List[PseudoArc]]:
     """The arc pipeline of every arc search: the plane catalogue of the
-    form, one canonical seed per orbit of seed_size planes, and every
-    extension of the seeds to target planes on threads workers.  The
-    wall seconds of the three stages go to notes["stage_s"]."""
+    form and the order of its group, one canonical seed per orbit of
+    seed_size planes, and every extension of the seeds to target planes
+    on threads workers.  The wall seconds of the four stages go to
+    notes["stage_s"]."""
     if not 1 <= seed_size <= target:
         raise InputError(f"--seed-size must be between 1 and the target {target}, "
                          f"got {seed_size}")
@@ -197,14 +198,16 @@ def _arc_search(rep: RunReport, form, seed_size: int, target: int,
     cat = PlaneCatalogue(form)
     t1 = time.monotonic()
     rep.counts["planes"] = cat.n
-    seeds = arc_seeds(cat, seed_size)
+    cat.group.order()
     t2 = time.monotonic()
+    seeds = arc_seeds(cat, seed_size)
+    t3 = time.monotonic()
     rep.counts["seeds"] = len(seeds)
     arcs = extend_arcs(cat, seeds, target, threads=threads)
-    t3 = time.monotonic()
+    t4 = time.monotonic()
     rep.counts["arcs"] = len(arcs)
-    rep.notes["stage_s"] = {"catalogue": t1 - t0, "arc_seeds": t2 - t1,
-                            "extend_arcs": t3 - t2}
+    rep.notes["stage_s"] = {"catalogue": t1 - t0, "order": t2 - t1,
+                            "arc_seeds": t3 - t2, "extend_arcs": t4 - t3}
     return cat, arcs
 
 

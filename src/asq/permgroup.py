@@ -2,36 +2,49 @@
 lexicographically minimal images of point sets.
 
 Permutations are numpy int32 arrays p with p[i] = image of i.  compose(p, q)
-applies p first, then q.  The minimal-image routine is the isomorph
-rejector behind all symmetry-pruned searches: min_image(G, S) returns the
+applies p first, then q.  The minimal-image routines are the isomorph
+rejectors behind all symmetry-pruned searches: min_image(G, S) returns the
 lexicographically least sorted tuple in the orbit of the set S under G,
 computed by stabiliser-chain backtracking (never by materialising the
 orbit of S).
 
 Minimal images move points, not permutations.  Each group keeps its
 orbit minima, a Schreier forest rooted at them (pred[x] and the index
-edge[x] of the generator mapping pred[x] to x) and its inverse
-generators as int32 array('i') buffers, indexed from Python as plain
-ints.  To map a point s to its orbit minimum, min_image walks s's path
-in the forest and applies each inverse generator only to the other
-points of the candidate set; to_orbit_min, which composes the whole
-element, is kept as the reference.  Stabiliser-chain transversals store
-each element's inverse once, when it is inserted, so sifting and the
-Schreier-generator checks never invert a permutation.  A chain is
-completed after every growth, so its order is exact at each step: the
-group order starts from two random subproducts of the generators, and a
-point stabiliser, whose order is known, stops at the first Schreier
-generators that reach it.
+edge[x] of the generator mapping pred[x] to x, an orbit minimum being
+its own predecessor by the identity) and each point's depth in it as
+int32 arrays, and its inverse generators, then the identity, stacked as
+one (gens + 1, n) int32 array.  To map a point s to its orbit minimum,
+the images walk s's path in the forest and apply each inverse generator
+only to the points of the candidate set; to_orbit_min, which composes
+the whole element, is kept as the reference.
+
+canonical_children is the test of orderly generation: for a canonical
+set s and every candidate x of one search node at once, whether s + [x]
+is its own minimal image.  All of a node's children walk the same chain
+of stabilisers of the prefixes of s, so it runs as whole arrays: one
+(rows, k) array of candidate images with an owner per row, traced
+through the forest together and deduplicated per owner at each depth.
+min_image and is_min_image, which trace one candidate set at a time,
+are its slow oracle.
+
+Stabiliser-chain transversals store each element's inverse once, when
+it is inserted, so sifting and the Schreier-generator checks never
+invert a permutation.  A chain is completed after every growth, so its
+order is exact at each step: the group order starts from two random
+subproducts of the generators, and a point stabiliser, whose order is
+known, stops at the first Schreier generators that reach it.  Every
+order-1 stabiliser below a group is one shared generator-free group,
+which keeps no per-point buffers of its own.
 """
 from __future__ import annotations
 
 import random
-from array import array
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["compose", "inverse", "identity", "PermGroup", "min_image", "is_min_image"]
+__all__ = ["compose", "inverse", "identity", "PermGroup", "min_image", "is_min_image",
+           "canonical_children"]
 
 
 def identity(n: int) -> np.ndarray:
@@ -51,11 +64,6 @@ def inverse(p: np.ndarray) -> np.ndarray:
 
 def _is_identity(p: np.ndarray) -> bool:
     return bool(np.all(p == np.arange(len(p), dtype=p.dtype)))
-
-
-def _int32_buffer(p: np.ndarray) -> array:
-    """An int32 numpy array as an array('i'), whose items index as ints."""
-    return array("i", np.ascontiguousarray(p, dtype=np.int32).tobytes())
 
 
 def _perm_key(p: np.ndarray) -> bytes:
@@ -226,11 +234,14 @@ class PermGroup:
         self.gens = arrs
         self.n = degree
         self._order = order
-        self._inv_gens: Optional[List[array]] = None
-        self._orbmin: Optional[array] = None
-        self._pred: Optional[array] = None
-        self._edge: Optional[array] = None
+        self._inv_gens: Optional[np.ndarray] = None  # (gens + 1, n) int32
+        self._orbmin: Optional[np.ndarray] = None
+        self._pred: Optional[np.ndarray] = None
+        self._edge: Optional[np.ndarray] = None
+        self._depth: Optional[np.ndarray] = None
         self._children: Dict[int, "PermGroup"] = {}
+        # the one order-1 group that every trivial stabiliser below is
+        self._trivial: Optional["PermGroup"] = None
 
     # -- order ---------------------------------------------------------
 
@@ -262,10 +273,14 @@ class PermGroup:
                 break
             orbmin = lab
         # One breadth-first search from all orbit minima at once; within
-        # a level the generators are tried in order, first hit wins.
-        pred = np.full(n, -1, dtype=np.int32)
-        edge = np.full(n, -1, dtype=np.int32)
-        frontier = np.flatnonzero(orbmin == np.arange(n))
+        # a level the generators are tried in order, first hit wins.  An
+        # orbit minimum is its own predecessor, by the identity, which
+        # follows the inverse generators as their last row.
+        points = np.arange(n, dtype=np.int32)
+        pred = points.copy()
+        edge = np.full(n, len(gens), dtype=np.int32)
+        depth = np.zeros(n, dtype=np.int32)
+        frontier = np.flatnonzero(orbmin == points)
         seen = np.zeros(n, dtype=bool)
         seen[frontier] = True
         while gens and frontier.size:
@@ -279,49 +294,71 @@ class PermGroup:
                 edge[ys] = gi
                 found.append(ys)
             frontier = np.concatenate(found)
-        self._orbmin = _int32_buffer(orbmin)
-        self._pred = _int32_buffer(pred)
-        self._edge = _int32_buffer(edge)
-        self._inv_gens = [_int32_buffer(g) for g in inv_gens]
+            depth[frontier] = depth[pred[frontier]] + 1
+        orbmin.flags.writeable = False
+        self._orbmin, self._pred, self._edge, self._depth = orbmin, pred, edge, depth
+        self._inv_gens = np.array(inv_gens + [points], dtype=np.int32)
 
     @property
     def orbit_min(self) -> np.ndarray:
         """orbit_min[x] = least point in the orbit of x (read-only)."""
         self._ensure_orbits()
-        view = np.frombuffer(self._orbmin, dtype=np.int32)
-        view.flags.writeable = False
-        return view
+        return self._orbmin
 
     def to_orbit_min(self, x: int) -> np.ndarray:
         """A group element t with t[x] = orbit_min[x]: the product of the
         inverse generators along x's path in the Schreier forest."""
         self._ensure_orbits()
         t = identity(self.n)
-        while self._pred[x] != -1:
-            t = compose(t, np.asarray(self._inv_gens[self._edge[x]]))
+        while self._pred[x] != x:
+            t = compose(t, self._inv_gens[self._edge[x]])
             x = self._pred[x]
         return t
 
     def trace_to_orbit_min(self, x: int, points: Iterable[int]) -> List[int]:
         """[to_orbit_min(x)[p] for p in points], moving only the points."""
         self._ensure_orbits()
-        pred, edge, inv_gens = self._pred, self._edge, self._inv_gens
-        pts = list(points)
-        while pred[x] != -1:
-            step = inv_gens[edge[x]]
-            pts = [step[p] for p in pts]
+        pred, edge = memoryview(self._pred), memoryview(self._edge)
+        pts = np.array(list(points), dtype=np.intp)
+        while pred[x] != x:
+            pts = self._inv_gens[edge[x], pts]
             x = pred[x]
-        return pts
+        return pts.tolist()
+
+    def _trace_rows(self, starts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Row i of rows moved by to_orbit_min(starts[i]), for every row
+        at once: each step applies to each row the next inverse generator
+        on its start's path, or the identity once the start is at its
+        orbit minimum."""
+        self._ensure_orbits()
+        pred, edge, inv_gens = self._pred, self._edge, self._inv_gens
+        for _ in range(int(self._depth[starts].max(initial=0))):
+            rows = inv_gens[edge[starts][:, None], rows]
+            starts = pred[starts]
+        return rows
 
     # -- point stabiliser (known-order Schreier generators) ------------
 
     def stabilizer(self, point: int) -> "PermGroup":
+        """The stabiliser of point, cached.  A group with no generators
+        is its own stabiliser; every order-1 stabiliser below a group is
+        one shared group with no generators."""
+        if not self.gens:
+            return self
         child = self._children.get(point)
         if child is not None:
             return child
         n = self.n
+        om = self.orbit_min
+        target, rem = divmod(self.order(), int(np.count_nonzero(om == om[point])))
+        if rem:
+            raise AssertionError("orbit size does not divide the group order")
+        if self._trivial is None:
+            self._trivial = PermGroup([], n, order=1)
+        if target == 1:
+            self._children[point] = self._trivial
+            return self._trivial
         tr: Dict[int, np.ndarray] = {point: identity(n)}
-        order_here = self.order()
         frontier = [point]
         orbit_list = [point]
         while frontier:
@@ -335,9 +372,6 @@ class PermGroup:
                         nxt.append(y)
                         orbit_list.append(y)
             frontier = nxt
-        target, rem = divmod(order_here, len(tr))
-        if rem:
-            raise AssertionError("orbit size does not divide the group order")
 
         def schreier_generators():
             for x in orbit_list:
@@ -349,6 +383,7 @@ class PermGroup:
             raise AssertionError("stabiliser closure missed the target order")
         gens = chain.levels[0].gens if chain.levels else []
         child = PermGroup(gens, n, order=target)
+        child._trivial = self._trivial
         self._children[point] = child
         return child
 
@@ -362,8 +397,9 @@ def min_image(group: PermGroup, points: Sequence[int],
     """Lexicographically least sorted tuple in the orbit of the set.
 
     With `upper` given (a sorted tuple), returns None as soon as the
-    minimum is proven strictly smaller than `upper` - the fast path for
-    canonicity testing during orderly generation.
+    minimum is proven strictly smaller than `upper`: the early exit of
+    is_min_image.  The slow oracle of canonical_children, and the
+    canonical form that extend_arcs deduplicates by.
     """
     node = group
     cands: set[FrozenSet[int]] = {frozenset(int(x) for x in points)}
@@ -378,14 +414,15 @@ def min_image(group: PermGroup, points: Sequence[int],
             if upper is not None and out < tuple(upper):
                 return None
             return out
-        node._ensure_orbits()
-        om = node._orbmin
+        om = memoryview(node.orbit_min)
         least = [(min(om[x] for x in t), t) for t in cands]
         mu = min(m for m, _ in least)
         res.append(mu)
         if upper is not None:
             if mu < upper[depth]:
                 return None
+        if depth == k - 1:
+            break  # the last point needs no images and no stabiliser
         new: set[FrozenSet[int]] = set()
         for m, t in least:
             if m != mu:
@@ -402,3 +439,71 @@ def is_min_image(group: PermGroup, points: Sequence[int]) -> bool:
     """True iff sorted(points) is the minimal image of its own orbit."""
     srt = tuple(sorted(int(x) for x in points))
     return min_image(group, srt, upper=srt) is not None
+
+
+def _rows_below(rows: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Per row, whether rows[i] < bound[i] lexicographically."""
+    differ = rows != bound
+    first = differ.argmax(axis=1)
+    at = np.arange(len(rows))
+    return differ[at, first] & (rows[at, first] < bound[at, first])
+
+
+def _unique_rows(owner: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct (owner, row) pairs, ordered by owner and then row.
+    Each pair is one byte string of big-endian int32s, whose byte order
+    is the numeric order, so rows of any width sort as one key."""
+    keys = np.empty((len(rows), rows.shape[1] + 1), dtype=">i4")
+    keys[:, 0] = owner
+    keys[:, 1:] = rows
+    _, first = np.unique(keys.view(np.dtype((np.void, keys.shape[1] * 4))).ravel(),
+                         return_index=True)
+    return owner[first], rows[first]
+
+
+def canonical_children(chain: Sequence[PermGroup], s: Sequence[int],
+                       xs: Sequence[int]) -> np.ndarray:
+    """For every candidate x in xs, whether s + [x] is its own minimal
+    image under chain[0]: is_min_image for all children of one node of
+    orderly generation at once.
+
+    s is sorted and its own minimal image, chain[d] is the stabiliser of
+    s[:d] for d = 0..len(s), and each x is above max(s).  A child that
+    survives depth d has the prefix s[:d], so all children walk the
+    same chain.  At depth d the batch holds every image of each child
+    (its owner) that starts with s[:d], one sorted row of the remaining
+    points each, up to chain[d].  An owner whose least orbit minimum is
+    below its own point at d (s[d], or x at the last depth) is rejected;
+    the rows at that minimum are traced to it through chain[d]'s
+    Schreier forest, the moved point is dropped, and the rows are
+    sorted and deduplicated per owner.  Once chain[d] is trivial the
+    rows are all the images, and a row below the owner's tail rejects
+    it."""
+    xs = np.asarray(xs, dtype=np.int32)
+    m = len(s)
+    if len(chain) != m + 1:
+        raise ValueError("chain must hold the stabiliser of every prefix of s")
+    tails = np.empty((len(xs), m + 1), dtype=np.int32)
+    tails[:, :m] = s
+    tails[:, m] = xs
+    keep = np.ones(len(xs), dtype=bool)
+    owner, rows = np.arange(len(xs)), tails
+    for d, node in enumerate(chain):
+        if not rows.size:
+            break
+        if node.order() == 1:
+            keep[owner[_rows_below(rows, tails[owner, d:])]] = False
+            break
+        orbit = node.orbit_min[rows]
+        # an owner's least orbit minimum is below its point at d iff one
+        # of its rows is
+        keep[owner[orbit.min(axis=1) < tails[owner, d]]] = False
+        if d == m:
+            break
+        at, col = np.nonzero((orbit == s[d]) & keep[owner, None])
+        # the other points of a traced row have orbit minima of at least
+        # s[d] and are not mapped to it, so after sorting s[d] is first
+        moved = node._trace_rows(rows[at, col], rows[at])
+        moved.sort(axis=1)
+        owner, rows = _unique_rows(owner[at], moved[:, 1:])
+    return keep

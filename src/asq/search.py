@@ -4,10 +4,12 @@ subgroups, and AS-configuration backtracking at group level.
 
 Pipeline shape: arc_seeds finds one canonical representative per orbit
 of partial pseudo-arcs (orderly generation with minimal-image
-rejection), extend_arcs completes them by depth-first search, lift_arc
-turns arc planes into Frattini-complement candidate pools, and
-as_backtrack searches those pools for (q+1)-families; a separate
-complete_with_U0 pass adjoins the normal member.
+rejection, one batched permgroup.canonical_children test for all the
+candidates of a node), extend_arcs completes them by depth-first
+search and deduplicates the completions by min_image, lift_arc turns
+arc planes into Frattini-complement candidate pools, and as_backtrack
+searches those pools for (q+1)-families; a separate complete_with_U0
+pass adjoins the normal member.
 
 The plane catalogue is built as whole arrays: singular_subspaces emits
 each plane once, from its least-vector basis, and reduces it with one
@@ -42,7 +44,7 @@ from .groups import (
     quotient,
     subgroup_generate,
 )
-from .permgroup import PermGroup, is_min_image, min_image
+from .permgroup import PermGroup, canonical_children, min_image
 from .quadform import QuadraticForm, isometry_generators, singular_subspaces
 
 __all__ = [
@@ -186,30 +188,34 @@ def arc_seeds(cat: PlaneCatalogue, seed_size: int,
     point larger than its maximum that is minimal in its orbit under
     the pointwise stabiliser (a non-minimal extension is never
     canonical), and the extension is kept iff it is its own minimal
-    image.  Each kept set carries the row of planes compatible with it
-    (PlaneCatalogue.compatible_row), so candidates are never re-tested
-    against the members."""
-    group = cat.group
+    image, decided for all of a node's candidates at once by
+    permgroup.canonical_children along the node's chain of prefix
+    stabilisers.  Each kept set carries the row of planes compatible
+    with it (PlaneCatalogue.compatible_row), so candidates are never
+    re-tested against the members."""
     t0 = time.monotonic()
     out: List[Tuple[int, ...]] = []
     points = np.arange(cat.n)
 
-    def rec(s: List[int], node: PermGroup, row: Optional[np.ndarray]) -> None:
-        """row[k] is True iff s + [k] is a partial pseudo-arc (None once
-        s has seed_size members)."""
+    def rec(s: List[int], chain: List[PermGroup], row: Optional[np.ndarray]) -> None:
+        """chain[d] is the stabiliser of s[:d]; row[k] is True iff
+        s + [k] is a partial pseudo-arc (None once s has seed_size
+        members)."""
         if trace is not None:
             trace.nodes += 1
         if len(s) == seed_size:
             out.append(tuple(s))
             return
+        node = chain[-1]
         mx = s[-1] if s else -1
-        for x in np.flatnonzero((node.orbit_min == points) & (points > mx) & row).tolist():
-            cand = s + [x]
-            if is_min_image(group, cand):
-                child_row = None if len(cand) == seed_size else cat.compatible_row(row, s, x)
-                rec(cand, node.stabilizer(x), child_row)
+        xs = np.flatnonzero((node.orbit_min == points) & (points > mx) & row)
+        for x in xs[canonical_children(chain, s, xs)].tolist():
+            if len(s) + 1 == seed_size:
+                rec(s + [x], chain, None)
+            else:
+                rec(s + [x], chain + [node.stabilizer(x)], cat.compatible_row(row, s, x))
 
-    rec([], group, np.ones(cat.n, dtype=bool))
+    rec([], [cat.group], np.ones(cat.n, dtype=bool))
     del rec  # the closure refers to itself; keep the catalogue collectable
     if trace is not None:
         trace.solutions = len(out)

@@ -8,6 +8,7 @@ import pytest
 from asq import cli, search
 from asq.asconfig import save_config
 from asq.groups import HeisenbergGroup, cyclic, direct_product, save_group
+from asq.permgroup import PermGroup
 from asq.search import brute_force_as_configs
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs",
@@ -115,7 +116,7 @@ def test_arc_search_reports_stage_times(tmp_path, schema):
     code, rep = run_json(tmp_path, argv, schema)
     assert code == 0
     stages = rep["notes"]["stage_s"]
-    assert sorted(stages) == ["arc_seeds", "catalogue", "extend_arcs"]
+    assert sorted(stages) == ["arc_seeds", "catalogue", "extend_arcs", "order"]
     assert all(t >= 0 for t in stages.values())
 
 
@@ -222,7 +223,7 @@ def test_arc_searches_honour_arc_flags(monkeypatch, argv):
 
     class Catalogue:
         def __init__(self, form):
-            self.n, self.planes = 0, []
+            self.n, self.planes, self.group = 0, [], PermGroup([], 0)
 
     def seeds(cat, seed_size):
         seen.append(seed_size)

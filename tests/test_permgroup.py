@@ -5,8 +5,10 @@ import random
 import numpy as np
 import pytest
 
+from asq import permgroup
 from asq.permgroup import (
     PermGroup,
+    canonical_children,
     compose,
     identity,
     inverse,
@@ -43,6 +45,44 @@ def random_group(rng, n, k=2):
         rng.shuffle(p)
         gens.append(p)
     return gens
+
+
+def random_small_group(rng, n):
+    """Generators of a random subgroup of S_n with a small closure: the
+    symmetric groups of a few blocks of at most four points, sometimes
+    with a swap of two blocks of one size, or for n <= 6 any group."""
+    if n <= 6 and rng.random() < 0.4:
+        return random_group(rng, n, rng.randint(1, 3))
+    pts = list(range(n))
+    rng.shuffle(pts)
+    blocks = []
+    while pts:
+        size = min(len(pts), rng.randint(1, 4))
+        blocks.append(pts[:size])
+        pts = pts[size:]
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        g = list(range(n))
+        for b in blocks:
+            for a, c in zip(b, rng.sample(b, len(b))):
+                g[a] = c
+        gens.append(g)
+    pairs = [(a, b) for a in blocks for b in blocks if a < b and len(a) == len(b)]
+    if pairs and rng.random() < 0.5:
+        a, b = rng.choice(pairs)
+        g = list(range(n))
+        for u, v in zip(a, b):
+            g[u], g[v] = v, u
+        gens.append(g)
+    return gens
+
+
+def prefix_chain(G, s):
+    """[G, G_(s0), G_(s0, s1), ...]: the stabilisers of the prefixes of s."""
+    chain = [G]
+    for x in s:
+        chain.append(chain[-1].stabilizer(x))
+    return chain
 
 
 def test_compose_inverse():
@@ -160,3 +200,87 @@ def test_min_image_upper_cutoff():
     # proven strictly below it, the minimum itself when it is not
     assert min_image(G, pts, upper=(0, 1)) == (0, 1)
     assert min_image(G, pts, upper=(1, 2)) is None
+
+
+def test_min_image_builds_no_stabiliser_for_the_last_point():
+    n = 6
+    cyc = list(range(1, n)) + [0]
+    G = PermGroup([cyc], n)
+    assert min_image(G, (2,)) == (0,)
+    assert G._children == {}
+    # (1, 3) -> (0, 2) fixes 0 first; 2 is the last point
+    assert min_image(G, (1, 3)) == (0, 2)
+    assert list(G._children) == [0]
+
+
+def test_canonical_children_against_oracles():
+    # every child of every canonical set, by orderly generation, against
+    # is_min_image and the minimum over the brute-force closure
+    rng = random.Random(7)
+    children = accepted = 0
+    for _ in range(40):
+        n = rng.randint(3, 10)
+        gens = random_small_group(rng, n)
+        G = PermGroup(gens, n)
+        elems = closure(gens, n)
+        assert G.order() == len(elems)
+        todo = [[]]
+        while todo:
+            s = todo.pop()
+            xs = list(range(s[-1] + 1 if s else 0, n))
+            got = canonical_children(prefix_chain(G, s), s, xs)
+            want = [is_min_image(G, s + [x]) for x in xs]
+            brute = [brute_min_image(elems, s + [x]) == tuple(s + [x]) for x in xs]
+            assert got.tolist() == want == brute, (gens, s)
+            todo += [s + [x] for x, ok in zip(xs, want) if ok]
+            children += len(xs)
+            accepted += sum(want)
+    assert accepted > 500 and children - accepted > 500
+
+
+def test_canonical_children_traces_each_image_once(monkeypatch):
+    # the batch is a set per child: one candidate at a time, no (start,
+    # row) pair reaches the forest twice
+    traced = []
+
+    def spy(self, starts, rows, trace=PermGroup._trace_rows):
+        pairs = list(zip(starts.tolist(), map(tuple, rows.tolist())))
+        assert len(set(pairs)) == len(pairs)
+        traced.append(len(pairs))
+        return trace(self, starts, rows)
+
+    monkeypatch.setattr(PermGroup, "_trace_rows", spy)
+    rng = random.Random(8)
+    for _ in range(20):
+        n = rng.randint(4, 9)
+        G = PermGroup(random_small_group(rng, n), n)
+        todo = [[]]
+        while todo:
+            s = todo.pop()
+            chain = prefix_chain(G, s)
+            for x in range(s[-1] + 1 if s else 0, n):
+                ok = canonical_children(chain, s, [x])
+                assert ok.tolist() == [is_min_image(G, s + [x])]
+                if ok[0]:
+                    todo.append(s + [x])
+    assert sum(traced) > 1000
+
+
+def test_unique_rows_any_width():
+    rng = np.random.default_rng(9)
+    for width in (1, 3, 5, 8, 11):
+        owner = rng.integers(0, 4, 400)
+        rows = rng.integers(0, 3, (400, width)) * 1500
+        got_owner, got_rows = permgroup._unique_rows(owner, rows)
+        want = sorted(set(zip(owner.tolist(), map(tuple, rows.tolist()))))
+        assert list(zip(got_owner.tolist(), map(tuple, got_rows.tolist()))) == want
+
+
+def test_trivial_stabilisers_are_one_group():
+    n = 5
+    G = PermGroup([[1, 0, 2, 3, 4], [0, 1, 3, 2, 4]], n)
+    T = G.stabilizer(0)
+    assert T.order() == 2
+    assert G.stabilizer(2).stabilizer(0) is T.stabilizer(2) is T.stabilizer(3)
+    one = T.stabilizer(2)
+    assert one.order() == 1 and one.gens == [] and one.stabilizer(4) is one

@@ -18,7 +18,7 @@ from asq.groups import (
     subgroup_generate,
     table4_group,
 )
-from asq.permgroup import min_image
+from asq.permgroup import canonical_children, is_min_image, min_image
 from asq.quadform import preset, singular_subspaces
 from asq.search import (
     PlaneCatalogue,
@@ -166,6 +166,71 @@ def test_seed_canonicity_random_images(cat_minus):
         for g in rng.sample(elems, 20):
             img = tuple(sorted(int(g[x]) for x in s))
             assert min_image(group, img) == s
+
+
+def test_canonical_children_along_random_arcs(cat_minus):
+    # the batched test of arc_seeds against is_min_image on every
+    # candidate of random canonical partial arcs
+    rng = random.Random(23)
+    cat = cat_minus
+    checked = accepted = 0
+    for _ in range(20):
+        s, chain, row = [], [cat.group], np.ones(cat.n, dtype=bool)
+        while len(s) < 6:
+            node = chain[-1]
+            points = np.arange(cat.n)
+            xs = np.flatnonzero((node.orbit_min == points) & (points > (s[-1] if s else -1)) & row)
+            got = canonical_children(chain, s, xs)
+            assert got.tolist() == [is_min_image(cat.group, s + [x]) for x in xs.tolist()]
+            checked += len(xs)
+            accepted += int(got.sum())
+            if not got.any():
+                break
+            x = int(rng.choice(xs[got]))
+            row = cat.compatible_row(row, s, x)
+            chain.append(node.stabilizer(x))
+            s.append(x)
+    assert checked > 500 and accepted > 100
+
+
+def test_canonical_children_wide_rows():
+    # eight points of the 3215 deg-hyp6 planes, 12 bits each: rows wider
+    # than one int64 key (no arc condition, only canonicity)
+    cat = PlaneCatalogue(preset("deg-hyp6"))
+    group = cat.group
+    rng = random.Random(29)
+    points = np.arange(cat.n)
+    s, chain = [], [group]
+    while len(s) < 8:
+        node = chain[-1]
+        xs = np.flatnonzero((node.orbit_min == points) & (points > (s[-1] if s else -1)))
+        xs = np.array(sorted(rng.sample(xs.tolist(), min(len(xs), 25))), dtype=np.int64)
+        got = canonical_children(chain, s, xs)
+        assert got.tolist() == [is_min_image(group, s + [x]) for x in xs.tolist()]
+        x = int(xs[got][0]) if got.any() else None
+        assert x is not None
+        chain.append(node.stabilizer(x))
+        s.append(x)
+    assert min_image(group, s) == tuple(s)
+
+
+def test_trivial_stabilisers_share_one_group(cat_minus):
+    # every order-1 stabiliser reachable from the group is one object
+    # without generators
+    arc_seeds(cat_minus, 6)
+    edges, trivial, todo, seen = 0, set(), [cat_minus.group], set()
+    while todo:
+        g = todo.pop()
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
+        for child in g._children.values():
+            if child.order() == 1:
+                edges += 1
+                trivial.add(id(child))
+                assert child.gens == []
+            todo.append(child)
+    assert edges > 1 and len(trivial) == 1
 
 
 def test_seeds_revalidate(cat_minus):
