@@ -447,9 +447,12 @@ def _default_threads() -> int:
     env = os.environ.get("ASQ_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
             raise InputError(f"ASQ_THREADS must be an integer, got {env!r}")
+        if threads < 1:
+            raise InputError(f"ASQ_THREADS must be positive, got {env!r}")
+        return threads
     return os.cpu_count() or 1
 
 

@@ -8,15 +8,19 @@ lexicographically least sorted tuple in the orbit of the set S under G,
 computed by stabiliser-chain backtracking (never by materialising the
 orbit of S).
 
-Minimal images move points, not permutations.  Each group keeps its
-orbit minima, a Schreier forest rooted at them (pred[x] and the index
-edge[x] of the generator mapping pred[x] to x, an orbit minimum being
-its own predecessor by the identity) and each point's depth in it as
-int32 arrays, and its inverse generators, then the identity, stacked as
-one (gens + 1, n) int32 array.  To map a point s to its orbit minimum,
-the images walk s's path in the forest and apply each inverse generator
-only to the points of the candidate set; to_orbit_min, which composes
-the whole element, is kept as the reference.
+Every transversal is a Schreier forest over a list of labels (group
+elements): each point's predecessor pred[x] (a root is its own), the
+index edge[x] of the label mapping pred[x] to x and the point's depth, as
+int32 arrays, with pred[x] = -1 off the roots' orbits.  The inverse
+labels along x's path map x to its root, so no transversal element is
+ever stored.
+
+Minimal images move points, not permutations.  Each group's orbit minima
+root one forest over its generators, whose inverses, then the identity,
+are stacked as one (gens + 1, n) int32 array.  To map a point s to its
+orbit minimum, the images walk s's path in the forest and apply each
+inverse generator only to the points of the candidate set; to_orbit_min,
+which composes the whole element, is kept as the reference.
 
 canonical_children is the test of orderly generation: for a canonical
 set s and every candidate x of one search node at once, whether s + [x]
@@ -27,19 +31,28 @@ through the forest together and deduplicated per owner at each depth.
 min_image and is_min_image, which trace one candidate set at a time,
 are its slow oracle.
 
-Stabiliser-chain transversals store each element's inverse once, when
-it is inserted, so sifting and the Schreier-generator checks never
-invert a permutation.  A chain is completed after every growth, so its
-order is exact at each step: the group order starts from two random
-subproducts of the generators, and a point stabiliser, whose order is
-known, stops at the first Schreier generators that reach it.  Every
-order-1 stabiliser below a group is one shared generator-free group,
-which keeps no per-point buffers of its own.
+Each level of a stabiliser chain is a forest rooted at its base point,
+over the level's strong generators and a few products of them that keep
+the tree shallow.  Sifting walks the tree.  The group order comes from a
+deterministic Schreier-Sims that starts from two random subproducts of
+the generators: every Schreier generator u_x s u_{s(x)}^-1 of a level,
+with u_x formed from its parent's while the tree is walked depth first,
+sifts through the levels below.  A group keeps its complete chain, and a
+point stabiliser is read off it.  For the first base point it is the
+next level and the levels below.  For another point of the first base
+orbit it is the same levels conjugated by the tree word that maps the
+base point there; a chain carries its conjugating element, so the levels
+are shared.  For any other point, a new chain is sifted from uniform
+random elements of the group, drawn through its chain and moved to fix
+the point, until the stabiliser's known order |G|/|x^G| is reached,
+which proves the chain complete.  Every order-1 stabiliser below a group
+is one shared generator-free group, which keeps no per-point buffers of
+its own.
 """
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,154 +83,338 @@ def _perm_key(p: np.ndarray) -> bytes:
     return p.tobytes()
 
 
+def _grow_forest(labels: Sequence[np.ndarray], pred: np.ndarray, edge: np.ndarray,
+                 depth: np.ndarray, frontier: np.ndarray) -> None:
+    """Grow a Schreier forest breadth first from frontier, points already
+    in it: within a level the labels are tried in order, first hit wins.
+    Entries already made are kept."""
+    seen = pred >= 0
+    while labels and frontier.size:
+        found = []
+        for li, g in enumerate(labels):
+            ys = g[frontier]
+            fresh = ~seen[ys]
+            ys = ys[fresh]
+            seen[ys] = True
+            pred[ys] = frontier[fresh]
+            edge[ys] = li
+            found.append(ys)
+        frontier = np.concatenate(found)
+        depth[frontier] = depth[pred[frontier]] + 1
+
+
+def _forest(labels: Sequence[np.ndarray], roots: np.ndarray,
+            n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pred, edge, depth) of the breadth-first Schreier forest of the
+    roots' orbits; a root's edge is len(labels), the identity's row."""
+    pred = np.full(n, -1, dtype=np.int32)
+    edge = np.full(n, len(labels), dtype=np.int32)
+    depth = np.zeros(n, dtype=np.int32)
+    roots = np.asarray(roots, dtype=np.intp)
+    pred[roots] = roots
+    _grow_forest(labels, pred, edge, depth, roots)
+    return pred, edge, depth
+
+
+# Shortcut labels are added to a level while the mean depth of its tree
+# is above _SHALLOW, up to _MAX_LABELS labels and half its orbit size.  A
+# level with at most _REVERIFY Schreier generators is made shallow again
+# before each verification pass, which then checks it afresh: such levels
+# are cheap to verify, and every Schreier generator of the levels above
+# walks them.
+_SHALLOW = 1.5
+_MAX_LABELS = 16
+_REVERIFY = 1024
+
+
 class _Level:
     """One level of a stabiliser chain: a base point, the strong
-    generators fixing all earlier base points, and a transversal with
-    the inverse of each of its elements.
+    generators fixing all earlier base points, and the Schreier tree of
+    the base orbit over labels, the strong generators (the label indices
+    in `strong`) and shortcut products of them, with each label's
+    inverse.
 
-    Transversal entries, once computed, are never replaced; this keeps
-    previously verified Schreier generators verified (membership proofs
-    do not expire), so the `checked` cache stays sound.
-    """
+    While Schreier generators are verified the tree only grows: entries,
+    once made, are never replaced, so u_x never changes and the pairs
+    that `checked` marks (checked[label][x]) stay verified.  A complete
+    level drops its depths and marks."""
 
-    __slots__ = ("base", "gens", "transversal", "inverses", "checked")
+    __slots__ = ("base", "strong", "labels", "inv", "pred", "edge", "depth", "size",
+                 "checked", "_orbit")
 
-    def __init__(self, base: int):
+    def __init__(self, base: int, n: int):
         self.base = base
-        self.gens: List[np.ndarray] = []
-        self.transversal: Dict[int, np.ndarray] = {}
-        self.inverses: Dict[int, np.ndarray] = {}
-        self.checked: set = set()
+        self.strong: List[int] = []
+        self.labels: List[np.ndarray] = []
+        self.inv: List[np.ndarray] = []
+        self.pred, self.edge, self.depth = _forest([], [base], n)
+        self.size = 1
+        self.checked: Optional[Dict[int, bytearray]] = {}
+        self._orbit: Optional[np.ndarray] = None
 
-    def extend_orbit(self, n: int) -> None:
-        tr, inv = self.transversal, self.inverses
-        if self.base not in tr:
-            tr[self.base] = inv[self.base] = identity(n)
-        queue = list(tr.keys())
-        while queue:
-            x = queue.pop()
-            ux = tr[x]
-            for g in self.gens:
-                y = int(g[x])
-                if y not in tr:
-                    tr[y] = compose(ux, g)
-                    inv[y] = inverse(tr[y])
-                    queue.append(y)
+    @property
+    def gens(self) -> List[np.ndarray]:
+        return [self.labels[i] for i in self.strong]
+
+    @property
+    def orbit(self) -> np.ndarray:
+        if self._orbit is None:
+            self._orbit = np.flatnonzero(self.pred >= 0)
+        return self._orbit
+
+    def add(self, g: np.ndarray, g_inv: np.ndarray) -> None:
+        """Add a strong generator and grow the tree by it."""
+        self.strong.append(len(self.labels))
+        self.labels.append(g)
+        self.inv.append(g_inv)
+        _grow_forest(self.labels, self.pred, self.edge, self.depth,
+                     np.flatnonzero(self.pred >= 0))
+        self.size = int(np.count_nonzero(self.pred >= 0))
+        self._orbit = None
+
+    def make_shallow(self, rng: random.Random) -> None:
+        """Add products of two labels, and rebuild the tree from the
+        root, while it is deep, forgetting every verified pair."""
+        labels, inv = self.labels, self.inv
+        while (len(labels) < min(_MAX_LABELS, self.size // 2)
+               and self.depth[self.pred >= 0].mean() > _SHALLOW):
+            a, b = rng.randrange(len(labels)), rng.randrange(len(labels))
+            labels.append(labels[b].take(labels[a]))
+            inv.append(inv[a].take(inv[b]))
+            self.pred, self.edge, self.depth = _forest(labels, [self.base], len(self.pred))
+            self.checked = {}
+
+    def walk(self, x: int, g: np.ndarray) -> np.ndarray:
+        """g followed by the inverse labels along x's path, which map x to
+        the base point."""
+        pred, edge, inv = memoryview(self.pred), memoryview(self.edge), self.inv
+        while pred[x] != x:
+            g = inv[edge[x]].take(g)
+            x = pred[x]
+        return g
+
+    def transversal(self) -> Iterator[Tuple[int, np.ndarray]]:
+        """(x, u_x) for every point x of the orbit, u_x mapping the base
+        point to x, depth first: each u_x is its parent's followed by one
+        label, and only the u of one root path are held at a time."""
+        pred, edge = self.pred, self.edge
+        kids: Dict[int, List[int]] = {}
+        for y in self.orbit.tolist():
+            if y != self.base:
+                kids.setdefault(int(pred[y]), []).append(y)
+        stack: List[Tuple[int, Optional[np.ndarray]]] = [(self.base, None)]
+        while stack:
+            x, up = stack.pop()
+            ux = np.arange(len(pred)) if up is None else self.labels[edge[x]].take(up)
+            yield x, ux
+            stack.extend((y, ux) for y in kids.get(x, ()))
 
 
-class StabChain:
-    """Deterministic Schreier-Sims stabiliser chain (provably complete
-    after complete(); order() of a partial chain never overestimates)."""
+class _Chain:
+    """A stabiliser chain: the levels, conjugated by conj[0] when conj is
+    given as (c, c^-1); the group is that of the levels with each element
+    g replaced by c^-1 g c.  Completed chains are never changed, so
+    chains share their levels."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, levels: Optional[List[_Level]] = None,
+                 conj: Optional[Tuple[np.ndarray, np.ndarray]] = None):
         self.n = n
-        self.levels: List[_Level] = []
+        self.levels: List[_Level] = levels if levels is not None else []
+        self.conj = conj
 
     def order(self) -> int:
         out = 1
         for lv in self.levels:
-            out *= len(lv.transversal)
+            out *= lv.size
         return out
 
-    def sift(self, p: np.ndarray, start: int = 0) -> Tuple[Optional[np.ndarray], int]:
-        """Factor p through transversals; returns (residue, level) where
-        residue is None iff p factors completely (membership proof)."""
-        g = p
-        for i in range(start, len(self.levels)):
-            lv = self.levels[i]
+    def strong_gens(self) -> List[np.ndarray]:
+        """Generators of the group: the first level's strong generators,
+        conjugated."""
+        gens = self.levels[0].gens if self.levels else []
+        if self.conj is None:
+            return gens
+        c, c_inv = self.conj
+        return [c.take(g.take(c_inv)) for g in gens]
+
+    def sift(self, g: np.ndarray, start: int = 0) -> Tuple[Optional[np.ndarray], int]:
+        """Factor g through the levels from start; returns (residue,
+        level), where residue is None iff g factors completely."""
+        levels = self.levels
+        for i in range(start, len(levels)):
+            lv = levels[i]
             x = int(g[lv.base])
-            if x == lv.base:
-                continue
-            u_inv = lv.inverses.get(x)
-            if u_inv is None:
+            if lv.pred[x] < 0:
                 return g, i
-            g = compose(g, u_inv)
+            g = lv.walk(x, g)
         if _is_identity(g):
-            return None, len(self.levels)
-        return g, len(self.levels)
+            return None, len(levels)
+        return g, len(levels)
 
-    def _install(self, r: np.ndarray, first: int, last: int) -> None:
-        """Add the sift residue r, which fixes base[0..last-1], to the
-        generator sets of levels first..last (extending the base when
-        last is one past the end)."""
+    def install(self, r: np.ndarray, first: int, last: int) -> None:
+        """Add the sift residue r, which fixes the base points of levels
+        0..last-1, to the strong generators of levels first..last (a new
+        level, at r's least moved point, when last is one past the end)."""
         if last == len(self.levels):
-            moved = int(np.nonzero(r != np.arange(self.n, dtype=np.int32))[0][0])
-            self.levels.append(_Level(moved))
+            self.levels.append(_Level(int(np.flatnonzero(r != np.arange(self.n))[0]), self.n))
+        r_inv = inverse(r)
         for i in range(first, last + 1):
-            lv = self.levels[i]
-            lv.gens.append(r)
-            lv.extend_orbit(self.n)
+            self.levels[i].add(r, r_inv)
 
-    def add_gen(self, p: np.ndarray) -> bool:
-        """Sift an external generator and install its residue.  Returns
-        True if the chain grew."""
-        r, lvl = self.sift(p)
+    def add_gen(self, g: np.ndarray) -> bool:
+        """Sift g and install its residue.  Returns True if the chain grew."""
+        r, lvl = self.sift(g)
         if r is None:
             return False
-        self._install(r, 0, lvl)
+        self.install(r, 0, lvl)
         return True
 
-    def complete(self) -> None:
-        """Classic Schreier-Sims closure: verify that every Schreier
-        generator of every level sifts to identity through the levels
-        below it; install failures and re-verify downward."""
+    def complete(self, rng: random.Random) -> None:
+        """Schreier-Sims closure, bottom up: every Schreier generator of a
+        level must sift through the levels below it.  A failure is
+        installed below, and those levels are completed again before the
+        level's pass goes on; the levels above it, whose passes wait,
+        are unchanged."""
+        passes: Dict[int, Iterator[Tuple[np.ndarray, int]]] = {}
         i = len(self.levels) - 1
         while i >= 0:
-            lv = self.levels[i]
-            dirty = False
-            for x in sorted(lv.transversal):
-                ux = lv.transversal[x]
-                for gi in range(len(lv.gens)):
-                    if (x, gi) in lv.checked:
-                        continue
-                    g = lv.gens[gi]
-                    y = int(g[x])
-                    s = compose(compose(ux, g), lv.inverses[y])
-                    r, lvl = self.sift(s, i + 1)
-                    lv.checked.add((x, gi))
-                    if r is not None:
-                        self._install(r, i + 1, lvl)
-                        i = min(lvl, len(self.levels) - 1)
-                        dirty = True
-                        break
-                if dirty:
-                    break
-            if not dirty:
+            if i not in passes:
+                passes[i] = self._failures(i, rng)
+            failure = next(passes[i], None)
+            if failure is None:
+                del passes[i]
                 i -= 1
+            else:
+                self.install(failure[0], i + 1, failure[1])
+                i = len(self.levels) - 1
+
+    def _failures(self, i: int, rng: random.Random) -> Iterator[Tuple[np.ndarray, int]]:
+        """One verification pass of level i: the (residue, level) of each
+        Schreier generator not yet verified that fails to sift through
+        the levels below."""
+        lv = self.levels[i]
+        if not lv.checked or lv.size * len(lv.strong) <= _REVERIFY:
+            lv.make_shallow(rng)
+        pred, edge = memoryview(lv.pred), memoryview(lv.edge)
+        marks = [(li, lv.checked.setdefault(li, bytearray(self.n))) for li in lv.strong]
+        for x, ux in lv.transversal():
+            for li, done in marks:
+                if done[x]:
+                    continue
+                done[x] = 1
+                s = lv.labels[li]
+                y = int(s[x])
+                if pred[y] == x and edge[y] == li:
+                    continue  # a tree edge: u_x s = u_y
+                r, lvl = self.sift(lv.walk(y, s.take(ux)), i + 1)
+                if r is not None:
+                    yield r, lvl
+
+    def random_element(self, rng: random.Random) -> np.ndarray:
+        """A uniformly random element of the levels' group (not
+        conjugated): the inverse of u_{x_k} ... u_{x_0} for uniform orbit
+        points x_i, one walk per level."""
+        g = np.arange(self.n)
+        for lv in self.levels:
+            orbit = lv.orbit
+            g = lv.walk(int(orbit[rng.randrange(len(orbit))]), g)
+        return g
+
+    def stabilizer(self, x: int, target: int) -> "_Chain":
+        """The chain of the stabiliser of x, whose order is target."""
+        conj = self.conj
+        y = x if conj is None else int(conj[1][x])
+        top = self.levels[0]
+        if y == top.base:
+            return _Chain(self.n, self.levels[1:], conj)
+        if top.pred[y] >= 0:
+            u = inverse(top.walk(y, np.arange(self.n)))  # maps the base point to y
+            cu = u if conj is None else conj[0].take(u)
+            return _Chain(self.n, self.levels[1:], (cu, inverse(cu)))
+        return _Chain(self.n, self._fixing(y, target), conj)
+
+    def _fixing(self, y: int, target: int) -> List[_Level]:
+        """Levels of the stabiliser of y in the levels' group, sifted
+        from uniform random elements moved to fix y (seeded, so runs
+        repeat) until their order is target."""
+        # y's orbit under every label of the chain, and a tree of it
+        home = _Level(y, self.n)
+        seen = set()
+        for lv in self.levels:
+            for g, g_inv in zip(lv.labels, lv.inv):
+                if id(g) not in seen:
+                    seen.add(id(g))
+                    home.labels.append(g)
+                    home.inv.append(g_inv)
+        home.pred, home.edge, home.depth = _forest(home.labels, [y], self.n)
+        if np.count_nonzero(home.pred >= 0) * target != self.order():
+            raise AssertionError("orbit size does not divide the group order")
+        rng = random.Random(y)
+        out = _Chain(self.n)
+        misses = 0
+        while out.order() < target:
+            g = self.random_element(rng)
+            r, lvl = out.sift(home.walk(int(g[y]), g))
+            if r is not None:
+                out.install(r, 0, lvl)
+                misses = 0
+            else:
+                # each miss has probability at most 1/2 while the order
+                # is short of target
+                misses += 1
+                if misses > 200:  # pragma: no cover
+                    raise AssertionError("stabiliser chain missed the target order")
+        return _finished(out.levels)
 
 
-def _random_subproducts(gens: Sequence[np.ndarray], n: int, count: int) -> List[np.ndarray]:
+def _finished(levels: List[_Level]) -> List[_Level]:
+    """Drop what only growing and verifying a level needs."""
+    for lv in levels:
+        lv.depth = lv.checked = None
+    return levels
+
+
+def _random_subproducts(gens: Sequence[np.ndarray], n: int, count: int,
+                        rng: random.Random) -> List[np.ndarray]:
     """Products of random subsets of the generators (seeded, so runs
     repeat); a couple of them usually generate the whole group."""
-    rng = random.Random(0)
     out = []
     for _ in range(count):
-        w = identity(n)
+        w = np.arange(n)
         for g in gens:
             if rng.random() < 0.5:
-                w = compose(w, g)
+                w = g.take(w)
         out.append(w)
     return out
 
 
-def _build_chain(gens: Iterable[np.ndarray], n: int,
-                 target: Optional[int] = None) -> StabChain:
-    """A complete chain for the group the gens generate.  The chain is
-    completed after every growth, so its order is exact at each step
-    and generators that add nothing are skipped after one sift; with
-    target given, it stops once the order reaches it."""
-    chain = StabChain(n)
+def _build_chain(gens: Sequence[np.ndarray], n: int) -> _Chain:
+    """A complete chain for the group the gens generate.  Two random
+    subproducts keep the first level's strong generators, and so its
+    Schreier generators, few; every generator is then sifted through the
+    completed chain and installed if it fails, so the order is exact."""
+    # The chain is built in intp, whose gathers are the fastest, and kept
+    # in int32, the dtype of the stabilisers' chains and generators.
+    rng = random.Random(0)
+    chain = _Chain(n)
+    for g in _random_subproducts(gens, n, 2, rng):
+        chain.add_gen(g.astype(np.intp))
+    chain.complete(rng)
     for g in gens:
-        if chain.order() == target:
-            break
-        if chain.add_gen(g):
-            chain.complete()
+        if chain.add_gen(g.astype(np.intp)):
+            chain.complete(rng)
+    small = {id(g): g.astype(np.int32)
+             for lv in chain.levels for g in lv.labels + lv.inv}
+    for lv in chain.levels:
+        lv.labels = [small[id(g)] for g in lv.labels]
+        lv.inv = [small[id(g)] for g in lv.inv]
+    _finished(chain.levels)
     return chain
 
 
 class PermGroup:
-    """A permutation group given by generators, with cached stabiliser
-    structure for orbit/transversal/minimal-image queries."""
+    """A permutation group given by generators, with its stabiliser chain
+    and orbit forest built on demand for orbit/minimal-image queries."""
 
     def __init__(self, gens: Iterable[Sequence[int]], degree: int,
                  order: Optional[int] = None):
@@ -234,6 +431,7 @@ class PermGroup:
         self.gens = arrs
         self.n = degree
         self._order = order
+        self._chain: Optional[_Chain] = None
         self._inv_gens: Optional[np.ndarray] = None  # (gens + 1, n) int32
         self._orbmin: Optional[np.ndarray] = None
         self._pred: Optional[np.ndarray] = None
@@ -245,13 +443,16 @@ class PermGroup:
 
     # -- order ---------------------------------------------------------
 
+    def _ensure_chain(self) -> _Chain:
+        if self._chain is None:
+            self._chain = _build_chain(self.gens, self.n)
+            if self._order is not None and self._order != self._chain.order():
+                raise AssertionError("the given order is not the group order")
+        return self._chain
+
     def order(self) -> int:
         if self._order is None:
-            # Random subproducts first keep the top level's strong
-            # generators, and so its Schreier generators, few; every
-            # generator is still sifted, so the order is exact.
-            starts = _random_subproducts(self.gens, self.n, 2)
-            self._order = _build_chain(starts + self.gens, self.n).order()
+            self._order = self._ensure_chain().order()
         return self._order
 
     # -- orbit structure (BFS forests rooted at orbit minima) ----------
@@ -272,29 +473,11 @@ class PermGroup:
             if np.array_equal(lab, orbmin):
                 break
             orbmin = lab
-        # One breadth-first search from all orbit minima at once; within
-        # a level the generators are tried in order, first hit wins.  An
+        # One breadth-first search from all orbit minima at once.  An
         # orbit minimum is its own predecessor, by the identity, which
         # follows the inverse generators as their last row.
         points = np.arange(n, dtype=np.int32)
-        pred = points.copy()
-        edge = np.full(n, len(gens), dtype=np.int32)
-        depth = np.zeros(n, dtype=np.int32)
-        frontier = np.flatnonzero(orbmin == points)
-        seen = np.zeros(n, dtype=bool)
-        seen[frontier] = True
-        while gens and frontier.size:
-            found = []
-            for gi, g in enumerate(gens):
-                ys = g[frontier]
-                fresh = ~seen[ys]
-                ys = ys[fresh]
-                seen[ys] = True
-                pred[ys] = frontier[fresh]
-                edge[ys] = gi
-                found.append(ys)
-            frontier = np.concatenate(found)
-            depth[frontier] = depth[pred[frontier]] + 1
+        pred, edge, depth = _forest(gens, np.flatnonzero(orbmin == points), n)
         orbmin.flags.writeable = False
         self._orbmin, self._pred, self._edge, self._depth = orbmin, pred, edge, depth
         self._inv_gens = np.array(inv_gens + [points], dtype=np.int32)
@@ -337,52 +520,32 @@ class PermGroup:
             starts = pred[starts]
         return rows
 
-    # -- point stabiliser (known-order Schreier generators) ------------
+    # -- point stabiliser (read off the chain) -------------------------
 
     def stabilizer(self, point: int) -> "PermGroup":
-        """The stabiliser of point, cached.  A group with no generators
-        is its own stabiliser; every order-1 stabiliser below a group is
-        one shared group with no generators."""
+        """The stabiliser of point, cached, with its chain read off this
+        group's.  A group with no generators is its own stabiliser; every
+        order-1 stabiliser below a group is one shared group with no
+        generators."""
         if not self.gens:
             return self
         child = self._children.get(point)
         if child is not None:
             return child
-        n = self.n
         om = self.orbit_min
         target, rem = divmod(self.order(), int(np.count_nonzero(om == om[point])))
         if rem:
             raise AssertionError("orbit size does not divide the group order")
         if self._trivial is None:
-            self._trivial = PermGroup([], n, order=1)
+            self._trivial = PermGroup([], self.n, order=1)
         if target == 1:
             self._children[point] = self._trivial
             return self._trivial
-        tr: Dict[int, np.ndarray] = {point: identity(n)}
-        frontier = [point]
-        orbit_list = [point]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                ux = tr[x]
-                for g in self.gens:
-                    y = int(g[x])
-                    if y not in tr:
-                        tr[y] = compose(ux, g)
-                        nxt.append(y)
-                        orbit_list.append(y)
-            frontier = nxt
-
-        def schreier_generators():
-            for x in orbit_list:
-                for g in self.gens:
-                    yield compose(compose(tr[x], g), inverse(tr[int(g[x])]))
-
-        chain = _build_chain(schreier_generators(), n, target)
+        chain = self._ensure_chain().stabilizer(point, target)
         if chain.order() != target:  # pragma: no cover
-            raise AssertionError("stabiliser closure missed the target order")
-        gens = chain.levels[0].gens if chain.levels else []
-        child = PermGroup(gens, n, order=target)
+            raise AssertionError("stabiliser chain missed the target order")
+        child = PermGroup(chain.strong_gens(), self.n, order=target)
+        child._chain = chain
         child._trivial = self._trivial
         self._children[point] = child
         return child

@@ -223,15 +223,13 @@ def arc_seeds(cat: PlaneCatalogue, seed_size: int,
     return out
 
 
-def _extend_one(cat: PlaneCatalogue, seed: Tuple[int, ...],
+def _extend_one(cat: PlaneCatalogue, seed: Tuple[int, ...], row: np.ndarray,
                 target: int) -> Tuple[List[Tuple[int, ...]], int]:
-    """All completions of one seed to size target (raw, not deduped).
+    """All completions of one seed to size target (raw, not deduped),
+    from the seed's compatibility row, which it clears as it goes.
     Returns (completions, node count).  Each node carries the
     compatibility row of its set, restricted to planes above its last
     member, as arc_seeds does."""
-    row = np.ones(cat.n, dtype=bool)
-    for i, x in enumerate(seed):
-        row = cat.compatible_row(row, seed[:i], x)
     results: List[Tuple[int, ...]] = []
     nodes = 0
 
@@ -257,35 +255,65 @@ def _extend_one(cat: PlaneCatalogue, seed: Tuple[int, ...],
     return results, nodes
 
 
+def _extend_block(cat: PlaneCatalogue, seeds: Sequence[Tuple[int, ...]],
+                  target: int) -> List[Tuple[List[Tuple[int, ...]], int]]:
+    """_extend_one for each seed of a block, in order.  The seeds' rows
+    are folded along the block on a stack of prefix rows (rows[i] is the
+    row of the previous seed's first i members), so a seed re-folds only
+    from its first member that differs from the previous seed."""
+    rows = [np.ones(cat.n, dtype=bool)]
+    prev: Tuple[int, ...] = ()
+    out = []
+    for seed in seeds:
+        keep = 0
+        while keep < min(len(prev), len(seed)) and prev[keep] == seed[keep]:
+            keep += 1
+        del rows[keep + 1:]
+        for i in range(keep, len(seed)):
+            rows.append(cat.compatible_row(rows[i], seed[:i], seed[i]))
+        out.append(_extend_one(cat, seed, rows[-1].copy(), target))
+        prev = seed
+    return out
+
+
 _POOL_CTX: Optional[Tuple[PlaneCatalogue, int]] = None
 
 
-def _pool_worker(seed: Tuple[int, ...]) -> Tuple[List[Tuple[int, ...]], int]:
+def _pool_worker(block: Sequence[Tuple[int, ...]]) -> List[Tuple[List[Tuple[int, ...]], int]]:
     cat, target = _POOL_CTX
-    return _extend_one(cat, seed, target)
+    return _extend_block(cat, block, target)
+
+
+# Blocks of seeds per worker: a few, so that one slow block does not
+# leave the other workers idle.
+_BLOCKS_PER_WORKER = 4
 
 
 def extend_arcs(cat: PlaneCatalogue, seeds: Sequence[Tuple[int, ...]],
                 target: int, threads: int = 1,
                 traces: Optional[List[SearchTrace]] = None) -> List[PseudoArc]:
     """All completions of the seeds to size target, deduplicated up to
-    the catalogue symmetry by minimal image."""
+    the catalogue symmetry by minimal image.  With threads > 1, at most
+    one forked worker per seed takes contiguous blocks of seeds."""
     global _POOL_CTX
-    seeds = list(seeds)
-    if threads > 1 and len(seeds) > 1:
+    seeds = [tuple(s) for s in seeds]
+    workers = min(threads, len(seeds))
+    if workers > 1:
+        size = -(-len(seeds) // (workers * _BLOCKS_PER_WORKER))
+        blocks = [seeds[i:i + size] for i in range(0, len(seeds), size)]
         _POOL_CTX = (cat, target)
         try:
-            with multiprocessing.get_context("fork").Pool(threads) as pool:
-                raw = pool.map(_pool_worker, seeds)
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                raw = [r for block in pool.map(_pool_worker, blocks, chunksize=1)
+                       for r in block]
         finally:
             _POOL_CTX = None
     else:
-        raw = [_extend_one(cat, s, target) for s in seeds]
+        raw = _extend_block(cat, seeds, target)
     canon: Dict[Tuple[int, ...], None] = {}
     for seed, (completions, nodes) in zip(seeds, raw):
         if traces is not None:
-            tr = SearchTrace(seed=tuple(seed), nodes=nodes,
-                             solutions=len(completions))
+            tr = SearchTrace(seed=seed, nodes=nodes, solutions=len(completions))
             traces.append(tr)
         for comp in completions:
             canon.setdefault(min_image(cat.group, comp), None)

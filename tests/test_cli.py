@@ -149,11 +149,13 @@ def test_flags_before_subcommand_are_kept():
 
 
 def test_bad_threads_env(monkeypatch, capsys):
-    # ASQ_THREADS is read only by the commands that search arcs
-    monkeypatch.setenv("ASQ_THREADS", "many")
-    assert cli.main(["--quiet", "pseudoarcs", "minus8"]) == 2
-    assert "ASQ_THREADS" in capsys.readouterr().err
-    assert cli.main(["--quiet", "classify", "8"]) == 0
+    # ASQ_THREADS is read only by the commands that search arcs, and,
+    # like --threads, must be a positive integer
+    for env in ("many", "0", "-3"):
+        monkeypatch.setenv("ASQ_THREADS", env)
+        assert cli.main(["--quiet", "pseudoarcs", "minus8"]) == 2
+        assert "ASQ_THREADS" in capsys.readouterr().err
+        assert cli.main(["--quiet", "classify", "8"]) == 0
 
 
 def test_report_passed_property():

@@ -1,6 +1,7 @@
 """Stabiliser chains, orbits and minimal images against brute force."""
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from asq.permgroup import (
     is_min_image,
     min_image,
 )
+from asq.quadform import preset
+from asq.search import PlaneCatalogue
 
 
 def closure(gens, n):
@@ -77,6 +80,108 @@ def random_small_group(rng, n):
     return gens
 
 
+class ExplicitChain:
+    """The slow oracle: a deterministic Schreier-Sims chain that keeps
+    every transversal element and its inverse as a full permutation,
+    completed after every growth (with target, it stops once the order
+    reaches it)."""
+
+    def __init__(self, gens, n, target=None):
+        self.n = n
+        self.levels = []  # [base, strong gens, {x: u_x}, {x: u_x^-1}, checked]
+        for g in gens:
+            if self.order() == target:
+                break
+            r, lvl = self.sift(np.asarray(g, dtype=np.int32))
+            if r is not None:
+                self.install(r, 0, lvl)
+                self.complete()
+
+    def order(self):
+        out = 1
+        for lv in self.levels:
+            out *= len(lv[2])
+        return out
+
+    def sift(self, g, start=0):
+        for i in range(start, len(self.levels)):
+            base, _, _, inverses, _ = self.levels[i]
+            x = int(g[base])
+            if x not in inverses:
+                return g, i
+            g = compose(g, inverses[x])
+        return (None if np.array_equal(g, identity(self.n)) else g), len(self.levels)
+
+    def install(self, r, first, last):
+        if last == len(self.levels):
+            base = int(np.nonzero(r != identity(self.n))[0][0])
+            self.levels.append([base, [], {base: identity(self.n)},
+                                {base: identity(self.n)}, set()])
+        for lv in self.levels[first:last + 1]:
+            _, gens, tr, inv, _ = lv
+            gens.append(r)
+            queue = list(tr)
+            while queue:
+                x = queue.pop()
+                for g in gens:
+                    y = int(g[x])
+                    if y not in tr:
+                        tr[y] = compose(tr[x], g)
+                        inv[y] = inverse(tr[y])
+                        queue.append(y)
+
+    def complete(self):
+        i = len(self.levels) - 1
+        while i >= 0:
+            _, gens, tr, inv, checked = self.levels[i]
+            failed = None
+            for x in sorted(tr):
+                for gi, g in enumerate(gens):
+                    if (x, gi) in checked:
+                        continue
+                    checked.add((x, gi))
+                    r, lvl = self.sift(compose(compose(tr[x], g), inv[int(g[x])]), i + 1)
+                    if r is not None:
+                        failed = (r, lvl)
+                        break
+                if failed:
+                    break
+            if failed:
+                self.install(failed[0], i + 1, failed[1])
+                i = min(failed[1], len(self.levels) - 1)
+            else:
+                i -= 1
+
+    @staticmethod
+    def stabiliser_gens(gens, n, point, target):
+        """Generators of the stabiliser of point: Schreier generators
+        from an explicit transversal of its orbit, closed up to target."""
+        tr = {point: identity(n)}
+        queue = [point]
+        while queue:
+            x = queue.pop()
+            for g in gens:
+                y = int(g[x])
+                if y not in tr:
+                    tr[y] = compose(tr[x], g)
+                    queue.append(y)
+        sgens = (compose(compose(tr[x], g), inverse(tr[int(g[x])]))
+                 for x in sorted(tr) for g in gens)
+        chain = ExplicitChain(sgens, n, target)
+        assert chain.order() == target
+        return chain.levels[0][1] if chain.levels else []
+
+
+def stabiliser_path(parent, child):
+    """How PermGroup.stabilizer read child's chain off parent's: the
+    next level, the next level conjugated, or a new chain."""
+    p, c = parent._chain, child._chain
+    if len(c.levels) == len(p.levels) - 1 and all(
+            a is b for a, b in zip(c.levels, p.levels[1:])):
+        return "first base point" if c.conj is p.conj else "conjugated"
+    return "new chain"
+
+
 def prefix_chain(G, s):
     """[G, G_(s0), G_(s0, s1), ...]: the stabilisers of the prefixes of s."""
     chain = [G]
@@ -124,6 +229,83 @@ def test_stabilizer_orders():
     assert H.order() == 720
     assert all(int(g[0]) == 0 for g in H.gens)
     assert H.stabilizer(1).order() == 120
+
+
+def test_nested_stabilisers_against_closure():
+    # pointwise stabilisers of random point sequences, each child read off
+    # its parent's chain by all three paths, against the brute-force
+    # closure: the generators, not only the recorded orders
+    rng = random.Random(11)
+    paths = Counter()
+    for _ in range(40):
+        n = rng.randint(3, 8)
+        gens = random_small_group(rng, n) if rng.random() < 0.7 else random_group(rng, n)
+        G = PermGroup(gens, n)
+        elems = closure(gens, n)
+        assert G.order() == len(elems)
+        for _ in range(3):
+            H, fixed = G, []
+            for x in rng.sample(range(n), rng.randint(1, n)):
+                K = H.stabilizer(x)
+                fixed.append(x)
+                want = {g for g in elems if all(g[p] == p for p in fixed)}
+                assert closure(K.gens, n) == want, (gens, fixed)
+                assert K.order() == len(want)
+                if K.order() > 1 and H._children.get(x) is K and K._chain.levels:
+                    paths[stabiliser_path(H, K)] += 1
+                H = K
+    assert min(paths[k] for k in ("first base point", "conjugated", "new chain")) >= 10, paths
+
+
+def test_order_against_explicit_chain():
+    # larger random groups than the closure can take: block groups and
+    # random pairs of degree 8 to 24, each order and the order of one
+    # point stabiliser against the explicit-transversal oracle
+    rng = random.Random(3)
+    for _ in range(200):
+        n = rng.randint(8, 24)
+        gens = random_group(rng, n, rng.randint(1, 3)) if rng.random() < 0.3 \
+            else random_small_group(rng, n)
+        G = PermGroup(gens, n)
+        assert G.order() == ExplicitChain(gens, n).order(), gens
+        x = rng.randrange(n)
+        assert ExplicitChain(G.stabilizer(x).gens, n).order() == G.stabilizer(x).order()
+
+
+def test_shallow_rebuild_forgets_verified_pairs():
+    # a rebuilt tree has new transversal elements, so no pair verified
+    # against the old one may stay marked
+    n = 12
+    level = permgroup._Level(0, n)
+    cyc = np.roll(np.arange(n), -1)
+    level.add(cyc, inverse(cyc))
+    level.checked[0] = bytearray(n)
+    level.checked[0][3] = 1
+    level.make_shallow(random.Random(0))
+    assert len(level.labels) > 1 and level.checked == {}
+    assert level.depth[level.pred >= 0].mean() < 5.5  # the cycle alone: 5.5
+
+
+def test_chain_against_explicit_schreier_sims():
+    # the minus8 plane group: its order, and the orders of nested point
+    # stabilisers, against the explicit-transversal oracle
+    G = PlaneCatalogue(preset("minus8")).group
+    n = G.n
+    assert G.order() == ExplicitChain(G.gens, n).order() == 394813440
+    base = G._chain.levels[0].base
+    paths = Counter()
+    for points in ([base, 1, 400], [17, 300], [500, 2, 3]):
+        H, oracle = G, G.gens
+        for x in points:
+            K = H.stabilizer(x)
+            orbit = int(np.count_nonzero(H.orbit_min == H.orbit_min[x]))
+            target = H.order() // orbit
+            oracle = ExplicitChain.stabiliser_gens(oracle, n, x, target)
+            assert K.order() == ExplicitChain(oracle, n).order() == target
+            assert ExplicitChain(K.gens, n).order() == target
+            paths[stabiliser_path(H, K)] += 1
+            H = K
+    assert len(paths) == 3, paths
 
 
 def test_stabilizer_generates_point_stabiliser():

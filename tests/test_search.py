@@ -1,6 +1,8 @@
 """The search engines: seeds, extensions, lifting and backtracking."""
 import gc
+import multiprocessing
 import random
+import tracemalloc
 import weakref
 from itertools import combinations, permutations
 
@@ -23,6 +25,8 @@ from asq.quadform import preset, singular_subspaces
 from asq.search import (
     PlaneCatalogue,
     SearchTrace,
+    _extend_block,
+    _extend_one,
     arc_seeds,
     as_backtrack,
     brute_force_as_configs,
@@ -150,6 +154,69 @@ def test_thread_determinism(cat_minus):
     assert results[0]  # non-empty, so the comparison is meaningful
 
 
+def test_extend_arcs_forks_no_idle_workers(cat_minus, monkeypatch):
+    # at most one worker per seed: minus8 has two seeds of size 6, so four
+    # threads fork two workers.  The fork context's Pool is replaced by a
+    # recorder that maps in this process, so the test starts no process.
+    forked = []
+
+    class Recorder:
+        def __init__(self, processes):
+            forked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=None):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", Recorder)
+    seeds = arc_seeds(cat_minus, 6)
+    assert len(seeds) == 2
+    assert extend_arcs(cat_minus, seeds, 9, threads=4) == []
+    assert forked == [2]
+    assert extend_arcs(cat_minus, seeds[:1], 9, threads=4) == []
+    assert forked == [2]  # one seed: no pool
+    # the blocks give the serial arcs and per-seed traces, in seed order
+    seeds = arc_seeds(cat_minus, 4)
+    serial, pooled = [], []
+    want = extend_arcs(cat_minus, seeds, 6, traces=serial)
+    assert extend_arcs(cat_minus, seeds, 6, threads=4, traces=pooled) == want
+    assert forked == [2, 4]
+    assert [(t.seed, t.nodes, t.solutions) for t in pooled] == \
+        [(t.seed, t.nodes, t.solutions) for t in serial]
+
+
+def test_extend_block_folds_each_prefix_once(cat_minus, monkeypatch):
+    # the prefix stack against folding every seed's row from scratch, on
+    # the seeds in search order, shuffled and repeated, and with prefixes
+    def fold(seed):
+        row = np.ones(cat_minus.n, dtype=bool)
+        for i, x in enumerate(seed):
+            row = cat_minus.compatible_row(row, seed[:i], x)
+        return row
+
+    seeds = arc_seeds(cat_minus, 4)
+    rng = random.Random(37)
+    for block, target in ((seeds, 6), (rng.sample(seeds * 2, 2 * len(seeds)), 6),
+                          ([seeds[0][:3], seeds[0], seeds[1][:3], seeds[1]], 5)):
+        want = [_extend_one(cat_minus, s, fold(s), target) for s in block]
+        assert _extend_block(cat_minus, block, target) == want
+    # with target the seed size the search below the seeds folds nothing,
+    # so every call is a fold: one per member after the shared prefix
+    calls = []
+    real = cat_minus.compatible_row
+    monkeypatch.setattr(cat_minus, "compatible_row",
+                        lambda row, s, x: calls.append(x) or real(row, s, x))
+    _extend_block(cat_minus, seeds, 4)
+    shared = [0] + [next(i for i in range(4) if a[i] != b[i])
+                    for a, b in zip(seeds, seeds[1:])]
+    assert len(calls) == sum(4 - k for k in shared) < 4 * len(seeds)
+
+
 def test_seed_canonicity_random_images(cat_minus):
     rng = random.Random(17)
     group = cat_minus.group
@@ -274,6 +341,24 @@ def test_compatible_row_matches_compatible(cat_minus):
             row = cat.compatible_row(row, s, x)
             s.append(x)
     assert checked >= 24
+
+
+def test_chain_memory_guard():
+    # plus8 (2025 planes): neither the order's chain nor the stabiliser
+    # chains of a fresh arc_seeds hold n-point transversals.  With an
+    # explicit transversal and its inverses they peaked at 33.5 MB and
+    # 23.7 MB traced.
+    cat = PlaneCatalogue(preset("plus8"))
+    tracemalloc.start()
+    try:
+        assert cat.group.order() == 348364800
+        assert tracemalloc.get_traced_memory()[1] <= 5e6
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert len(arc_seeds(cat, 6)) == 1402
+        assert tracemalloc.get_traced_memory()[1] - start <= 5e6
+    finally:
+        tracemalloc.stop()
 
 
 def test_searches_leave_no_reference_cycles(cat_minus):
