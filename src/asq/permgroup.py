@@ -8,19 +8,19 @@ lexicographically least sorted tuple in the orbit of the set S under G,
 computed by stabiliser-chain backtracking (never by materialising the
 orbit of S).
 
-Every transversal is a Schreier forest over a list of labels (group
-elements): each point's predecessor pred[x] (a root is its own), the
-index edge[x] of the label mapping pred[x] to x and the point's depth, as
-int32 arrays, with pred[x] = -1 off the roots' orbits.  The inverse
-labels along x's path map x to its root, so no transversal element is
-ever stored.
+Every transversal is a Schreier forest over a list of generators: each
+point's predecessor pred[x] (a root is its own) and the index edge[x] of
+the generator mapping pred[x] to x, as int32 arrays, with pred[x] = -1
+off the roots' orbits.  The inverse generators along x's path map x to
+its root, so no transversal element is ever stored.
 
 Minimal images move points, not permutations.  Each group's orbit minima
-root one forest over its generators, whose inverses, then the identity,
-are stacked as one (gens + 1, n) int32 array.  To map a point s to its
-orbit minimum, the images walk s's path in the forest and apply each
-inverse generator only to the points of the candidate set; to_orbit_min,
-which composes the whole element, is kept as the reference.
+root one forest over its generators, which also keeps each point's
+depth; the inverse generators, then the identity, are stacked as one
+(gens + 1, n) int32 array.  To map a point s to its orbit minimum, the
+images walk s's path in the forest and apply each inverse generator only
+to the points of the candidate set; to_orbit_min, which composes the
+whole element, is kept as the reference.
 
 canonical_children is the test of orderly generation: for a canonical
 set s and every candidate x of one search node at once, whether s + [x]
@@ -31,23 +31,19 @@ through the forest together and deduplicated per owner at each depth.
 min_image and is_min_image, which trace one candidate set at a time,
 are its slow oracle.
 
-Each level of a stabiliser chain is a forest rooted at its base point,
-over the level's strong generators and a few products of them that keep
-the tree shallow.  Sifting walks the tree.  The group order comes from a
+Each level of a stabiliser chain is a tree rooted at its base point,
+over the level's strong generators.  Sifting walks the tree.  The group order comes from a
 deterministic Schreier-Sims that starts from two random subproducts of
 the generators: every Schreier generator u_x s u_{s(x)}^-1 of a level,
 with u_x formed from its parent's while the tree is walked depth first,
 sifts through the levels below.  A group keeps its complete chain, and a
 point stabiliser is read off it.  For the first base point it is the
-next level and the levels below.  For another point of the first base
-orbit it is the same levels conjugated by the tree word that maps the
-base point there; a chain carries its conjugating element, so the levels
-are shared.  For any other point, a new chain is sifted from uniform
-random elements of the group, drawn through its chain and moved to fix
-the point, until the stabiliser's known order |G|/|x^G| is reached,
-which proves the chain complete.  Every order-1 stabiliser below a group
-is one shared generator-free group, which keeps no per-point buffers of
-its own.
+next level and the levels below, shared.  For any other point, a new
+chain is sifted from uniform random elements of the group, drawn
+through its chain and moved to fix the point, until the stabiliser's
+known order |G|/|x^G| is reached, which proves the chain complete.
+Every order-1 stabiliser below a group is one shared generator-free
+group, which keeps no per-point buffers of its own.
 """
 from __future__ import annotations
 
@@ -84,10 +80,10 @@ def _perm_key(p: np.ndarray) -> bytes:
 
 
 def _grow_forest(labels: Sequence[np.ndarray], pred: np.ndarray, edge: np.ndarray,
-                 depth: np.ndarray, frontier: np.ndarray) -> None:
+                 depth: Optional[np.ndarray], frontier: np.ndarray) -> None:
     """Grow a Schreier forest breadth first from frontier, points already
     in it: within a level the labels are tried in order, first hit wins.
-    Entries already made are kept."""
+    Entries already made are kept; depths are kept when depth is given."""
     seen = pred >= 0
     while labels and frontier.size:
         found = []
@@ -100,7 +96,8 @@ def _grow_forest(labels: Sequence[np.ndarray], pred: np.ndarray, edge: np.ndarra
             edge[ys] = li
             found.append(ys)
         frontier = np.concatenate(found)
-        depth[frontier] = depth[pred[frontier]] + 1
+        if depth is not None:
+            depth[frontier] = depth[pred[frontier]] + 1
 
 
 def _forest(labels: Sequence[np.ndarray], roots: np.ndarray,
@@ -116,45 +113,28 @@ def _forest(labels: Sequence[np.ndarray], roots: np.ndarray,
     return pred, edge, depth
 
 
-# Shortcut labels are added to a level while the mean depth of its tree
-# is above _SHALLOW, up to _MAX_LABELS labels and half its orbit size.  A
-# level with at most _REVERIFY Schreier generators is made shallow again
-# before each verification pass, which then checks it afresh: such levels
-# are cheap to verify, and every Schreier generator of the levels above
-# walks them.
-_SHALLOW = 1.5
-_MAX_LABELS = 16
-_REVERIFY = 1024
-
-
 class _Level:
     """One level of a stabiliser chain: a base point, the strong
-    generators fixing all earlier base points, and the Schreier tree of
-    the base orbit over labels, the strong generators (the label indices
-    in `strong`) and shortcut products of them, with each label's
-    inverse.
+    generators fixing all earlier base points, each one's inverse, and
+    the Schreier tree of the base orbit over the strong generators.
 
     While Schreier generators are verified the tree only grows: entries,
     once made, are never replaced, so u_x never changes and the pairs
-    that `checked` marks (checked[label][x]) stay verified.  A complete
-    level drops its depths and marks."""
+    that `checked` marks (checked[generator][x]) stay verified.  A
+    complete level drops its marks."""
 
-    __slots__ = ("base", "strong", "labels", "inv", "pred", "edge", "depth", "size",
-                 "checked", "_orbit")
+    __slots__ = ("base", "gens", "inv", "pred", "edge", "size", "checked", "_orbit")
 
     def __init__(self, base: int, n: int):
         self.base = base
-        self.strong: List[int] = []
-        self.labels: List[np.ndarray] = []
+        self.gens: List[np.ndarray] = []
         self.inv: List[np.ndarray] = []
-        self.pred, self.edge, self.depth = _forest([], [base], n)
+        self.pred = np.full(n, -1, dtype=np.int32)
+        self.edge = np.zeros(n, dtype=np.int32)
+        self.pred[base] = base
         self.size = 1
-        self.checked: Optional[Dict[int, bytearray]] = {}
+        self.checked: Optional[List[bytearray]] = []
         self._orbit: Optional[np.ndarray] = None
-
-    @property
-    def gens(self) -> List[np.ndarray]:
-        return [self.labels[i] for i in self.strong]
 
     @property
     def orbit(self) -> np.ndarray:
@@ -164,29 +144,16 @@ class _Level:
 
     def add(self, g: np.ndarray, g_inv: np.ndarray) -> None:
         """Add a strong generator and grow the tree by it."""
-        self.strong.append(len(self.labels))
-        self.labels.append(g)
+        self.gens.append(g)
         self.inv.append(g_inv)
-        _grow_forest(self.labels, self.pred, self.edge, self.depth,
-                     np.flatnonzero(self.pred >= 0))
+        self.checked.append(bytearray(len(g)))
+        _grow_forest(self.gens, self.pred, self.edge, None, self.orbit)
         self.size = int(np.count_nonzero(self.pred >= 0))
         self._orbit = None
 
-    def make_shallow(self, rng: random.Random) -> None:
-        """Add products of two labels, and rebuild the tree from the
-        root, while it is deep, forgetting every verified pair."""
-        labels, inv = self.labels, self.inv
-        while (len(labels) < min(_MAX_LABELS, self.size // 2)
-               and self.depth[self.pred >= 0].mean() > _SHALLOW):
-            a, b = rng.randrange(len(labels)), rng.randrange(len(labels))
-            labels.append(labels[b].take(labels[a]))
-            inv.append(inv[a].take(inv[b]))
-            self.pred, self.edge, self.depth = _forest(labels, [self.base], len(self.pred))
-            self.checked = {}
-
     def walk(self, x: int, g: np.ndarray) -> np.ndarray:
-        """g followed by the inverse labels along x's path, which map x to
-        the base point."""
+        """g followed by the inverse generators along x's path, which map
+        x to the base point."""
         pred, edge, inv = memoryview(self.pred), memoryview(self.edge), self.inv
         while pred[x] != x:
             g = inv[edge[x]].take(g)
@@ -196,7 +163,7 @@ class _Level:
     def transversal(self) -> Iterator[Tuple[int, np.ndarray]]:
         """(x, u_x) for every point x of the orbit, u_x mapping the base
         point to x, depth first: each u_x is its parent's followed by one
-        label, and only the u of one root path are held at a time."""
+        generator, and only the u of one root path are held at a time."""
         pred, edge = self.pred, self.edge
         kids: Dict[int, List[int]] = {}
         for y in self.orbit.tolist():
@@ -205,37 +172,24 @@ class _Level:
         stack: List[Tuple[int, Optional[np.ndarray]]] = [(self.base, None)]
         while stack:
             x, up = stack.pop()
-            ux = np.arange(len(pred)) if up is None else self.labels[edge[x]].take(up)
+            ux = np.arange(len(pred)) if up is None else self.gens[edge[x]].take(up)
             yield x, ux
             stack.extend((y, ux) for y in kids.get(x, ()))
 
 
 class _Chain:
-    """A stabiliser chain: the levels, conjugated by conj[0] when conj is
-    given as (c, c^-1); the group is that of the levels with each element
-    g replaced by c^-1 g c.  Completed chains are never changed, so
-    chains share their levels."""
+    """A stabiliser chain: its levels.  Completed chains are never
+    changed, so chains share their levels."""
 
-    def __init__(self, n: int, levels: Optional[List[_Level]] = None,
-                 conj: Optional[Tuple[np.ndarray, np.ndarray]] = None):
+    def __init__(self, n: int, levels: Optional[List[_Level]] = None):
         self.n = n
         self.levels: List[_Level] = levels if levels is not None else []
-        self.conj = conj
 
     def order(self) -> int:
         out = 1
         for lv in self.levels:
             out *= lv.size
         return out
-
-    def strong_gens(self) -> List[np.ndarray]:
-        """Generators of the group: the first level's strong generators,
-        conjugated."""
-        gens = self.levels[0].gens if self.levels else []
-        if self.conj is None:
-            return gens
-        c, c_inv = self.conj
-        return [c.take(g.take(c_inv)) for g in gens]
 
     def sift(self, g: np.ndarray, start: int = 0) -> Tuple[Optional[np.ndarray], int]:
         """Factor g through the levels from start; returns (residue,
@@ -269,7 +223,7 @@ class _Chain:
         self.install(r, 0, lvl)
         return True
 
-    def complete(self, rng: random.Random) -> None:
+    def complete(self) -> None:
         """Schreier-Sims closure, bottom up: every Schreier generator of a
         level must sift through the levels below it.  A failure is
         installed below, and those levels are completed again before the
@@ -279,7 +233,7 @@ class _Chain:
         i = len(self.levels) - 1
         while i >= 0:
             if i not in passes:
-                passes[i] = self._failures(i, rng)
+                passes[i] = self._failures(i)
             failure = next(passes[i], None)
             if failure is None:
                 del passes[i]
@@ -288,21 +242,19 @@ class _Chain:
                 self.install(failure[0], i + 1, failure[1])
                 i = len(self.levels) - 1
 
-    def _failures(self, i: int, rng: random.Random) -> Iterator[Tuple[np.ndarray, int]]:
+    def _failures(self, i: int) -> Iterator[Tuple[np.ndarray, int]]:
         """One verification pass of level i: the (residue, level) of each
         Schreier generator not yet verified that fails to sift through
         the levels below."""
         lv = self.levels[i]
-        if not lv.checked or lv.size * len(lv.strong) <= _REVERIFY:
-            lv.make_shallow(rng)
         pred, edge = memoryview(lv.pred), memoryview(lv.edge)
-        marks = [(li, lv.checked.setdefault(li, bytearray(self.n))) for li in lv.strong]
+        marks = list(enumerate(lv.checked))
         for x, ux in lv.transversal():
             for li, done in marks:
                 if done[x]:
                     continue
                 done[x] = 1
-                s = lv.labels[li]
+                s = lv.gens[li]
                 y = int(s[x])
                 if pred[y] == x and edge[y] == li:
                     continue  # a tree edge: u_x s = u_y
@@ -311,9 +263,9 @@ class _Chain:
                     yield r, lvl
 
     def random_element(self, rng: random.Random) -> np.ndarray:
-        """A uniformly random element of the levels' group (not
-        conjugated): the inverse of u_{x_k} ... u_{x_0} for uniform orbit
-        points x_i, one walk per level."""
+        """A uniformly random element of the group: the inverse of
+        u_{x_k} ... u_{x_0} for uniform orbit points x_i, one walk per
+        level."""
         g = np.arange(self.n)
         for lv in self.levels:
             orbit = lv.orbit
@@ -322,32 +274,26 @@ class _Chain:
 
     def stabilizer(self, x: int, target: int) -> "_Chain":
         """The chain of the stabiliser of x, whose order is target."""
-        conj = self.conj
-        y = x if conj is None else int(conj[1][x])
-        top = self.levels[0]
-        if y == top.base:
-            return _Chain(self.n, self.levels[1:], conj)
-        if top.pred[y] >= 0:
-            u = inverse(top.walk(y, np.arange(self.n)))  # maps the base point to y
-            cu = u if conj is None else conj[0].take(u)
-            return _Chain(self.n, self.levels[1:], (cu, inverse(cu)))
-        return _Chain(self.n, self._fixing(y, target), conj)
+        if x == self.levels[0].base:
+            return _Chain(self.n, self.levels[1:])
+        return _Chain(self.n, self._fixing(x, target))
 
     def _fixing(self, y: int, target: int) -> List[_Level]:
         """Levels of the stabiliser of y in the levels' group, sifted
         from uniform random elements moved to fix y (seeded, so runs
         repeat) until their order is target."""
-        # y's orbit under every label of the chain, and a tree of it
+        # y's orbit under every strong generator of the chain, and a tree
+        # of it
         home = _Level(y, self.n)
         seen = set()
         for lv in self.levels:
-            for g, g_inv in zip(lv.labels, lv.inv):
+            for g, g_inv in zip(lv.gens, lv.inv):
                 if id(g) not in seen:
                     seen.add(id(g))
-                    home.labels.append(g)
+                    home.gens.append(g)
                     home.inv.append(g_inv)
-        home.pred, home.edge, home.depth = _forest(home.labels, [y], self.n)
-        if np.count_nonzero(home.pred >= 0) * target != self.order():
+        home.pred, home.edge, _ = _forest(home.gens, [y], self.n)
+        if int(np.count_nonzero(home.pred >= 0)) * target != self.order():
             raise AssertionError("orbit size does not divide the group order")
         rng = random.Random(y)
         out = _Chain(self.n)
@@ -368,9 +314,9 @@ class _Chain:
 
 
 def _finished(levels: List[_Level]) -> List[_Level]:
-    """Drop what only growing and verifying a level needs."""
+    """Drop what only verifying a level needs."""
     for lv in levels:
-        lv.depth = lv.checked = None
+        lv.checked = None
     return levels
 
 
@@ -399,14 +345,14 @@ def _build_chain(gens: Sequence[np.ndarray], n: int) -> _Chain:
     chain = _Chain(n)
     for g in _random_subproducts(gens, n, 2, rng):
         chain.add_gen(g.astype(np.intp))
-    chain.complete(rng)
+    chain.complete()
     for g in gens:
         if chain.add_gen(g.astype(np.intp)):
-            chain.complete(rng)
+            chain.complete()
     small = {id(g): g.astype(np.int32)
-             for lv in chain.levels for g in lv.labels + lv.inv}
+             for lv in chain.levels for g in lv.gens + lv.inv}
     for lv in chain.levels:
-        lv.labels = [small[id(g)] for g in lv.labels]
+        lv.gens = [small[id(g)] for g in lv.gens]
         lv.inv = [small[id(g)] for g in lv.inv]
     _finished(chain.levels)
     return chain
@@ -544,7 +490,7 @@ class PermGroup:
         chain = self._ensure_chain().stabilizer(point, target)
         if chain.order() != target:  # pragma: no cover
             raise AssertionError("stabiliser chain missed the target order")
-        child = PermGroup(chain.strong_gens(), self.n, order=target)
+        child = PermGroup(chain.levels[0].gens, self.n, order=target)
         child._chain = chain
         child._trivial = self._trivial
         self._children[point] = child
