@@ -513,6 +513,14 @@ def build_parser() -> argparse.ArgumentParser:
 ARC_SEARCHES = {"pseudoarcs"} | {f"ruleout {ident}" for ident in _ARC_RULEOUTS}
 
 
+def _check_writable(path: str) -> None:
+    """Refuse a report path that cannot be written, before the run."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(folder, os.W_OK) \
+            or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        raise InputError(f"cannot write the JSON report to {path!r}")
+
+
 def run(argv: Optional[Sequence[str]] = None) -> Tuple[RunReport, int]:
     args = build_parser().parse_args(argv)
     name = f"ruleout {args.ident}" if args.cmd == "ruleout" else args.cmd
@@ -524,6 +532,8 @@ def run(argv: Optional[Sequence[str]] = None) -> Tuple[RunReport, int]:
             raise InputError("--threads must be positive")
     elif args.seed_size is not None or args.threads is not None:
         raise InputError(f"{name} searches no arcs: it takes no --seed-size or --threads")
+    if args.json:
+        _check_writable(args.json)
     t0 = time.monotonic()
     if args.cmd == "verify":
         rep = cmd_verify(args.group_file, args.config_file)

@@ -397,41 +397,15 @@ def complements(H: Subgroup, N: Subgroup) -> List[Subgroup]:
     order 2 inside H), sorted by elements.
 
     Such a K has index 2 in H, so it is one of the index2_subgroups of
-    H that avoid the generator c of N.  Its gens are the
-    lexicographically last increasing sequence of its elements, each
-    outside the subgroup generated by those before, that generates K."""
+    H that avoid the generator c of N."""
     G = H.parent
     if N.order != 2 or not set(N.elements) <= set(H.elements):
         raise ValueError("N must have order 2 inside H")
     c = N.elements[1]
     if any(G.mul[c, h] != G.mul[h, c] for h in H.elements):
         raise ValueError("N must be central in H")
-    out = [Subgroup(G, K.elements, _last_generating_sequence(G, K.elements, (), frozenset((0,))))
-           for K in index2_subgroups(H) if c not in K.elements]
-    out.sort(key=lambda s: s.elements)
-    return out
-
-
-def _last_generating_sequence(G: FiniteGroup, elems: Tuple[int, ...],
-                              gens: Tuple[int, ...], span: frozenset
-                              ) -> Optional[Tuple[int, ...]]:
-    """The lexicographically last increasing extension of gens, by
-    elements outside the span so far, that generates the subgroup with
-    these sorted elements; None if there is none.  A search that tries
-    the larger elements first meets it first."""
-    if len(span) == len(elems):
-        return gens
-    last = gens[-1] if gens else 0
-    for h in reversed(elems):
-        if h <= last:
-            break
-        if h not in span:
-            longer = gens + (h,)
-            found = _last_generating_sequence(
-                G, elems, longer, subgroup_generate(G, longer).element_set())
-            if found is not None:
-                return found
-    return None
+    return sorted((K for K in index2_subgroups(H) if c not in K.elements),
+                  key=lambda s: s.elements)
 
 
 def enumerate_elem_abelian_subgroups(

@@ -12,15 +12,16 @@ Every transversal is a Schreier forest over a list of generators: each
 point's predecessor pred[x] (a root is its own) and the index edge[x] of
 the generator mapping pred[x] to x, as int32 arrays, with pred[x] = -1
 off the roots' orbits.  The inverse generators along x's path map x to
-its root, so no transversal element is ever stored.
+its root, so no transversal element is ever stored.  One walk applies
+them, to a whole element or only to a list of points: the sifts, the
+minimal images and the stabilisers all move by it.
 
-Minimal images move points, not permutations.  Each group's orbit minima
-root one forest over its generators, which also keeps each point's
-depth; the inverse generators, then the identity, are stacked as one
-(gens + 1, n) int32 array.  To map a point s to its orbit minimum, the
-images walk s's path in the forest and apply each inverse generator only
-to the points of the candidate set; to_orbit_min, which composes the
-whole element, is kept as the reference.
+Each group's orbit minima root one forest over its generators, which
+also keeps each point's depth; the inverse generators, then the
+identity, are stacked as one (gens + 1, n) int32 array.  Minimal images
+move points, not permutations: to map a point s to its orbit minimum,
+the walk applies each inverse generator on s's path only to the points
+of the candidate set.
 
 canonical_children is the test of orderly generation: for a canonical
 set s and every candidate x of one search node at once, whether s + [x]
@@ -42,8 +43,11 @@ next level and the levels below, shared.  For any other point, a new
 chain is sifted from uniform random elements of the group, drawn
 through its chain and moved to fix the point, until the stabiliser's
 known order |G|/|x^G| is reached, which proves the chain complete.
-Every order-1 stabiliser below a group is one shared generator-free
-group, which keeps no per-point buffers of its own.
+Each element g is moved to fix x along the group's own orbit forest: the
+walk of g[x] to its orbit minimum, then one element, fixed per
+stabiliser, from the minimum back to x.  Every order-1 stabiliser below
+a group is one shared generator-free group, which keeps no per-point
+buffers of its own.
 """
 from __future__ import annotations
 
@@ -79,6 +83,18 @@ def _perm_key(p: np.ndarray) -> bytes:
     return p.tobytes()
 
 
+def _walk(pred: np.ndarray, edge: np.ndarray, inv: Sequence[np.ndarray], x: int,
+          g: np.ndarray) -> np.ndarray:
+    """g followed by the inverse labels along x's path in a Schreier
+    forest, which map x to its root: g is a whole element, or only the
+    points to move."""
+    pred, edge = memoryview(pred), memoryview(edge)
+    while pred[x] != x:
+        g = inv[edge[x]].take(g)
+        x = pred[x]
+    return g
+
+
 def _grow_forest(labels: Sequence[np.ndarray], pred: np.ndarray, edge: np.ndarray,
                  depth: Optional[np.ndarray], frontier: np.ndarray) -> None:
     """Grow a Schreier forest breadth first from frontier, points already
@@ -98,19 +114,6 @@ def _grow_forest(labels: Sequence[np.ndarray], pred: np.ndarray, edge: np.ndarra
         frontier = np.concatenate(found)
         if depth is not None:
             depth[frontier] = depth[pred[frontier]] + 1
-
-
-def _forest(labels: Sequence[np.ndarray], roots: np.ndarray,
-            n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pred, edge, depth) of the breadth-first Schreier forest of the
-    roots' orbits; a root's edge is len(labels), the identity's row."""
-    pred = np.full(n, -1, dtype=np.int32)
-    edge = np.full(n, len(labels), dtype=np.int32)
-    depth = np.zeros(n, dtype=np.int32)
-    roots = np.asarray(roots, dtype=np.intp)
-    pred[roots] = roots
-    _grow_forest(labels, pred, edge, depth, roots)
-    return pred, edge, depth
 
 
 class _Level:
@@ -150,15 +153,6 @@ class _Level:
         _grow_forest(self.gens, self.pred, self.edge, None, self.orbit)
         self.size = int(np.count_nonzero(self.pred >= 0))
         self._orbit = None
-
-    def walk(self, x: int, g: np.ndarray) -> np.ndarray:
-        """g followed by the inverse generators along x's path, which map
-        x to the base point."""
-        pred, edge, inv = memoryview(self.pred), memoryview(self.edge), self.inv
-        while pred[x] != x:
-            g = inv[edge[x]].take(g)
-            x = pred[x]
-        return g
 
     def transversal(self) -> Iterator[Tuple[int, np.ndarray]]:
         """(x, u_x) for every point x of the orbit, u_x mapping the base
@@ -200,7 +194,7 @@ class _Chain:
             x = int(g[lv.base])
             if lv.pred[x] < 0:
                 return g, i
-            g = lv.walk(x, g)
+            g = _walk(lv.pred, lv.edge, lv.inv, x, g)
         if _is_identity(g):
             return None, len(levels)
         return g, len(levels)
@@ -258,7 +252,7 @@ class _Chain:
                 y = int(s[x])
                 if pred[y] == x and edge[y] == li:
                     continue  # a tree edge: u_x s = u_y
-                r, lvl = self.sift(lv.walk(y, s.take(ux)), i + 1)
+                r, lvl = self.sift(_walk(lv.pred, lv.edge, lv.inv, y, s.take(ux)), i + 1)
                 if r is not None:
                     yield r, lvl
 
@@ -266,58 +260,17 @@ class _Chain:
         """A uniformly random element of the group: the inverse of
         u_{x_k} ... u_{x_0} for uniform orbit points x_i, one walk per
         level."""
-        g = np.arange(self.n)
+        g = identity(self.n)
         for lv in self.levels:
             orbit = lv.orbit
-            g = lv.walk(int(orbit[rng.randrange(len(orbit))]), g)
+            g = _walk(lv.pred, lv.edge, lv.inv, int(orbit[rng.randrange(len(orbit))]), g)
         return g
 
-    def stabilizer(self, x: int, target: int) -> "_Chain":
-        """The chain of the stabiliser of x, whose order is target."""
-        if x == self.levels[0].base:
-            return _Chain(self.n, self.levels[1:])
-        return _Chain(self.n, self._fixing(x, target))
 
-    def _fixing(self, y: int, target: int) -> List[_Level]:
-        """Levels of the stabiliser of y in the levels' group, sifted
-        from uniform random elements moved to fix y (seeded, so runs
-        repeat) until their order is target."""
-        # y's orbit under every strong generator of the chain, and a tree
-        # of it
-        home = _Level(y, self.n)
-        seen = set()
-        for lv in self.levels:
-            for g, g_inv in zip(lv.gens, lv.inv):
-                if id(g) not in seen:
-                    seen.add(id(g))
-                    home.gens.append(g)
-                    home.inv.append(g_inv)
-        home.pred, home.edge, _ = _forest(home.gens, [y], self.n)
-        if int(np.count_nonzero(home.pred >= 0)) * target != self.order():
-            raise AssertionError("orbit size does not divide the group order")
-        rng = random.Random(y)
-        out = _Chain(self.n)
-        misses = 0
-        while out.order() < target:
-            g = self.random_element(rng)
-            r, lvl = out.sift(home.walk(int(g[y]), g))
-            if r is not None:
-                out.install(r, 0, lvl)
-                misses = 0
-            else:
-                # each miss has probability at most 1/2 while the order
-                # is short of target
-                misses += 1
-                if misses > 200:  # pragma: no cover
-                    raise AssertionError("stabiliser chain missed the target order")
-        return _finished(out.levels)
-
-
-def _finished(levels: List[_Level]) -> List[_Level]:
+def _finished(levels: List[_Level]) -> None:
     """Drop what only verifying a level needs."""
     for lv in levels:
         lv.checked = None
-    return levels
 
 
 def _random_subproducts(gens: Sequence[np.ndarray], n: int, count: int,
@@ -423,7 +376,12 @@ class PermGroup:
         # orbit minimum is its own predecessor, by the identity, which
         # follows the inverse generators as their last row.
         points = np.arange(n, dtype=np.int32)
-        pred, edge, depth = _forest(gens, np.flatnonzero(orbmin == points), n)
+        roots = np.flatnonzero(orbmin == points)
+        pred = np.full(n, -1, dtype=np.int32)
+        edge = np.full(n, len(gens), dtype=np.int32)
+        depth = np.zeros(n, dtype=np.int32)
+        pred[roots] = roots
+        _grow_forest(gens, pred, edge, depth, roots)
         orbmin.flags.writeable = False
         self._orbmin, self._pred, self._edge, self._depth = orbmin, pred, edge, depth
         self._inv_gens = np.array(inv_gens + [points], dtype=np.int32)
@@ -434,28 +392,14 @@ class PermGroup:
         self._ensure_orbits()
         return self._orbmin
 
-    def to_orbit_min(self, x: int) -> np.ndarray:
-        """A group element t with t[x] = orbit_min[x]: the product of the
-        inverse generators along x's path in the Schreier forest."""
+    def walk(self, x: int, g: np.ndarray) -> np.ndarray:
+        """g followed by the group element that maps x to orbit_min[x]:
+        the inverse generators along x's path in the orbit forest."""
         self._ensure_orbits()
-        t = identity(self.n)
-        while self._pred[x] != x:
-            t = compose(t, self._inv_gens[self._edge[x]])
-            x = self._pred[x]
-        return t
-
-    def trace_to_orbit_min(self, x: int, points: Iterable[int]) -> List[int]:
-        """[to_orbit_min(x)[p] for p in points], moving only the points."""
-        self._ensure_orbits()
-        pred, edge = memoryview(self._pred), memoryview(self._edge)
-        pts = np.array(list(points), dtype=np.intp)
-        while pred[x] != x:
-            pts = self._inv_gens[edge[x], pts]
-            x = pred[x]
-        return pts.tolist()
+        return _walk(self._pred, self._edge, self._inv_gens, x, g)
 
     def _trace_rows(self, starts: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Row i of rows moved by to_orbit_min(starts[i]), for every row
+        """Row i of rows moved by walk(starts[i], rows[i]), for every row
         at once: each step applies to each row the next inverse generator
         on its start's path, or the identity once the start is at its
         orbit minimum."""
@@ -487,7 +431,11 @@ class PermGroup:
         if target == 1:
             self._children[point] = self._trivial
             return self._trivial
-        chain = self._ensure_chain().stabilizer(point, target)
+        chain = self._ensure_chain()
+        if point == chain.levels[0].base:
+            chain = _Chain(self.n, chain.levels[1:])
+        else:
+            chain = self._fixing(point, target)
         if chain.order() != target:  # pragma: no cover
             raise AssertionError("stabiliser chain missed the target order")
         child = PermGroup(chain.levels[0].gens, self.n, order=target)
@@ -495,6 +443,31 @@ class PermGroup:
         child._trivial = self._trivial
         self._children[point] = child
         return child
+
+    def _fixing(self, y: int, target: int) -> _Chain:
+        """The chain of the stabiliser of y, sifted from uniform random
+        elements of the group (seeded, so runs repeat) until its order is
+        target.  Each element g is moved to fix y by the walk of g[y] to
+        its orbit minimum, then by one element that maps the minimum back
+        to y."""
+        back = inverse(self.walk(y, identity(self.n)))
+        rng = random.Random(y)
+        out = _Chain(self.n)
+        misses = 0
+        while out.order() < target:
+            g = self._chain.random_element(rng)
+            r, lvl = out.sift(back.take(self.walk(int(g[y]), g)))
+            if r is not None:
+                out.install(r, 0, lvl)
+                misses = 0
+            else:
+                # each miss has probability at most 1/2 while the order
+                # is short of target
+                misses += 1
+                if misses > 200:  # pragma: no cover
+                    raise AssertionError("stabiliser chain missed the target order")
+        _finished(out.levels)
+        return out
 
     def __repr__(self) -> str:
         o = self._order if self._order is not None else "?"
@@ -538,7 +511,8 @@ def min_image(group: PermGroup, points: Sequence[int],
                 continue
             for s in t:
                 if om[s] == mu:
-                    new.add(frozenset(node.trace_to_orbit_min(s, (x for x in t if x != s))))
+                    rest = np.array([x for x in t if x != s], dtype=np.intp)
+                    new.add(frozenset(node.walk(s, rest).tolist()))
         node = node.stabilizer(mu)
         cands = new
     return tuple(res)

@@ -122,8 +122,9 @@ def plane_action(form: QuadraticForm, planes: Sequence[gf2.Subspace]) -> PermGro
 
 class PlaneCatalogue:
     """Immutable search context: the totally singular planes of a form
-    (one gf2.rref per plane), their bit-packed membership masks as an
-    (n, words) uint64 array, the pairwise-disjointness matrix, and the
+    (one gf2.rref per plane), their vectors as an (n, 8) array and
+    bit-packed membership masks as an (n, words) uint64 array, the
+    pairwise-disjointness matrix, and the
     plane action of the form's isometry group (planes found by their
     least-vector keys; a ValueError for a form with no structural
     generator set).  compatible_row is the one test of whether a set of
@@ -134,33 +135,27 @@ class PlaneCatalogue:
         self.form = form
         self.planes: List[gf2.Subspace] = singular_subspaces(form, 3)
         self.n = len(self.planes)
-        self.words = membership_words(_plane_vectors(self.planes), 1 << form.dim)
+        self.vectors = _plane_vectors(self.planes)
+        self.words = membership_words(self.vectors, 1 << form.dim)
         self.disjoint = pairwise_disjoint(self.words)
         self.group: PermGroup = plane_action(form, self.planes)
-        self._span: Dict[Tuple[int, int], Tuple[np.ndarray, int]] = {}
-
-    def span_mask(self, i: int, j: int) -> Tuple[np.ndarray, int]:
-        """(membership words, rank) of W_i + W_j, cached."""
-        key = (i, j) if i < j else (j, i)
-        hit = self._span.get(key)
-        if hit is None:
-            sp = gf2.span(self.planes[i], self.planes[j])
-            words = membership_words(xor_span(sp.basis)[None, :], 1 << self.form.dim)[0]
-            hit = self._span[key] = (words, sp.rank)
-        return hit
 
     def compatible_row(self, row: np.ndarray, s: Sequence[int], x: int) -> np.ndarray:
         """The compatibility row of s + [x] from the row of s, where
-        row[k] says whether s + [k] is a partial pseudo-arc: keep the
-        planes k disjoint from x with W_a + W_x + W_k filling the space
-        for every a in s.  By the dimension formula that needs
-        |(W_a + W_x) cap W_k| = 2^(rank(W_a + W_x) + 3 - dim)."""
+        row[k] says whether s + [k] is a partial pseudo-arc, and x must be
+        in it: keep the planes k disjoint from x with W_a + W_x + W_k
+        filling the space for every a in s.  W_a and W_x meet trivially,
+        so W_a + W_x is the 64 XORs of their vectors, of dimension 6, and
+        by the dimension formula |(W_a + W_x) cap W_k| = 2^(9 - dim)."""
+        if not row[x]:
+            raise ValueError("x is not compatible with s")
         out = row & self.disjoint[x]
-        for a in s:
+        sums = self.vectors[list(s), :, None] ^ self.vectors[x, None, :]
+        meet_size = 1 << (9 - self.form.dim)
+        for words in membership_words(sums.reshape(len(s), 64), 1 << self.form.dim):
             ks = np.flatnonzero(out)
-            words, r = self.span_mask(a, x)
             meet = np.bitwise_count(self.words[ks] & words).sum(axis=1)
-            out[ks[meet != 1 << (r + 3 - self.form.dim)]] = False
+            out[ks[meet != meet_size]] = False
         return out
 
 
@@ -247,8 +242,10 @@ def _extend_one(cat: PlaneCatalogue, seed: Tuple[int, ...], row: np.ndarray,
         for pos, c in enumerate(pool):
             if len(pool) - pos < need:
                 break
+            # compatible_row needs c still in the row
+            child = None if need == 1 else cat.compatible_row(row, cur, c)
             row[c] = False
-            dfs(cur + [c], None if need == 1 else cat.compatible_row(row, cur, c))
+            dfs(cur + [c], child)
 
     dfs(list(seed), row)
     del dfs  # the closure refers to itself; keep the catalogue collectable

@@ -191,6 +191,18 @@ def test_filters_order_not_prime_power_cube_exit2(tmp_path, capsys, G):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("where", ["missing/report.json", "."], ids=["missing", "directory"])
+def test_unwritable_json_path_exit2_before_the_run(tmp_path, capsys, monkeypatch, where):
+    # the path is checked before the command runs, which here would fail
+    def run_nothing(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "cmd_classify", run_nothing)
+    assert cli.main(["--quiet", "--json", str(tmp_path / where), "classify", "8"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_group_path_is_directory_exit2(tmp_path):
     assert cli.main(["--quiet", "filters", str(tmp_path)]) == 2
 

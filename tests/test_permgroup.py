@@ -233,10 +233,11 @@ def test_stabilizer_orders():
 
 def test_nested_stabilisers_against_closure():
     # pointwise stabilisers of random point sequences, each child read off
-    # its parent's chain by both paths, against the brute-force
+    # its parent's chain by both paths, at points that are their orbit's
+    # minimum and at points that are not, against the brute-force
     # closure: the generators, not only the recorded orders
     rng = random.Random(11)
-    paths = Counter()
+    paths, kinds = Counter(), Counter()
     for _ in range(40):
         n = rng.randint(3, 8)
         gens = random_small_group(rng, n) if rng.random() < 0.7 else random_group(rng, n)
@@ -252,9 +253,15 @@ def test_nested_stabilisers_against_closure():
                 assert closure(K.gens, n) == want, (gens, fixed)
                 assert K.order() == len(want)
                 if K.order() > 1 and H._children.get(x) is K and K._chain.levels:
-                    paths[stabiliser_path(H, K)] += 1
+                    path = stabiliser_path(H, K)
+                    paths[path] += 1
+                    if path == "new chain":
+                        # its elements walk to x's orbit minimum and back
+                        # to x, which for a minimum is no move
+                        kinds[bool(x == H.orbit_min[x])] += 1
                 H = K
     assert min(paths[k] for k in ("first base point", "new chain")) >= 10, paths
+    assert min(kinds[True], kinds[False]) >= 10, kinds
 
 
 def test_order_against_explicit_chain():
@@ -309,35 +316,42 @@ def test_stabilizer_generates_point_stabiliser():
         assert H.order() == len(want)
 
 
-def test_orbits_and_to_orbit_min():
+def test_walk_to_orbit_min_against_closure():
+    # the one walk along the orbit forest, of a whole element and of a
+    # list of points, for random groups and for stabilisers, whose
+    # forests are over strong generators
     rng = random.Random(3)
-    for _ in range(10):
+    for _ in range(20):
         n = rng.randint(4, 8)
-        gens = random_group(rng, n)
+        gens = random_group(rng, n, rng.randint(1, 3))
         G = PermGroup(gens, n)
-        elems = closure(gens, n)
-        for x in range(n):
-            orb = {g[x] for g in elems}
-            assert int(G.orbit_min[x]) == min(orb)
-            t = G.to_orbit_min(x)
-            assert int(t[x]) == min(orb)
-            assert tuple(int(v) for v in t) in elems
+        H = G.stabilizer(rng.randrange(n))
+        for K in (G, H):
+            elems = closure(K.gens, n) if K.gens else {tuple(range(n))}
+            for x in range(n):
+                orb = {g[x] for g in elems}
+                assert int(K.orbit_min[x]) == min(orb)
+                t = K.walk(x, identity(n))
+                assert t.dtype == np.int32
+                assert int(t[x]) == min(orb)
+                assert tuple(int(v) for v in t) in elems
+                pts = np.array(rng.sample(range(n), rng.randint(0, n)), dtype=np.intp)
+                assert K.walk(x, pts).tolist() == t[pts].tolist()
 
 
-def test_trace_matches_to_orbit_min():
-    # point tracing along the Schreier forest against the composed element
+def test_trace_rows_match_walk():
+    # the batched walk of canonical_children against the single walk,
+    # row by row
     rng = random.Random(5)
     for _ in range(30):
         n = rng.randint(2, 12)
         G = PermGroup(random_group(rng, n, rng.randint(1, 3)), n)
-        for x in range(n):
-            pts = rng.sample(range(n), rng.randint(0, n))
-            t = G.to_orbit_min(x)
-            assert G.trace_to_orbit_min(x, pts) == [int(t[p]) for p in pts]
-        H = G.stabilizer(0)
-        for x in range(n):
-            t = H.to_orbit_min(x)
-            assert H.trace_to_orbit_min(x, range(n)) == [int(v) for v in t]
+        for K in (G, G.stabilizer(rng.randrange(n))):
+            starts = np.array([rng.randrange(n) for _ in range(2 * n)])
+            rows = np.array([rng.sample(range(n), min(n, 3)) for _ in starts], dtype=np.int32)
+            moved = K._trace_rows(starts, rows)
+            for x, row, got in zip(starts.tolist(), rows, moved):
+                assert got.tolist() == K.walk(x, row).tolist()
 
 
 def test_min_image_against_brute_force():

@@ -188,17 +188,18 @@ def singular_subspaces_oracle(q, k):
     return [level[kk] for kk in sorted(level)]
 
 
-def plane_action_oracle(form, planes):
-    """Slow oracle for plane_action: one rref per plane image."""
+def plane_perms_oracle(form, planes):
+    """The isometry generators as lists of plane images, one rref per
+    plane image."""
     index = {p.key(): i for i, p in enumerate(planes)}
-    perms = []
-    for g in isometry_generators(form):
-        img = [
-            index[gf2.rref([apply_matrix(g, b) for b in p.basis], form.dim).key()]
-            for p in planes
-        ]
-        perms.append(img)
-    return PermGroup(perms, len(planes))
+    return [[index[gf2.rref([apply_matrix(g, b) for b in p.basis], form.dim).key()]
+             for p in planes]
+            for g in isometry_generators(form)]
+
+
+def plane_action_oracle(form, planes):
+    """Slow oracle for plane_action."""
+    return PermGroup(plane_perms_oracle(form, planes), len(planes))
 
 
 def rebased(q, a):

@@ -8,6 +8,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from test_quadform import plane_perms_oracle
 
 from asq import gf2
 from asq.asconfig import check_as_axioms
@@ -21,7 +22,7 @@ from asq.groups import (
     table4_group,
 )
 from asq.permgroup import canonical_children, is_min_image, min_image
-from asq.quadform import preset, singular_subspaces
+from asq.quadform import QuadraticForm, preset, singular_subspaces
 from asq.search import (
     PlaneCatalogue,
     SearchTrace,
@@ -338,14 +339,63 @@ def test_compatible_row_matches_compatible(cat_minus):
             if len(options) == 0 or len(s) == 5:
                 break
             x = int(rng.choice(options))
+            if s:
+                with pytest.raises(ValueError):  # a plane not in the row of s
+                    cat.compatible_row(row, s, s[-1])
             row = cat.compatible_row(row, s, x)
             s.append(x)
     assert checked >= 24
 
 
+def orbit_least_members(sets, perms, n):
+    """The least member of each orbit of the k-sets (sorted rows, in
+    lexicographic order) under the plane permutations, by union-find:
+    hook the larger root of each (set, image) pair to the smaller and
+    compress every path, until each pair shares a root."""
+    sets = np.asarray(sets)
+    weights = n ** np.arange(sets.shape[1])[::-1]
+    keys = sets @ weights
+    v = []
+    for g in perms:
+        image = np.sort(np.asarray(g)[sets], axis=1) @ weights
+        at = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
+        assert np.array_equal(keys[at], image)  # an isometry keeps the sets
+        v.append(at)
+    u, v = np.tile(np.arange(len(sets)), len(perms)), np.concatenate(v)
+    parent = np.arange(len(sets))
+    while True:
+        while not np.array_equal(parent, parent[parent]):
+            parent = parent[parent]
+        ru, rv = parent[u], parent[v]
+        if np.array_equal(ru, rv):
+            return [tuple(sets[r].tolist()) for r in np.unique(parent)]
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+
+
+def test_arc_seeds_against_orbit_oracle():
+    # the dim-7 form x0x1 + x2x3 + x4x5 (345 planes, group order
+    # 2580480): the orbits of single planes and of disjoint pairs, from
+    # the slow plane-action loop and union-find, share no code with
+    # permgroup; arc_seeds returns exactly the least member of each
+    form = QuadraticForm(7, (0b10, 0, 0b1000, 0, 0b100000, 0, 0))
+    planes = singular_subspaces(form, 3)
+    n = len(planes)
+    perms = plane_perms_oracle(form, planes)
+    vectors = [set(gf2.subspace_vectors(p)) for p in planes]
+    pairs = [(a, b) for a, b in combinations(range(n), 2) if len(vectors[a] & vectors[b]) == 1]
+    assert (n, len(pairs)) == (345, 27840)
+    singles = orbit_least_members([(a,) for a in range(n)], perms, n)
+    doubles = orbit_least_members(pairs, perms, n)
+    assert (len(singles), len(doubles)) == (2, 3)
+    cat = PlaneCatalogue(form)
+    assert cat.group.order() == 2580480
+    assert arc_seeds(cat, 1) == singles and arc_seeds(cat, 2) == doubles
+
+
 def test_chain_memory_guard():
     # plus8 (2025 planes): neither the order's chain nor the stabiliser
-    # chains of a fresh arc_seeds hold n-point transversals.  With an
+    # chains of a fresh arc_seeds hold n-point transversals, and their
+    # strong generators and inverses are int32.  With an
     # explicit transversal and its inverses they peaked at 33.5 MB and
     # 23.7 MB traced.
     cat = PlaneCatalogue(preset("plus8"))
@@ -359,6 +409,16 @@ def test_chain_memory_guard():
         assert tracemalloc.get_traced_memory()[1] - start <= 5e6
     finally:
         tracemalloc.stop()
+    # every chain, the order's and the stabilisers', is kept in int32
+    groups, chains = [cat.group], 0
+    while groups:
+        G = groups.pop()
+        groups.extend(G._children.values())
+        if G._chain is not None:
+            chains += 1
+            for lv in G._chain.levels:
+                assert all(g.dtype == np.int32 for g in lv.gens + lv.inv)
+    assert chains > 5
 
 
 def test_searches_leave_no_reference_cycles(cat_minus):
