@@ -69,6 +69,7 @@ from .quadform import (
 from .search import (
     PlaneCatalogue,
     PseudoArc,
+    SearchTrace,
     arc_seeds,
     as_backtrack,
     brute_force_as_configs,
@@ -187,7 +188,8 @@ def _arc_search(rep: RunReport, form, seed_size: int, target: int,
     form and the order of its group, one canonical seed per orbit of
     seed_size planes, and every extension of the seeds to target planes
     on threads workers.  The wall seconds of the four stages go to
-    notes["stage_s"]."""
+    notes["stage_s"], and the number of canonical sets of each size
+    0..seed_size to notes["canonical_sets"]."""
     if not 1 <= seed_size <= target:
         raise InputError(f"--seed-size must be between 1 and the target {target}, "
                          f"got {seed_size}")
@@ -200,7 +202,8 @@ def _arc_search(rep: RunReport, form, seed_size: int, target: int,
     rep.counts["planes"] = cat.n
     cat.group.order()
     t2 = time.monotonic()
-    seeds = arc_seeds(cat, seed_size)
+    seeding = SearchTrace(seed=None)
+    seeds = arc_seeds(cat, seed_size, trace=seeding)
     t3 = time.monotonic()
     rep.counts["seeds"] = len(seeds)
     arcs = extend_arcs(cat, seeds, target, threads=threads)
@@ -208,6 +211,7 @@ def _arc_search(rep: RunReport, form, seed_size: int, target: int,
     rep.counts["arcs"] = len(arcs)
     rep.notes["stage_s"] = {"catalogue": t1 - t0, "order": t2 - t1,
                             "arc_seeds": t3 - t2, "extend_arcs": t4 - t3}
+    rep.notes["canonical_sets"] = seeding.sizes
     return cat, arcs
 
 

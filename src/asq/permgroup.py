@@ -23,12 +23,15 @@ move points, not permutations: to map a point s to its orbit minimum,
 the walk applies each inverse generator on s's path only to the points
 of the candidate set.
 
-canonical_children is the test of orderly generation: for a canonical
-set s and every candidate x of one search node at once, whether s + [x]
-is its own minimal image.  All of a node's children walk the same chain
-of stabilisers of the prefixes of s, so it runs as whole arrays: one
-(rows, k) array of candidate images with an owner per row, traced
-through the forest together and deduplicated per owner at each depth.
+canonical_children is the test of orderly generation: for every
+candidate x of many search nodes s at once, whether s + [x] is its own
+minimal image.  Each child walks its node's chain of stabilisers of the
+prefixes of s, so it runs as whole arrays: one (rows, k) array of
+candidate images with an owner per row.  At each depth the rows are
+grouped by their node's stabiliser, which nodes with a common prefix
+share through the stabiliser cache; each group's rows are traced
+through its forest together and deduplicated per owner, and the owners
+whose stabiliser is trivial take one lexicographic test together.
 min_image and is_min_image, which trace one candidate set at a time,
 are its slow oracle.
 
@@ -544,49 +547,81 @@ def _unique_rows(owner: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.nd
     return owner[first], rows[first]
 
 
-def canonical_children(chain: Sequence[PermGroup], s: Sequence[int],
-                       xs: Sequence[int]) -> np.ndarray:
-    """For every candidate x in xs, whether s + [x] is its own minimal
-    image under chain[0]: is_min_image for all children of one node of
-    orderly generation at once.
+def canonical_children(chains: Sequence[Sequence[PermGroup]], sets: np.ndarray,
+                       node: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """For every candidate i, whether sets[node[i]] + [xs[i]] is its own
+    minimal image under chains[node[i]][0]: is_min_image for all the
+    children of many nodes of orderly generation at once.
 
-    s is sorted and its own minimal image, chain[d] is the stabiliser of
-    s[:d] for d = 0..len(s), and each x is above max(s).  A child that
-    survives depth d has the prefix s[:d], so all children walk the
-    same chain.  At depth d the batch holds every image of each child
-    (its owner) that starts with s[:d], one sorted row of the remaining
-    points each, up to chain[d].  An owner whose least orbit minimum is
-    below its own point at d (s[d], or x at the last depth) is rejected;
-    the rows at that minimum are traced to it through chain[d]'s
-    Schreier forest, the moved point is dropped, and the rows are
-    sorted and deduplicated per owner.  Once chain[d] is trivial the
-    rows are all the images, and a row below the owner's tail rejects
-    it."""
+    Each row of sets (shape (nodes, m)) is sorted and its own minimal
+    image, chains[j][d] is the stabiliser of sets[j, :d] for d = 0..m,
+    and each x is above max(sets[node]).  A child that survives depth d
+    has its node's prefix sets[j, :d], so it walks its node's chain.  At
+    depth d the batch holds every image of each child (its owner) that
+    starts with that prefix, one sorted row of the remaining points
+    each, up to the node's chain[d].  The rows are grouped by that
+    group: nodes with one prefix share it through the stabiliser cache,
+    and every order-1 stabiliser is one group.  Within a non-trivial
+    group, an owner whose least orbit minimum is below its own point at
+    d (sets[j, d], or x at the last depth) is rejected; the rows at that
+    minimum are traced to it through the group's Schreier forest, the
+    moved point is dropped, and the rows are sorted and deduplicated per
+    owner.  Once an owner's chain[d] is trivial its rows are all its
+    images, and a row below the owner's tail rejects it: one
+    lexicographic test for all such owners of a depth."""
     xs = np.asarray(xs, dtype=np.int32)
-    m = len(s)
-    if len(chain) != m + 1:
-        raise ValueError("chain must hold the stabiliser of every prefix of s")
+    node = np.asarray(node, dtype=np.intp)
+    sets = np.asarray(sets, dtype=np.int32)
+    m = sets.shape[1]
+    if len(sets) != len(chains) or any(len(c) != m + 1 for c in chains):
+        raise ValueError("each node's chain must hold the stabiliser of every prefix of its set")
     tails = np.empty((len(xs), m + 1), dtype=np.int32)
-    tails[:, :m] = s
+    tails[:, :m] = sets[node]
     tails[:, m] = xs
     keep = np.ones(len(xs), dtype=bool)
     owner, rows = np.arange(len(xs)), tails
-    for d, node in enumerate(chain):
+    which = np.empty(len(chains), dtype=np.intp)  # a node's group at d
+    for d in range(m + 1):
         if not rows.size:
             break
-        if node.order() == 1:
-            keep[owner[_rows_below(rows, tails[owner, d:])]] = False
+        groups: Dict[int, int] = {}
+        found: List[PermGroup] = []
+        # the distinct live nodes; np.unique would import numpy.ma on its
+        # first call
+        live = np.zeros(len(chains), dtype=bool)
+        live[node[owner]] = True
+        for j in np.flatnonzero(live).tolist():
+            g = chains[j][d]
+            which[j] = groups.setdefault(id(g), len(found))
+            if which[j] == len(found):
+                found.append(g)
+        at_group = which[node[owner]]
+        by_group = np.argsort(at_group)
+        bounds = np.searchsorted(at_group[by_group], np.arange(len(found) + 1))
+        owners, traced = [], []
+        for k, g in enumerate(found):
+            sel = by_group[bounds[k]:bounds[k + 1]]
+            o, r = owner[sel], rows[sel]
+            if g.order() == 1:
+                # the rows are all the owners' images
+                keep[o[_rows_below(r, tails[o, d:])]] = False
+                continue
+            point = tails[o, d]
+            orbit = g.orbit_min[r]
+            # an owner's least orbit minimum is below its point at d iff
+            # one of its rows is
+            keep[o[orbit.min(axis=1) < point]] = False
+            if d == m:
+                continue
+            at, col = np.nonzero((orbit == point[:, None]) & keep[o, None])
+            # the other points of a traced row have orbit minima of at
+            # least the point and are not mapped to it, so after sorting
+            # the point is first
+            moved = g._trace_rows(r[at, col], r[at])
+            moved.sort(axis=1)
+            owners.append(o[at])
+            traced.append(moved[:, 1:])
+        if not owners:
             break
-        orbit = node.orbit_min[rows]
-        # an owner's least orbit minimum is below its point at d iff one
-        # of its rows is
-        keep[owner[orbit.min(axis=1) < tails[owner, d]]] = False
-        if d == m:
-            break
-        at, col = np.nonzero((orbit == s[d]) & keep[owner, None])
-        # the other points of a traced row have orbit minima of at least
-        # s[d] and are not mapped to it, so after sorting s[d] is first
-        moved = node._trace_rows(rows[at, col], rows[at])
-        moved.sort(axis=1)
-        owner, rows = _unique_rows(owner[at], moved[:, 1:])
+        owner, rows = _unique_rows(np.concatenate(owners), np.concatenate(traced))
     return keep

@@ -4,20 +4,24 @@ subgroups, and AS-configuration backtracking at group level.
 
 Pipeline shape: arc_seeds finds one canonical representative per orbit
 of partial pseudo-arcs (orderly generation with minimal-image
-rejection, one batched permgroup.canonical_children test for all the
-candidates of a node), extend_arcs completes them by depth-first
-search and deduplicates the completions by min_image, lift_arc turns
-arc planes into Frattini-complement candidate pools, and as_backtrack
-searches those pools for (q+1)-families; a separate complete_with_U0
-pass adjoins the normal member.
+rejection, one size at a time: the children of a block of nodes are
+tested by one batched permgroup.canonical_children call), extend_arcs
+completes them by depth-first search and deduplicates the completions
+by min_image, lift_arc turns arc planes into Frattini-complement
+candidate pools, and as_backtrack searches those pools for
+(q+1)-families; a separate complete_with_U0 pass adjoins the normal
+member.
 
 The plane catalogue is built as whole arrays: singular_subspaces emits
 each plane once, from its least-vector basis, and reduces it with one
 gf2.rref; plane_action finds a plane's image under each generator by the
 image's packed least-vector key, with no row reduction.  Both arc
 searches carry, per node, the row of planes that keep the node's set a
-partial pseudo-arc; PlaneCatalogue.compatible_row is the one kernel that
-derives a child's row from its parent's.
+partial pseudo-arc: arc_seeds as sorted index lists, one level at a
+time, extend_arcs as (n,) bool rows down its depth-first search.
+PlaneCatalogue.compatible_pairs is the one kernel that derives children's
+rows from their parents', for (child, plane) pairs in bulk;
+compatible_row is its form for one child and a bool row.
 """
 from __future__ import annotations
 
@@ -79,6 +83,8 @@ class SearchTrace:
     nodes: int = 0
     solutions: int = 0
     wall_time: float = 0.0
+    # arc_seeds: the number of canonical sets of each size 0..seed_size
+    sizes: List[int] = field(default_factory=list)
 
 
 def _plane_vectors(planes: Sequence[gf2.Subspace]) -> np.ndarray:
@@ -120,6 +126,14 @@ def plane_action(form: QuadraticForm, planes: Sequence[gf2.Subspace]) -> PermGro
     return PermGroup(perms, len(planes))
 
 
+# Pairs per meet test of PlaneCatalogue.compatible_pairs, which holds
+# about a hundred bytes per pair.  One block of plus8 arc_seeds can have
+# 14000 pairs; taken at once, their megabyte or so stays in the heap
+# after the search and raised the peak RSS of a two-command plus8 run by
+# 0.5 MB.
+_PAIRS = 2048
+
+
 class PlaneCatalogue:
     """Immutable search context: the totally singular planes of a form
     (one gf2.rref per plane), their vectors as an (n, 8) array and
@@ -127,8 +141,8 @@ class PlaneCatalogue:
     pairwise-disjointness matrix, and the
     plane action of the form's isometry group (planes found by their
     least-vector keys; a ValueError for a form with no structural
-    generator set).  compatible_row is the one test of whether a set of
-    planes stays a partial pseudo-arc; is_partial_pseudo_arc is its
+    generator set).  compatible_pairs is the one test of whether a set
+    of planes stays a partial pseudo-arc; is_partial_pseudo_arc is its
     slow oracle."""
 
     def __init__(self, form: QuadraticForm):
@@ -143,20 +157,44 @@ class PlaneCatalogue:
     def compatible_row(self, row: np.ndarray, s: Sequence[int], x: int) -> np.ndarray:
         """The compatibility row of s + [x] from the row of s, where
         row[k] says whether s + [k] is a partial pseudo-arc, and x must be
-        in it: keep the planes k disjoint from x with W_a + W_x + W_k
-        filling the space for every a in s.  W_a and W_x meet trivially,
-        so W_a + W_x is the 64 XORs of their vectors, of dimension 6, and
-        by the dimension formula |(W_a + W_x) cap W_k| = 2^(9 - dim)."""
+        in it: compatible_pairs on every plane of the row."""
         if not row[x]:
             raise ValueError("x is not compatible with s")
-        out = row & self.disjoint[x]
-        sums = self.vectors[list(s), :, None] ^ self.vectors[x, None, :]
-        meet_size = 1 << (9 - self.form.dim)
-        for words in membership_words(sums.reshape(len(s), 64), 1 << self.form.dim):
-            ks = np.flatnonzero(out)
-            meet = np.bitwise_count(self.words[ks] & words).sum(axis=1)
-            out[ks[meet != meet_size]] = False
+        ks = np.flatnonzero(row)
+        sets = np.array(s, dtype=np.intp).reshape(1, -1)
+        out = np.zeros_like(row)
+        out[ks[self.compatible_pairs(sets, [x], np.zeros(len(ks), dtype=np.intp), ks)]] = True
         return out
+
+    def compatible_pairs(self, sets: np.ndarray, xs: np.ndarray, owner: np.ndarray,
+                         ks: np.ndarray) -> np.ndarray:
+        """The pairs i, with c = owner[i], for which sets[c] + [xs[c],
+        ks[i]] is a partial pseudo-arc, given that sets[c] + [xs[c]] and
+        sets[c] + [ks[i]] are (sets has shape (children, m)), as sorted
+        indices: the planes k disjoint from x with W_a + W_x + W_k
+        filling the space for every a in the set.  W_a and W_x meet
+        trivially, so W_a + W_x is the 64 XORs of their vectors, of
+        dimension 6, and by the dimension formula
+        |(W_a + W_x) cap W_k| = 2^(9 - dim).  The words of every child's
+        sums are formed at once; the meet test runs member by member on
+        the pairs still alive, _PAIRS pairs at a time."""
+        xs = np.asarray(xs)
+        alive = np.flatnonzero(self.disjoint[xs[owner], ks])
+        m = sets.shape[1]
+        if not m:
+            return alive
+        sums = self.vectors[sets, :, None] ^ self.vectors[xs, None, None, :]
+        words = membership_words(sums.reshape(-1, 64), 1 << self.form.dim)
+        words = words.reshape(len(sets), m, self.words.shape[1])
+        meet_size = 1 << (9 - self.form.dim)
+        out = []
+        for lo in range(0, len(alive), _PAIRS):
+            live = alive[lo:lo + _PAIRS]
+            for j in range(m):
+                meet = np.bitwise_count(self.words[ks[live]] & words[owner[live], j]).sum(axis=1)
+                live = live[meet == meet_size]
+            out.append(live)
+        return np.concatenate(out) if out else alive
 
 
 def is_partial_pseudo_arc(form: QuadraticForm, planes: Sequence[gf2.Subspace]) -> bool:
@@ -174,45 +212,87 @@ def is_partial_pseudo_arc(form: QuadraticForm, planes: Sequence[gf2.Subspace]) -
     return True
 
 
+# Candidates (planes of the parents' rows) per block of a level.  A block
+# holds whole nodes, and the images that canonical_children traces grow
+# with it.  On deg-hyp6 to size 9, blocks of 32 candidates take 1.4 times
+# as long as blocks of 128; blocks of 512 save about a tenth of the time
+# but raise the peak RSS of a two-command plus8 run by nearly 1 MB.
+_BLOCK = 128
+
+
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(owner, index) for every index in range(starts[c], stops[c]), in
+    order of c then index."""
+    lens = stops - starts
+    owner = np.repeat(np.arange(len(lens)), lens)
+    return owner, np.arange(len(owner)) + np.repeat(starts - np.cumsum(lens) + lens, lens)
+
+
 def arc_seeds(cat: PlaneCatalogue, seed_size: int,
               trace: Optional[SearchTrace] = None) -> List[Tuple[int, ...]]:
     """One canonical representative (lexicographic orbit minimum) per
     orbit of partial pseudo-arcs of the given size.
 
-    Orderly generation: a canonical set is only ever extended by a
-    point larger than its maximum that is minimal in its orbit under
-    the pointwise stabiliser (a non-minimal extension is never
-    canonical), and the extension is kept iff it is its own minimal
-    image, decided for all of a node's candidates at once by
-    permgroup.canonical_children along the node's chain of prefix
-    stabilisers.  Each kept set carries the row of planes compatible
-    with it (PlaneCatalogue.compatible_row), so candidates are never
-    re-tested against the members."""
+    Orderly generation, one size at a time: a canonical set is only ever
+    extended by a point larger than its maximum that is minimal in its
+    orbit under the pointwise stabiliser (a non-minimal extension is
+    never canonical), and the extension is kept iff it is its own minimal
+    image.  The canonical sets of one size are one level, held as an
+    (nodes, m) array in lexicographic order, each node with its chain of
+    prefix stabilisers and its row: the sorted planes above its maximum
+    that keep it a partial pseudo-arc, so candidates are never re-tested
+    against the members.  The children of a block of whole nodes are
+    tested by one permgroup.canonical_children call and their rows formed
+    by one PlaneCatalogue.compatible_pairs call.  trace.sizes counts the
+    canonical sets of each size."""
     t0 = time.monotonic()
-    out: List[Tuple[int, ...]] = []
-    points = np.arange(cat.n)
-
-    def rec(s: List[int], chain: List[PermGroup], row: Optional[np.ndarray]) -> None:
-        """chain[d] is the stabiliser of s[:d]; row[k] is True iff
-        s + [k] is a partial pseudo-arc (None once s has seed_size
-        members)."""
-        if trace is not None:
-            trace.nodes += 1
-        if len(s) == seed_size:
-            out.append(tuple(s))
-            return
-        node = chain[-1]
-        mx = s[-1] if s else -1
-        xs = np.flatnonzero((node.orbit_min == points) & (points > mx) & row)
-        for x in xs[canonical_children(chain, s, xs)].tolist():
-            if len(s) + 1 == seed_size:
-                rec(s + [x], chain, None)
-            else:
-                rec(s + [x], chain + [node.stabilizer(x)], cat.compatible_row(row, s, x))
-
-    rec([], [cat.group], np.ones(cat.n, dtype=bool))
-    del rec  # the closure refers to itself; keep the catalogue collectable
+    sets = np.zeros((1, 0), dtype=np.int32)
+    chains: List[Tuple[PermGroup, ...]] = [(cat.group,)]
+    # the rows of the level, concatenated: node j's is cols[ptr[j]:ptr[j + 1]]
+    ptr = np.array([0, cat.n])
+    cols = np.arange(cat.n, dtype=np.int32)
+    sizes = [1]
+    for m in range(seed_size):
+        last = m + 1 == seed_size
+        new_sets, new_chains, new_counts, new_cols = [], [], [], []
+        cuts = (np.flatnonzero(np.diff(ptr[:-1] // _BLOCK)) + 1).tolist()
+        for lo, hi in zip([0] + cuts, cuts + [len(sets)]):
+            base = ptr[lo]
+            node, at = _ranges(ptr[lo:hi] - base, ptr[lo + 1:hi + 1] - base)
+            cand = cols[base:ptr[hi]]
+            # only nodes with a non-trivial stabiliser have candidates
+            # that are not orbit minima
+            minimal = np.ones(len(cand), dtype=bool)
+            for j in range(lo, hi):
+                if chains[j][-1].gens:
+                    mine = slice(ptr[j] - base, ptr[j + 1] - base)
+                    minimal[mine] = chains[j][-1].orbit_min[cand[mine]] == cand[mine]
+            at = at[minimal]
+            block = chains[lo:hi]
+            at = at[canonical_children(block, sets[lo:hi], node[at], cand[at])]
+            parent, xs = node[at], cand[at]
+            members = sets[lo:hi][parent]
+            new_sets.append(np.concatenate([members, xs[:, None]], axis=1))
+            if last:
+                continue
+            new_chains += [block[p] + (block[p][-1].stabilizer(x),)
+                           for p, x in zip(parent.tolist(), xs.tolist())]
+            # each child's pairs: the planes after x in its parent's row
+            child, pos = _ranges(at + 1, ptr[lo + 1:hi + 1][parent] - base)
+            ks = cand[pos]
+            ok = cat.compatible_pairs(members, xs, child, ks)
+            new_cols.append(ks[ok])
+            new_counts.append(np.bincount(child[ok], minlength=len(xs)))
+        sets = np.concatenate(new_sets)
+        sizes.append(len(sets))
+        if not last:
+            chains = new_chains
+            ptr = np.concatenate([[0], np.cumsum(np.concatenate(new_counts))])
+            cols = np.concatenate(new_cols)
+    out = [tuple(s) for s in sets.tolist()]
     if trace is not None:
+        trace.nodes += sum(sizes)
+        trace.sizes = sizes
         trace.solutions = len(out)
         trace.wall_time = time.monotonic() - t0
     return out

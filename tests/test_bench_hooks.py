@@ -1,0 +1,28 @@
+"""The pipeline benchmark's hooks into asq: perfbench/spans.py wraps asq
+functions by name and reads SearchTrace counters through its probes, so
+a rename or a changed signature fails here before it fails a benchmark
+run."""
+import os
+
+from asq import cli
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def test_span_targets_resolve_and_probes_read_counts(monkeypatch):
+    monkeypatch.syspath_prepend(BENCH)
+    import spans
+
+    rec = spans.Recorder(spans=True)
+    try:
+        rec.install()  # looks up every TARGETS name; a missing one raises
+        rep, code = cli.run(["pseudoarcs", "minus8", "--seed-size", "4", "--threads", "1",
+                             "--quiet"])
+    finally:
+        rec.uninstall()
+    assert code == 0
+    assert [r["nodes"] for r in rec.arc_seeds] == [9]
+    assert len(rec.extend_arcs) == 1 and rec.extend_arcs[0]["nodes"] > 0
+    assert rep.notes["canonical_sets"] == [1, 1, 1, 1, 5]
+    names = {name for _sid, _parent, name, _t0, _t1 in rec.spans}
+    assert {"search.arc_seeds", "search.extend_arcs"} <= names

@@ -118,6 +118,7 @@ def test_arc_search_reports_stage_times(tmp_path, schema):
     stages = rep["notes"]["stage_s"]
     assert sorted(stages) == ["arc_seeds", "catalogue", "extend_arcs", "order"]
     assert all(t >= 0 for t in stages.values())
+    assert rep["notes"]["canonical_sets"] == [1, 1, 1, 1, 5]
 
 
 def test_flags_accepted_after_subcommand(tmp_path, schema):
@@ -239,7 +240,7 @@ def test_arc_searches_honour_arc_flags(monkeypatch, argv):
         def __init__(self, form):
             self.n, self.planes, self.group = 0, [], PermGroup([], 0)
 
-    def seeds(cat, seed_size):
+    def seeds(cat, seed_size, trace=None):
         seen.append(seed_size)
         return []
 

@@ -190,6 +190,12 @@ def prefix_chain(G, s):
     return chain
 
 
+def node_children(chain, s, xs):
+    """canonical_children on a batch of one node: the set s, its chain
+    and the candidates xs."""
+    return canonical_children([chain], [s], np.zeros(len(xs), dtype=np.intp), xs)
+
+
 def test_compose_inverse():
     rng = random.Random(1)
     for _ in range(50):
@@ -410,7 +416,7 @@ def test_canonical_children_against_oracles():
         while todo:
             s = todo.pop()
             xs = list(range(s[-1] + 1 if s else 0, n))
-            got = canonical_children(prefix_chain(G, s), s, xs)
+            got = node_children(prefix_chain(G, s), s, xs)
             want = [is_min_image(G, s + [x]) for x in xs]
             brute = [brute_min_image(elems, s + [x]) == tuple(s + [x]) for x in xs]
             assert got.tolist() == want == brute, (gens, s)
@@ -418,6 +424,35 @@ def test_canonical_children_against_oracles():
             children += len(xs)
             accepted += sum(want)
     assert accepted > 500 and children - accepted > 500
+
+
+def test_canonical_children_batches_nodes():
+    # all children of all canonical sets of one size in one call, against
+    # is_min_image: the nodes' chains share non-trivial prefix
+    # stabilisers, and at some depth some nodes' stabiliser is trivial
+    # while others' is not
+    rng = random.Random(11)
+    mixed = children = accepted = 0
+    for _ in range(30):
+        n = rng.randint(5, 10)
+        G = PermGroup(random_small_group(rng, n), n)
+        level = [[]]
+        for m in range(n - 1):
+            chains = [prefix_chain(G, s) for s in level]
+            pairs = [(j, x) for j, s in enumerate(level) for x in range(s[-1] + 1 if s else 0, n)]
+            if not pairs:
+                break
+            node, xs = np.array(pairs).T
+            got = canonical_children(chains, np.array(level).reshape(len(level), m), node, xs)
+            want = [is_min_image(G, level[j] + [x]) for j, x in pairs]
+            assert got.tolist() == want, (G.gens, m)
+            mixed += any(len({c[d].order() == 1 for c in chains}) == 2 for d in range(m + 1))
+            children += len(xs)
+            accepted += sum(want)
+            level = [level[j] + [x] for (j, x), ok in zip(pairs, want) if ok]
+    assert mixed > 20 and accepted > 300 and children - accepted > 300
+    with pytest.raises(ValueError):  # a chain short of the set's size
+        canonical_children([[G]], [[0]], [0], [1])
 
 
 def test_canonical_children_traces_each_image_once(monkeypatch):
@@ -441,7 +476,7 @@ def test_canonical_children_traces_each_image_once(monkeypatch):
             s = todo.pop()
             chain = prefix_chain(G, s)
             for x in range(s[-1] + 1 if s else 0, n):
-                ok = canonical_children(chain, s, [x])
+                ok = node_children(chain, s, [x])
                 assert ok.tolist() == [is_min_image(G, s + [x])]
                 if ok[0]:
                     todo.append(s + [x])

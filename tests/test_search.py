@@ -8,9 +8,10 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from test_permgroup import node_children
 from test_quadform import plane_perms_oracle
 
-from asq import gf2
+from asq import gf2, search
 from asq.asconfig import check_as_axioms
 from asq.groups import (
     HeisenbergGroup,
@@ -21,7 +22,7 @@ from asq.groups import (
     subgroup_generate,
     table4_group,
 )
-from asq.permgroup import canonical_children, is_min_image, min_image
+from asq.permgroup import is_min_image, min_image
 from asq.quadform import QuadraticForm, preset, singular_subspaces
 from asq.search import (
     PlaneCatalogue,
@@ -53,6 +54,78 @@ def minus_pools():
     p1 = next(p for p in planes if gf2.meet(p0, p).rank == 0)
     p2 = next(p for p in planes if is_partial_pseudo_arc(G.form, [p0, p1, p]))
     return G, lift_arc(G, [p0, p1])[0], lift_arc(G, [p0, p1, p2])[0]
+
+
+# the dim-7 form x0x1 + x2x3 + x4x5: 345 planes, group order 2580480
+DIM7 = QuadraticForm(7, (0b10, 0, 0b1000, 0, 0b100000, 0, 0))
+DIM7_ARC = (0, 39, 89, 177, 205, 248, 293, 331, 338)
+
+
+def _seeds_below(cat, seed_size, s, chain, row, out, sizes):
+    """The recursion of seeds_oracle at the canonical set s: chain[d]
+    is the stabiliser of s[:d]; row[k] is True iff s + [k] is a partial
+    pseudo-arc (None once s has seed_size members)."""
+    sizes[len(s)] += 1
+    if len(s) == seed_size:
+        out.append(tuple(s))
+        return
+    node = chain[-1]
+    points = np.arange(cat.n)
+    xs = np.flatnonzero((node.orbit_min == points) & (points > (s[-1] if s else -1)) & row)
+    for x in xs[node_children(chain, s, xs)].tolist():
+        if len(s) + 1 == seed_size:
+            _seeds_below(cat, seed_size, s + [x], chain, None, out, sizes)
+        else:
+            _seeds_below(cat, seed_size, s + [x], chain + [node.stabilizer(x)],
+                         cat.compatible_row(row, s, x), out, sizes)
+
+
+def seeds_oracle(cat, seed_size):
+    """Slow oracle of arc_seeds: orderly generation depth first, one node
+    at a time, each node's children tested by one canonical_children call
+    and each child's row folded from its parent's full (n,) row by
+    compatible_row.  Returns (seeds, per-size counts)."""
+    out, sizes = [], [0] * (seed_size + 1)
+    _seeds_below(cat, seed_size, [], [cat.group], np.ones(cat.n, dtype=bool), out, sizes)
+    return out, sizes
+
+
+def test_arc_seeds_against_depth_first_oracle(cat_minus, monkeypatch):
+    # the level-synchronous search against the depth-first one, at the
+    # default bounds and at bounds that split blocks between nodes and
+    # compatibility pairs between meet tests
+    cases = [(cat_minus, size) for size in range(1, 7)]
+    cases += [(PlaneCatalogue(DIM7), 9), (PlaneCatalogue(preset("plus8")), 6)]
+    want = [seeds_oracle(cat, size) for cat, size in cases]
+    assert sum(want[-2][1]) == 42 and want[-2][0] == [DIM7_ARC]
+    assert (len(want[-1][0]), sum(want[-1][1])) == (1402, 2644)
+    real = PlaneCatalogue.compatible_pairs
+
+    def pairs_above(self, sets, xs, owner, ks):
+        # a child's row holds only planes above its last member
+        assert (ks > np.asarray(xs)[owner]).all()
+        return real(self, sets, xs, owner, ks)
+
+    monkeypatch.setattr(PlaneCatalogue, "compatible_pairs", pairs_above)
+    for block, pairs in ((search._BLOCK, search._PAIRS), (1, 64), (3, 5)):
+        monkeypatch.setattr(search, "_BLOCK", block)
+        monkeypatch.setattr(search, "_PAIRS", pairs)
+        for (cat, size), (seeds, sizes) in zip(cases, want):
+            tr = SearchTrace(seed=None)
+            assert arc_seeds(cat, size, trace=tr) == seeds, (block, size)
+            assert (tr.sizes, tr.nodes, tr.solutions) == (sizes, sum(sizes), len(seeds))
+
+
+def test_seed_extension_against_orderly_search(cat_minus):
+    # the two routes to the 9-arcs: canonical seeds of every size k
+    # extended and deduplicated by min_image, and orderly generation
+    # straight to size 9
+    cat = PlaneCatalogue(DIM7)
+    assert arc_seeds(cat, 9) == [DIM7_ARC]
+    for k in range(3, 9):
+        assert [a.members for a in extend_arcs(cat, arc_seeds(cat, k), 9)] == [DIM7_ARC], k
+    assert arc_seeds(cat_minus, 9) == []
+    assert extend_arcs(cat_minus, arc_seeds(cat_minus, 6), 9) == []
 
 
 def as2_families(G, subs, size):
@@ -248,7 +321,7 @@ def test_canonical_children_along_random_arcs(cat_minus):
             node = chain[-1]
             points = np.arange(cat.n)
             xs = np.flatnonzero((node.orbit_min == points) & (points > (s[-1] if s else -1)) & row)
-            got = canonical_children(chain, s, xs)
+            got = node_children(chain, s, xs)
             assert got.tolist() == [is_min_image(cat.group, s + [x]) for x in xs.tolist()]
             checked += len(xs)
             accepted += int(got.sum())
@@ -273,7 +346,7 @@ def test_canonical_children_wide_rows():
         node = chain[-1]
         xs = np.flatnonzero((node.orbit_min == points) & (points > (s[-1] if s else -1)))
         xs = np.array(sorted(rng.sample(xs.tolist(), min(len(xs), 25))), dtype=np.int64)
-        got = canonical_children(chain, s, xs)
+        got = node_children(chain, s, xs)
         assert got.tolist() == [is_min_image(group, s + [x]) for x in xs.tolist()]
         x = int(xs[got][0]) if got.any() else None
         assert x is not None
@@ -309,10 +382,11 @@ def test_seeds_revalidate(cat_minus):
 
 def test_search_trace_accounting(cat_minus):
     # node counts pinned: a change to them is a change to the pruning
-    for size, nodes, solutions in ((4, 9, 5), (5, 15, 6)):
+    for size, nodes, solutions in ((4, 9, 5), (5, 15, 6), (6, 17, 2)):
         tr = SearchTrace(seed=None)
         seeds = arc_seeds(cat_minus, size, trace=tr)
         assert (tr.nodes, tr.solutions, len(seeds)) == (nodes, solutions, solutions)
+        assert tr.sizes == [1, 1, 1, 1, 5, 6, 2][:size + 1]
     seeds = arc_seeds(cat_minus, 4)
     trs = []
     arcs = extend_arcs(cat_minus, seeds, 6, traces=trs)
@@ -377,7 +451,7 @@ def test_arc_seeds_against_orbit_oracle():
     # 2580480): the orbits of single planes and of disjoint pairs, from
     # the slow plane-action loop and union-find, share no code with
     # permgroup; arc_seeds returns exactly the least member of each
-    form = QuadraticForm(7, (0b10, 0, 0b1000, 0, 0b100000, 0, 0))
+    form = DIM7
     planes = singular_subspaces(form, 3)
     n = len(planes)
     perms = plane_perms_oracle(form, planes)
@@ -397,7 +471,9 @@ def test_chain_memory_guard():
     # chains of a fresh arc_seeds hold n-point transversals, and their
     # strong generators and inverses are int32.  With an
     # explicit transversal and its inverses they peaked at 33.5 MB and
-    # 23.7 MB traced.
+    # 23.7 MB traced.  The level-synchronous search holds one level's
+    # rows and one block of children beyond the depth-first search's
+    # 2.4 MB; one unbounded batch per level peaked at 18 MB.
     cat = PlaneCatalogue(preset("plus8"))
     tracemalloc.start()
     try:
@@ -405,10 +481,12 @@ def test_chain_memory_guard():
         assert tracemalloc.get_traced_memory()[1] <= 5e6
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        assert len(arc_seeds(cat, 6)) == 1402
-        assert tracemalloc.get_traced_memory()[1] - start <= 5e6
+        tr = SearchTrace(seed=None)
+        assert len(arc_seeds(cat, 6, trace=tr)) == 1402
+        assert tracemalloc.get_traced_memory()[1] - start <= 4e6
     finally:
         tracemalloc.stop()
+    assert tr.sizes == [1, 1, 2, 5, 104, 1129, 1402]
     # every chain, the order's and the stabilisers', is kept in int32
     groups, chains = [cat.group], 0
     while groups:
