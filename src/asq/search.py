@@ -6,27 +6,25 @@ Pipeline shape: arc_seeds finds one canonical representative per orbit
 of partial pseudo-arcs (orderly generation with minimal-image
 rejection, one size at a time: the children of a block of nodes are
 tested by one batched permgroup.canonical_children call), extend_arcs
-completes them by depth-first search and deduplicates the completions
-by min_image, lift_arc turns arc planes into Frattini-complement
-candidate pools, and as_backtrack searches those pools for
-(q+1)-families; a separate complete_with_U0 pass adjoins the normal
-member.
+completes them by the same level loop without the canonicity test and
+deduplicates the completions by min_image, lift_arc turns arc planes
+into Frattini-complement candidate pools, and as_backtrack searches
+those pools for (q+1)-families; a separate complete_with_U0 pass adjoins
+the normal member.
 
 The plane catalogue is built as whole arrays: singular_subspaces emits
 each plane once, from its least-vector basis, and reduces it with one
 gf2.rref; plane_action finds a plane's image under each generator by the
 image's packed least-vector key, with no row reduction.  Both arc
-searches carry, per node, the row of planes that keep the node's set a
-partial pseudo-arc: arc_seeds as sorted index lists, one level at a
-time, extend_arcs as (n,) bool rows down its depth-first search.
-PlaneCatalogue.compatible_pairs is the one kernel that derives children's
-rows from their parents', for (child, plane) pairs in bulk;
-compatible_row is its form for one child and a bool row.
+searches run one level at a time and carry, per node, its row: the
+sorted indices of the planes that keep the node's set a partial
+pseudo-arc.  Both grow a level's children the same way, by _grow:
+PlaneCatalogue.compatible_pairs derives the children's rows from ranges
+of their parents' rows, in runs of (child, plane) pairs.
 """
 from __future__ import annotations
 
 import multiprocessing
-import time
 from dataclasses import dataclass, field
 from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
@@ -82,7 +80,6 @@ class SearchTrace:
     seed: Optional[Tuple[int, ...]]
     nodes: int = 0
     solutions: int = 0
-    wall_time: float = 0.0
     # arc_seeds: the number of canonical sets of each size 0..seed_size
     sizes: List[int] = field(default_factory=list)
 
@@ -126,11 +123,11 @@ def plane_action(form: QuadraticForm, planes: Sequence[gf2.Subspace]) -> PermGro
     return PermGroup(perms, len(planes))
 
 
-# Pairs per meet test of PlaneCatalogue.compatible_pairs, which holds
-# about a hundred bytes per pair.  One block of plus8 arc_seeds can have
-# 14000 pairs; taken at once, their megabyte or so stays in the heap
-# after the search and raised the peak RSS of a two-command plus8 run by
-# 0.5 MB.
+# Pairs per run of PlaneCatalogue.compatible_pairs, which holds about 100
+# bytes per pair and 1.5 KB per child and member (the words of its sums),
+# so _grow counts 16 pairs for each.  Unbounded, one plus8 arc_seeds block
+# (14000 pairs) raised the peak RSS of a two-command plus8 run by 0.5 MB;
+# at 16 per child, one deg-hyp6 run took 1.4 MB traced.
 _PAIRS = 2048
 
 
@@ -154,18 +151,6 @@ class PlaneCatalogue:
         self.disjoint = pairwise_disjoint(self.words)
         self.group: PermGroup = plane_action(form, self.planes)
 
-    def compatible_row(self, row: np.ndarray, s: Sequence[int], x: int) -> np.ndarray:
-        """The compatibility row of s + [x] from the row of s, where
-        row[k] says whether s + [k] is a partial pseudo-arc, and x must be
-        in it: compatible_pairs on every plane of the row."""
-        if not row[x]:
-            raise ValueError("x is not compatible with s")
-        ks = np.flatnonzero(row)
-        sets = np.array(s, dtype=np.intp).reshape(1, -1)
-        out = np.zeros_like(row)
-        out[ks[self.compatible_pairs(sets, [x], np.zeros(len(ks), dtype=np.intp), ks)]] = True
-        return out
-
     def compatible_pairs(self, sets: np.ndarray, xs: np.ndarray, owner: np.ndarray,
                          ks: np.ndarray) -> np.ndarray:
         """The pairs i, with c = owner[i], for which sets[c] + [xs[c],
@@ -176,25 +161,18 @@ class PlaneCatalogue:
         trivially, so W_a + W_x is the 64 XORs of their vectors, of
         dimension 6, and by the dimension formula
         |(W_a + W_x) cap W_k| = 2^(9 - dim).  The words of every child's
-        sums are formed at once; the meet test runs member by member on
-        the pairs still alive, _PAIRS pairs at a time."""
-        xs = np.asarray(xs)
-        alive = np.flatnonzero(self.disjoint[xs[owner], ks])
-        m = sets.shape[1]
-        if not m:
-            return alive
+        sums are formed at once, and the meet test runs member by member
+        on the pairs still alive; callers bound the pairs and children
+        of one call."""
+        live = np.flatnonzero(self.disjoint[xs[owner], ks])
         sums = self.vectors[sets, :, None] ^ self.vectors[xs, None, None, :]
         words = membership_words(sums.reshape(-1, 64), 1 << self.form.dim)
-        words = words.reshape(len(sets), m, self.words.shape[1])
+        words = words.reshape(len(sets), sets.shape[1], self.words.shape[1])
         meet_size = 1 << (9 - self.form.dim)
-        out = []
-        for lo in range(0, len(alive), _PAIRS):
-            live = alive[lo:lo + _PAIRS]
-            for j in range(m):
-                meet = np.bitwise_count(self.words[ks[live]] & words[owner[live], j]).sum(axis=1)
-                live = live[meet == meet_size]
-            out.append(live)
-        return np.concatenate(out) if out else alive
+        for j in range(sets.shape[1]):
+            meet = np.bitwise_count(self.words[ks[live]] & words[owner[live], j]).sum(axis=1)
+            live = live[meet == meet_size]
+        return live
 
 
 def is_partial_pseudo_arc(form: QuadraticForm, planes: Sequence[gf2.Subspace]) -> bool:
@@ -228,6 +206,26 @@ def _ranges(starts: np.ndarray, stops: np.ndarray) -> Tuple[np.ndarray, np.ndarr
     return owner, np.arange(len(owner)) + np.repeat(starts - np.cumsum(lens) + lens, lens)
 
 
+def _grow(cat: PlaneCatalogue, sets: np.ndarray, xs: np.ndarray, cols: np.ndarray,
+          starts: np.ndarray, stops: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The rows of the children sets[c] + [xs[c]], each from the planes of
+    cols[starts[c]:stops[c]], a range of its parent's row, given that
+    sets[c] + [k] is a partial pseudo-arc for each of them: the rows
+    concatenated and their lengths.  compatible_pairs runs on runs of
+    children whose pairs, with 16 counted per child and member, stay
+    within _PAIRS."""
+    run = np.cumsum(stops - starts + 16 * sets.shape[1]) // _PAIRS
+    cuts = (np.flatnonzero(np.diff(run)) + 1).tolist()
+    rows, counts = [], []
+    for lo, hi in zip([0] + cuts, cuts + [len(xs)]):
+        child, pos = _ranges(starts[lo:hi], stops[lo:hi])
+        ks = cols[pos]
+        ok = cat.compatible_pairs(sets[lo:hi], xs[lo:hi], child, ks)
+        rows.append(ks[ok])
+        counts.append(np.bincount(child[ok], minlength=hi - lo))
+    return np.concatenate(rows), np.concatenate(counts)
+
+
 def arc_seeds(cat: PlaneCatalogue, seed_size: int,
               trace: Optional[SearchTrace] = None) -> List[Tuple[int, ...]]:
     """One canonical representative (lexicographic orbit minimum) per
@@ -243,9 +241,7 @@ def arc_seeds(cat: PlaneCatalogue, seed_size: int,
     that keep it a partial pseudo-arc, so candidates are never re-tested
     against the members.  The children of a block of whole nodes are
     tested by one permgroup.canonical_children call and their rows formed
-    by one PlaneCatalogue.compatible_pairs call.  trace.sizes counts the
-    canonical sets of each size."""
-    t0 = time.monotonic()
+    by _grow.  trace.sizes counts the canonical sets of each size."""
     sets = np.zeros((1, 0), dtype=np.int32)
     chains: List[Tuple[PermGroup, ...]] = [(cat.group,)]
     # the rows of the level, concatenated: node j's is cols[ptr[j]:ptr[j + 1]]
@@ -277,12 +273,10 @@ def arc_seeds(cat: PlaneCatalogue, seed_size: int,
                 continue
             new_chains += [block[p] + (block[p][-1].stabilizer(x),)
                            for p, x in zip(parent.tolist(), xs.tolist())]
-            # each child's pairs: the planes after x in its parent's row
-            child, pos = _ranges(at + 1, ptr[lo + 1:hi + 1][parent] - base)
-            ks = cand[pos]
-            ok = cat.compatible_pairs(members, xs, child, ks)
-            new_cols.append(ks[ok])
-            new_counts.append(np.bincount(child[ok], minlength=len(xs)))
+            # each child's row: from the planes after x in its parent's row
+            row, counts = _grow(cat, members, xs, cols, base + at + 1, ptr[lo + 1 + parent])
+            new_cols.append(row)
+            new_counts.append(counts)
         sets = np.concatenate(new_sets)
         sizes.append(len(sets))
         if not last:
@@ -294,76 +288,66 @@ def arc_seeds(cat: PlaneCatalogue, seed_size: int,
         trace.nodes += sum(sizes)
         trace.sizes = sizes
         trace.solutions = len(out)
-        trace.wall_time = time.monotonic() - t0
     return out
-
-
-def _extend_one(cat: PlaneCatalogue, seed: Tuple[int, ...], row: np.ndarray,
-                target: int) -> Tuple[List[Tuple[int, ...]], int]:
-    """All completions of one seed to size target (raw, not deduped),
-    from the seed's compatibility row, which it clears as it goes.
-    Returns (completions, node count).  Each node carries the
-    compatibility row of its set, restricted to planes above its last
-    member, as arc_seeds does."""
-    results: List[Tuple[int, ...]] = []
-    nodes = 0
-
-    def dfs(cur: List[int], row: Optional[np.ndarray]) -> None:
-        """row[k] is True iff cur + [k] is a partial pseudo-arc (None
-        once cur has target members); dfs owns it and clears it as it
-        goes, so that it holds the planes after the current choice."""
-        nonlocal nodes
-        nodes += 1
-        need = target - len(cur)
-        if need == 0:
-            results.append(tuple(sorted(cur)))
-            return
-        pool = np.flatnonzero(row).tolist()
-        for pos, c in enumerate(pool):
-            if len(pool) - pos < need:
-                break
-            # compatible_row needs c still in the row
-            child = None if need == 1 else cat.compatible_row(row, cur, c)
-            row[c] = False
-            dfs(cur + [c], child)
-
-    dfs(list(seed), row)
-    del dfs  # the closure refers to itself; keep the catalogue collectable
-    return results, nodes
 
 
 def _extend_block(cat: PlaneCatalogue, seeds: Sequence[Tuple[int, ...]],
-                  target: int) -> List[Tuple[List[Tuple[int, ...]], int]]:
-    """_extend_one for each seed of a block, in order.  The seeds' rows
-    are folded along the block on a stack of prefix rows (rows[i] is the
-    row of the previous seed's first i members), so a seed re-folds only
-    from its first member that differs from the previous seed."""
-    rows = [np.ones(cat.n, dtype=bool)]
-    prev: Tuple[int, ...] = ()
-    out = []
-    for seed in seeds:
-        keep = 0
-        while keep < min(len(prev), len(seed)) and prev[keep] == seed[keep]:
-            keep += 1
-        del rows[keep + 1:]
-        for i in range(keep, len(seed)):
-            rows.append(cat.compatible_row(rows[i], seed[:i], seed[i]))
-        out.append(_extend_one(cat, seed, rows[-1].copy(), target))
-        prev = seed
-    return out
+                  target: int) -> Tuple[List[Tuple[int, ...]], np.ndarray]:
+    """The sorted completions of the distinct seeds to size target, not
+    deduplicated, and (nodes, completions) of each seed, in order, by
+    arc_seeds' level loop without the canonicity test.  The sorted seeds
+    are folded first: each distinct prefix p + [x] grows its row once from
+    the whole row of p, which must hold x.  Below the seeds, the children
+    of a node of m members are the planes of its row with at least
+    target - m - 1 after them, each growing its row from those, as a
+    depth-first search that drops each choice from the row would."""
+    order = np.array(sorted(range(len(seeds)), key=seeds.__getitem__), dtype=np.intp)
+    # numpy refuses seeds of mixed sizes with a ValueError
+    seed_sets = np.array(seeds, dtype=np.int32)[order]
+    k = seed_sets.shape[1]
+    if target < k:
+        raise ValueError(f"target {target} is below the seed size {k}")
+    # the fold: the member at which each seed first differs from the one
+    # before it (k for a repeat), and each seed's prefix in the level
+    differ = seed_sets[1:] != seed_sets[:-1]
+    first = np.concatenate([[0], np.where(differ.any(axis=1), differ.argmax(axis=1), k)])
+    prefix = np.zeros(len(seeds), dtype=np.intp)
+    sets = seed_sets[:1, :0]
+    ptr = np.array([0, cat.n])
+    cols = np.arange(cat.n, dtype=np.int32)
+    # the search below the seeds: each node's seed, and each seed's nodes
+    owner = np.arange(1 + np.count_nonzero(first[1:] < k))
+    nodes = np.ones(len(owner), dtype=np.int64)
+    for m in range(target):
+        if m < k:
+            firsts = np.flatnonzero(first <= m)
+            parent, xs = prefix[firsts], seed_sets[firsts, m]
+            # the level's rows as keys (node << 32) + plane
+            keys = np.repeat(np.arange(len(sets)) << 32, np.diff(ptr)) + cols
+            if not np.isin((parent << 32) + xs, keys).all():
+                raise ValueError("a seed is not a partial pseudo-arc")
+            starts = ptr[parent]
+            prefix = np.cumsum(first <= m) - 1
+        else:
+            parent, at = _ranges(ptr[:-1], np.maximum(ptr[1:] - (target - m - 1), ptr[:-1]))
+            xs, starts = cols[at], at + 1
+            owner = owner[parent]
+            nodes += np.bincount(owner, minlength=len(nodes))
+        members = sets[parent]
+        sets = np.concatenate([members, xs[:, None]], axis=1)
+        if m + 1 < target:
+            cols, counts = _grow(cat, members, xs, cols, starts, ptr[parent + 1])
+            ptr = np.concatenate([[0], np.cumsum(counts)])
+    counts = np.stack([nodes, np.bincount(owner, minlength=len(nodes))], axis=1)
+    return [tuple(c) for c in np.sort(sets, axis=1).tolist()], counts[prefix[np.argsort(order)]]
 
 
 _POOL_CTX: Optional[Tuple[PlaneCatalogue, int]] = None
 
 
-def _pool_worker(block: Sequence[Tuple[int, ...]]) -> List[Tuple[List[Tuple[int, ...]], int]]:
+def _pool_worker(block: Sequence[Tuple[int, ...]]) -> Tuple[List[Tuple[int, ...]], np.ndarray]:
     cat, target = _POOL_CTX
     return _extend_block(cat, block, target)
-
-
-# Blocks of seeds per worker: a few, so that one slow block does not
-# leave the other workers idle.
-_BLOCKS_PER_WORKER = 4
 
 
 def extend_arcs(cat: PlaneCatalogue, seeds: Sequence[Tuple[int, ...]],
@@ -371,29 +355,27 @@ def extend_arcs(cat: PlaneCatalogue, seeds: Sequence[Tuple[int, ...]],
                 traces: Optional[List[SearchTrace]] = None) -> List[PseudoArc]:
     """All completions of the seeds to size target, deduplicated up to
     the catalogue symmetry by minimal image.  With threads > 1, at most
-    one forked worker per seed takes contiguous blocks of seeds."""
+    one forked worker per seed takes one contiguous block of seeds."""
     global _POOL_CTX
     seeds = [tuple(s) for s in seeds]
+    if not seeds:
+        return []
     workers = min(threads, len(seeds))
     if workers > 1:
-        size = -(-len(seeds) // (workers * _BLOCKS_PER_WORKER))
-        blocks = [seeds[i:i + size] for i in range(0, len(seeds), size)]
+        cuts = [len(seeds) * i // workers for i in range(workers + 1)]
+        blocks = [seeds[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
         _POOL_CTX = (cat, target)
         try:
             with multiprocessing.get_context("fork").Pool(workers) as pool:
-                raw = [r for block in pool.map(_pool_worker, blocks, chunksize=1)
-                       for r in block]
+                parts = pool.map(_pool_worker, blocks, chunksize=1)
         finally:
             _POOL_CTX = None
     else:
-        raw = _extend_block(cat, seeds, target)
-    canon: Dict[Tuple[int, ...], None] = {}
-    for seed, (completions, nodes) in zip(seeds, raw):
-        if traces is not None:
-            tr = SearchTrace(seed=seed, nodes=nodes, solutions=len(completions))
-            traces.append(tr)
-        for comp in completions:
-            canon.setdefault(min_image(cat.group, comp), None)
+        parts = [_extend_block(cat, seeds, target)]
+    if traces is not None:
+        counts = np.concatenate([part[1] for part in parts]).tolist()
+        traces += [SearchTrace(seed=s, nodes=n, solutions=c) for s, (n, c) in zip(seeds, counts)]
+    canon = {min_image(cat.group, comp): None for part in parts for comp in part[0]}
     return [PseudoArc(cat.form, members) for members in sorted(canon)]
 
 
@@ -507,14 +489,12 @@ def as_backtrack(G: FiniteGroup, candidates: Sequence[Subgroup], target: int,
     two members meet trivially and U_a U_b cap U_c = 1 for every
     triple.  Pairwise meets are tested separately, since the triple
     condition cannot see the first two members placed."""
-    t0 = time.monotonic()
     search = _ProductSearch(G, sorted(candidates, key=lambda s: s.key()))
     families = search.backtrack(range(len(search.subs)), target)
     out = [tuple(search.subs[i] for i in fam) for fam in families]
     if trace is not None:
         trace.nodes += search.nodes
         trace.solutions = len(out)
-        trace.wall_time = time.monotonic() - t0
     return out
 
 

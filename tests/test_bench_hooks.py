@@ -18,11 +18,16 @@ def test_span_targets_resolve_and_probes_read_counts(monkeypatch):
         rec.install()  # looks up every TARGETS name; a missing one raises
         rep, code = cli.run(["pseudoarcs", "minus8", "--seed-size", "4", "--threads", "1",
                              "--quiet"])
+        _, code6 = cli.run(["pseudoarcs", "minus8", "--seed-size", "4", "--target", "6",
+                            "--threads", "1", "--quiet"])
     finally:
         rec.uninstall()
-    assert code == 0
-    assert [r["nodes"] for r in rec.arc_seeds] == [9]
-    assert len(rec.extend_arcs) == 1 and rec.extend_arcs[0]["nodes"] > 0
+    assert code == code6 == 0
+    assert [r["nodes"] for r in rec.arc_seeds] == [9, 9]
     assert rep.notes["canonical_sets"] == [1, 1, 1, 1, 5]
+    # what the benchmark's extension metrics read: the per-seed nodes of
+    # the five seeds to size 6 are 14, 20, 25, 30 and 24
+    assert len(rec.extend_arcs) == 2 and rec.extend_arcs[0]["nodes"] > 0
+    assert rec.extend_arcs[1] == {"nodes": 113, "max_seed_nodes": 30}
     names = {name for _sid, _parent, name, _t0, _t1 in rec.spans}
     assert {"search.arc_seeds", "search.extend_arcs"} <= names

@@ -27,8 +27,6 @@ from asq.quadform import QuadraticForm, preset, singular_subspaces
 from asq.search import (
     PlaneCatalogue,
     SearchTrace,
-    _extend_block,
-    _extend_one,
     arc_seeds,
     as_backtrack,
     brute_force_as_configs,
@@ -61,6 +59,29 @@ DIM7 = QuadraticForm(7, (0b10, 0, 0b1000, 0, 0b100000, 0, 0))
 DIM7_ARC = (0, 39, 89, 177, 205, 248, 293, 331, 338)
 
 
+@pytest.fixture(scope="module")
+def cat_plus():
+    return PlaneCatalogue(preset("plus8"))
+
+
+@pytest.fixture(scope="module")
+def cat_dim7():
+    return PlaneCatalogue(DIM7)
+
+
+def compatible_row(cat, row, s, x):
+    """The (n,) bool compatibility row of s + [x] from that of s, where
+    row[k] says whether s + [k] is a partial pseudo-arc and x must be in
+    it: compatible_pairs on every plane of the row."""
+    if not row[x]:
+        raise ValueError("x is not compatible with s")
+    ks = np.flatnonzero(row)
+    sets = np.array(s, dtype=np.intp).reshape(1, -1)
+    out = np.zeros_like(row)
+    out[ks[cat.compatible_pairs(sets, np.array([x]), np.zeros(len(ks), dtype=np.intp), ks)]] = True
+    return out
+
+
 def _seeds_below(cat, seed_size, s, chain, row, out, sizes):
     """The recursion of seeds_oracle at the canonical set s: chain[d]
     is the stabiliser of s[:d]; row[k] is True iff s + [k] is a partial
@@ -77,7 +98,7 @@ def _seeds_below(cat, seed_size, s, chain, row, out, sizes):
             _seeds_below(cat, seed_size, s + [x], chain, None, out, sizes)
         else:
             _seeds_below(cat, seed_size, s + [x], chain + [node.stabilizer(x)],
-                         cat.compatible_row(row, s, x), out, sizes)
+                         compatible_row(cat, row, s, x), out, sizes)
 
 
 def seeds_oracle(cat, seed_size):
@@ -90,12 +111,41 @@ def seeds_oracle(cat, seed_size):
     return out, sizes
 
 
-def test_arc_seeds_against_depth_first_oracle(cat_minus, monkeypatch):
+def extend_oracle(cat, seed, target):
+    """Slow oracle of one seed's extension: the seed's (n,) bool row
+    folded member by member, then a depth-first search that clears each
+    choice from its row before the next, so that a child's row holds the
+    planes after it.  Returns (completions, nodes)."""
+    row = np.ones(cat.n, dtype=bool)
+    for i, x in enumerate(seed):
+        row = compatible_row(cat, row, seed[:i], x)
+    results, nodes = [], 0
+
+    def dfs(cur, row):
+        nonlocal nodes
+        nodes += 1
+        need = target - len(cur)
+        if need == 0:
+            results.append(tuple(sorted(cur)))
+            return
+        pool = np.flatnonzero(row).tolist()
+        for pos, c in enumerate(pool):
+            if len(pool) - pos < need:
+                break
+            child = None if need == 1 else compatible_row(cat, row, cur, c)
+            row[c] = False
+            dfs(cur + [c], child)
+
+    dfs(list(seed), row)
+    return results, nodes
+
+
+def test_arc_seeds_against_depth_first_oracle(cat_minus, cat_plus, cat_dim7, monkeypatch):
     # the level-synchronous search against the depth-first one, at the
     # default bounds and at bounds that split blocks between nodes and
     # compatibility pairs between meet tests
     cases = [(cat_minus, size) for size in range(1, 7)]
-    cases += [(PlaneCatalogue(DIM7), 9), (PlaneCatalogue(preset("plus8")), 6)]
+    cases += [(cat_dim7, 9), (cat_plus, 6)]
     want = [seeds_oracle(cat, size) for cat, size in cases]
     assert sum(want[-2][1]) == 42 and want[-2][0] == [DIM7_ARC]
     assert (len(want[-1][0]), sum(want[-1][1])) == (1402, 2644)
@@ -116,11 +166,11 @@ def test_arc_seeds_against_depth_first_oracle(cat_minus, monkeypatch):
             assert (tr.sizes, tr.nodes, tr.solutions) == (sizes, sum(sizes), len(seeds))
 
 
-def test_seed_extension_against_orderly_search(cat_minus):
+def test_seed_extension_against_orderly_search(cat_minus, cat_dim7):
     # the two routes to the 9-arcs: canonical seeds of every size k
     # extended and deduplicated by min_image, and orderly generation
     # straight to size 9
-    cat = PlaneCatalogue(DIM7)
+    cat = cat_dim7
     assert arc_seeds(cat, 9) == [DIM7_ARC]
     for k in range(3, 9):
         assert [a.members for a in extend_arcs(cat, arc_seeds(cat, k), 9)] == [DIM7_ARC], k
@@ -264,31 +314,78 @@ def test_extend_arcs_forks_no_idle_workers(cat_minus, monkeypatch):
         [(t.seed, t.nodes, t.solutions) for t in serial]
 
 
-def test_extend_block_folds_each_prefix_once(cat_minus, monkeypatch):
-    # the prefix stack against folding every seed's row from scratch, on
-    # the seeds in search order, shuffled and repeated, and with prefixes
-    def fold(seed):
-        row = np.ones(cat_minus.n, dtype=bool)
-        for i, x in enumerate(seed):
-            row = cat_minus.compatible_row(row, seed[:i], x)
-        return row
+def extend_block_oracle(cat, seeds, target):
+    """extend_oracle in the form of search._extend_block: the completions
+    of the distinct seeds in sorted order, and each seed's (nodes,
+    completions), in order."""
+    per = {s: extend_oracle(cat, s, target) for s in set(seeds)}
+    return ([c for s in sorted(per) for c in per[s][0]],
+            [[per[s][1], len(per[s][0])] for s in seeds])
 
+
+def test_extend_against_depth_first_oracle(cat_minus, cat_plus, cat_dim7, monkeypatch):
+    # the level loop against the depth-first extension, per seed, at the
+    # default run bound and at bounds that split runs between children
     seeds = arc_seeds(cat_minus, 4)
-    rng = random.Random(37)
-    for block, target in ((seeds, 6), (rng.sample(seeds * 2, 2 * len(seeds)), 6),
-                          ([seeds[0][:3], seeds[0], seeds[1][:3], seeds[1]], 5)):
-        want = [_extend_one(cat_minus, s, fold(s), target) for s in block]
-        assert _extend_block(cat_minus, block, target) == want
-    # with target the seed size the search below the seeds folds nothing,
-    # so every call is a fold: one per member after the shared prefix
-    calls = []
-    real = cat_minus.compatible_row
-    monkeypatch.setattr(cat_minus, "compatible_row",
-                        lambda row, s, x: calls.append(x) or real(row, s, x))
-    _extend_block(cat_minus, seeds, 4)
-    shared = [0] + [next(i for i in range(4) if a[i] != b[i])
-                    for a, b in zip(seeds, seeds[1:])]
-    assert len(calls) == sum(4 - k for k in shared) < 4 * len(seeds)
+    shuffled = random.Random(37).sample(seeds * 2, 2 * len(seeds))
+    cases = [(cat_minus, seeds, 6), (cat_minus, shuffled, 6), (cat_minus, seeds, 4)]
+    cases += [(cat_dim7, arc_seeds(cat_dim7, k), 9) for k in range(3, 9)]
+    cases += [(cat_plus, arc_seeds(cat_plus, 6), 9)]
+    want = [extend_block_oracle(cat, block, target) for cat, block, target in cases]
+    assert want[0][1] == [[14, 0], [20, 6], [25, 12], [30, 10], [24, 10]]
+    assert want[2] == (seeds, [[1, 1]] * len(seeds))
+    nodes = [n for n, _ in want[-1][1]]
+    assert (len(nodes), sum(nodes), max(nodes)) == (1402, 1418, 5)
+    for pairs in (search._PAIRS, 1, 5):
+        monkeypatch.setattr(search, "_PAIRS", pairs)
+        for (cat, block, target), w in zip(cases, want):
+            completions, counts = search._extend_block(cat, block, target)
+            assert (completions, counts.tolist()) == w, (pairs, target)
+
+
+def test_extend_arcs_edge_cases(cat_minus):
+    seeds = arc_seeds(cat_minus, 4)
+    traces = []
+    assert extend_arcs(cat_minus, [], 6, traces=traces) == [] and traces == []
+    # target equal to the seed size: each seed is its own completion
+    arcs = extend_arcs(cat_minus, seeds, 4, traces=traces)
+    assert [a.members for a in arcs] == seeds
+    assert [(t.seed, t.nodes, t.solutions) for t in traces] == [(s, 1, 1) for s in seeds]
+    a, b, c, d = seeds[0]
+    meets = next(k for k in range(cat_minus.n) if k != a and not cat_minus.disjoint[a, k])
+    no_span = next(k for k in range(cat_minus.n) if cat_minus.disjoint[a, k]
+                   and cat_minus.disjoint[b, k] and not is_partial_pseudo_arc(
+                       cat_minus.form, [cat_minus.planes[i] for i in (a, b, k)]))
+    for bad in ((a, a, c, d), (a, meets, c, d), (a, b, no_span, d), (d, c, b, meets)):
+        with pytest.raises(ValueError, match="not a partial pseudo-arc"):
+            extend_arcs(cat_minus, [seeds[1], bad], 6)
+    with pytest.raises(ValueError):  # seeds of mixed sizes
+        extend_arcs(cat_minus, [seeds[0], seeds[1][:3]], 6)
+    with pytest.raises(ValueError, match="below the seed size"):
+        extend_arcs(cat_minus, seeds, 3)
+
+
+def test_extend_fold_grows_each_prefix_once(cat_minus, cat_dim7, monkeypatch):
+    # with the target one above the seed size, every row the extension
+    # grows is the fold's: one per distinct prefix of the seeds, however
+    # they are ordered or repeated
+    cases = [(cat, k, arc_seeds(cat, k)) for cat, k in ((cat_minus, 4), (cat_dim7, 6))]
+    grown = []
+    real = search._grow
+
+    def record(cat, sets, xs, *ranges):
+        grown.extend(tuple(c) for c in np.column_stack([sets, xs]).tolist())
+        return real(cat, sets, xs, *ranges)
+
+    monkeypatch.setattr(search, "_grow", record)
+    rng = random.Random(41)
+    for cat, k, seeds in cases:
+        prefixes = {s[:i] for s in seeds for i in range(1, k + 1)}
+        assert len(prefixes) < k * len(seeds)
+        for block in (seeds, rng.sample(seeds * 2, 2 * len(seeds))):
+            grown.clear()
+            search._extend_block(cat, block, k + 1)
+            assert sorted(grown) == sorted(prefixes)
 
 
 def test_seed_canonicity_random_images(cat_minus):
@@ -328,7 +425,7 @@ def test_canonical_children_along_random_arcs(cat_minus):
             if not got.any():
                 break
             x = int(rng.choice(xs[got]))
-            row = cat.compatible_row(row, s, x)
+            row = compatible_row(cat, row, s, x)
             chain.append(node.stabilizer(x))
             s.append(x)
     assert checked > 500 and accepted > 100
@@ -396,27 +493,25 @@ def test_search_trace_accounting(cat_minus):
     assert len(arcs) == 2
 
 
-def test_compatible_row_matches_compatible(cat_minus):
-    # the forward-filtered rows of both arc searches against the slow
-    # oracle, along random growing partial arcs
+def test_compatible_pairs_matches_compatible(cat_minus):
+    # the rows both arc searches grow, against the slow oracle, along
+    # random growing partial arcs
     rng = random.Random(31)
     cat = cat_minus
     checked = 0
     for _ in range(6):
-        s, row = [], np.ones(cat.n, dtype=bool)
+        s, row = [], np.arange(cat.n)
         while True:
             planes = [cat.planes[i] for i in s]
             want = [is_partial_pseudo_arc(cat.form, planes + [p]) for p in cat.planes]
-            assert row.tolist() == want
+            assert row.tolist() == np.flatnonzero(want).tolist()
             checked += 1
-            options = np.flatnonzero(row)
-            if len(options) == 0 or len(s) == 5:
+            if len(row) == 0 or len(s) == 5:
                 break
-            x = int(rng.choice(options))
-            if s:
-                with pytest.raises(ValueError):  # a plane not in the row of s
-                    cat.compatible_row(row, s, s[-1])
-            row = cat.compatible_row(row, s, x)
+            x = int(rng.choice(row))
+            sets = np.array(s, dtype=np.intp).reshape(1, -1)
+            row = row[cat.compatible_pairs(sets, np.array([x]), np.zeros(len(row), dtype=np.intp),
+                                           row)]
             s.append(x)
     assert checked >= 24
 
@@ -497,6 +592,20 @@ def test_chain_memory_guard():
             for lv in G._chain.levels:
                 assert all(g.dtype == np.int32 for g in lv.gens + lv.inv)
     assert chains > 5
+
+
+def test_extension_memory_guard(cat_plus):
+    # plus8's 1402 seeds to size 9: the fold holds one level's rows and
+    # grows one run of pairs at a time.  The depth-first extension, with
+    # one (n,) bool row per prefix, peaked at 0.2 MB traced.
+    seeds = arc_seeds(cat_plus, 6)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert extend_arcs(cat_plus, seeds, 9) == []
+        assert tracemalloc.get_traced_memory()[1] - start <= 1.5e6
+    finally:
+        tracemalloc.stop()
 
 
 def test_searches_leave_no_reference_cycles(cat_minus):
