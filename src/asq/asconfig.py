@@ -11,6 +11,7 @@ order-512 candidate list down to four groups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, permutations
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 from ._kernels import difference_counts, membership_words, pairwise_disjoint
 from .groups import (
     FiniteGroup,
+    ProductMasks,
     Subgroup,
     _generated,
     _prime_of,
@@ -95,7 +97,9 @@ def _validate(G: FiniteGroup, cfg: ASConfiguration) -> None:
 
 
 def check_as_axioms(G: FiniteGroup, cfg: ASConfiguration) -> Dict[str, object]:
-    """Verify (AS1) and (AS2).
+    """Verify (AS1) and (AS2): pairs, then unordered triples, on the
+    masks of groups.ProductMasks.  The witness is the first failure in
+    index order.
 
     Once all pairwise intersections are trivial, one orientation per
     unordered triple suffices: u_i u_j = u_k with nontrivial factors
@@ -103,35 +107,19 @@ def check_as_axioms(G: FiniteGroup, cfg: ASConfiguration) -> Dict[str, object]:
     """
     _validate(G, cfg)
     subs = cfg.subgroups
+    pm = ProductMasks(G, subs)
+    masks, index = pm.masks, range(len(subs))
+    pair = next(([i, j] for i, j in combinations(index, 2) if masks[i] & masks[j] != 1), None)
+    triple = None
+    if pair is None:
+        triple = next(([i, j, k] for i, j, k in combinations(index, 3)
+                       if pm.product(i, j) & masks[k] != 1), None)
     report: Dict[str, object] = {
         "as1_normal": is_normal(G, subs[0]),
-        "pairwise_trivial": True,
-        "as2_triple": True,
-        "witness": None,
+        "pairwise_trivial": pair is None,
+        "as2_triple": triple is None,
+        "witness": {"pair": pair} if pair else {"triple": triple} if triple else None,
     }
-    n = len(subs)
-    sets = [u.element_set() for u in subs]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sets[i] & sets[j] != {0}:
-                report["pairwise_trivial"] = False
-                report["witness"] = {"pair": [i, j]}
-                break
-        if not report["pairwise_trivial"]:
-            break
-    if report["pairwise_trivial"]:
-        for i in range(n):
-            for j in range(i + 1, n):
-                prod = set(product_set(G, subs[i].elements, subs[j].elements))
-                for k in range(j + 1, n):
-                    if prod & sets[k] != {0}:
-                        report["as2_triple"] = False
-                        report["witness"] = {"triple": [i, j, k]}
-                        break
-                if not report["as2_triple"]:
-                    break
-            if not report["as2_triple"]:
-                break
     report["ok"] = bool(
         report["as1_normal"] and report["pairwise_trivial"] and report["as2_triple"]
     )
@@ -190,45 +178,41 @@ def kantor_from_as(cfg: ASConfiguration) -> KantorFamily:
 
 
 def check_kantor(G: FiniteGroup, fam: KantorFamily, s: int, t: int) -> Dict[str, object]:
-    """Kantor-family axioms for an order-(s, t) coset geometry."""
+    """Kantor-family axioms for an order-(s, t) coset geometry, on the
+    masks of groups.ProductMasks.  Each witness is the first failure in
+    index order, and the report keeps the first of sizes, K1, K2, K3.
+
+    Each A lies in its A*, so K2 makes the members of F meet pairwise
+    trivially and K3 needs one orientation per unordered triple, as in
+    check_as_axioms; when K2 fails, ok is False whatever K3 finds."""
     report: Dict[str, object] = {"sizes": True, "k1": True, "k2": True, "k3": True,
                                  "witness": None}
-    if len(fam.F) != t + 1 or len(fam.Fstar) != t + 1:
-        report["sizes"] = False
-        report["witness"] = {"family_size": len(fam.F)}
-    fsets = [a.element_set() for a in fam.F]
-    starsets = [a.element_set() for a in fam.Fstar]
-    for i, (a, astar) in enumerate(zip(fam.F, fam.Fstar)):
-        if a.order != s or astar.order != s * t or not fsets[i] <= starsets[i]:
-            report["sizes"] = False
-            report["witness"] = {"index": i}
-    if not report["sizes"]:
-        report["ok"] = False
-        return report
-    # K1: each A* contains exactly one member of F.
-    for i, astar in enumerate(starsets):
-        inside = [j for j, f in enumerate(fsets) if f <= astar]
-        if inside != [i]:
-            report["k1"] = False
-            report["witness"] = {"k1": [i, inside]}
-    # K2: A* meets every member of F outside it trivially.
-    for i, astar in enumerate(starsets):
-        for j, f in enumerate(fsets):
-            if j != i and astar & f != {0}:
-                report["k2"] = False
-                report["witness"] = {"k2": [i, j]}
-    # K3: AB cap C trivial for distinct A, B, C in F.
     m = len(fam.F)
-    for i in range(m):
-        for j in range(i + 1, m):
-            prod = set(product_set(G, fam.F[i].elements, fam.F[j].elements))
-            for k in range(m):
-                if k in (i, j):
-                    continue
-                if prod & fsets[k] != {0}:
-                    report["k3"] = False
-                    report["witness"] = {"k3": [i, j, k]}
-    report["ok"] = bool(report["k1"] and report["k2"] and report["k3"])
+    pm = ProductMasks(G, (*fam.F, *fam.Fstar))
+    f, star = pm.masks[:m], pm.masks[m:]
+    bad = next((i for i, (a, astar) in enumerate(zip(fam.F, fam.Fstar))
+                if a.order != s or astar.order != s * t or f[i] & ~star[i]), None)
+    if m != t + 1 or len(fam.Fstar) != t + 1:
+        report["witness"] = {"family_size": m}
+    elif bad is not None:
+        report["witness"] = {"index": bad}
+    if report["witness"] is not None:
+        report["sizes"] = report["ok"] = False
+        return report
+    index = range(m)
+    # K1: each A* contains exactly one member of F.
+    inside = [[j for j in index if not f[j] & ~a] for a in star]
+    k1 = next(([i, js] for i, js in enumerate(inside) if js != [i]), None)
+    # K2: A* meets every member of F outside it trivially.
+    k2 = next(([i, j] for i, j in permutations(index, 2) if star[i] & f[j] != 1), None)
+    # K3: AB cap C trivial for distinct A, B, C in F.
+    k3 = next(([i, j, k] for i, j, k in combinations(index, 3)
+               if pm.product(i, j) & f[k] != 1), None)
+    for key, wit in (("k1", k1), ("k2", k2), ("k3", k3)):
+        report[key] = wit is None
+        if wit is not None and report["witness"] is None:
+            report["witness"] = {key: wit}
+    report["ok"] = k1 is None and k2 is None and k3 is None
     return report
 
 

@@ -10,13 +10,18 @@ kept on the group: the element orders, the sorted distinct commutators
 [a, b] and k-th powers g^k (never an n x n table), and the subgroups
 frattini, center and derived return.  Repeated calls return the same
 objects.
+
+ProductMasks holds subgroups and their pairwise products as Python-int
+bitsets over element indices.  Its backtrack is every group-level search
+(asq.search), and its masks carry the AS2 and Kantor-family checks of
+asq.asconfig.
 """
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
 from math import gcd
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +36,7 @@ __all__ = [
     "Subgroup",
     "subgroup_generate",
     "product_set",
+    "ProductMasks",
     "is_normal",
     "centralizer",
     "conjugation_table",
@@ -91,10 +97,6 @@ class FiniteGroup:
     def conjugate(self, a: int, g: int) -> int:
         """g^{-1} a g"""
         return int(self.mul[self.mul[self.inv[g], a], g])
-
-    def commutator(self, a: int, b: int) -> int:
-        """a^{-1} b^{-1} a b"""
-        return int(self.mul[self.mul[self.inv[a], self.inv[b]], self.mul[a, b]])
 
     def power(self, a: int, k: int) -> int:
         if k < 0:
@@ -274,6 +276,88 @@ def product_set(G: FiniteGroup, A: Sequence[int], B: Sequence[int]) -> Tuple[int
     return tuple(sorted(set(prods.ravel().tolist())))
 
 
+def _bitset(mask: np.ndarray) -> int:
+    """A bool array over element indices as a Python-int bitset."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+class ProductMasks:
+    """Bitsets over group elements of a list of subgroups and of their
+    pairwise products, with the one backtrack that tests AS2 on them.
+    Every mask keeps the identity bit, so two sets meet trivially when
+    a & b == 1 and A lies in B when a & ~b == 0.
+
+    Once the members of a family meet pairwise trivially, U_a U_b cap
+    U_c = 1 holds for one orientation of a triple iff it holds for all:
+    u_a u_b = u_c with nontrivial factors rearranges to a nontrivial
+    membership witness in every orientation.  So a product is cached
+    once per unordered pair, as U_i U_j with i <= j."""
+
+    def __init__(self, G: FiniteGroup, subs: Sequence[Subgroup]):
+        self.G = G
+        self.subs = list(subs)
+        self._elems = [np.asarray(s.elements, dtype=np.intp) for s in self.subs]
+        rows = np.zeros((len(self.subs), G.n), dtype=bool)
+        for row, e in zip(rows, self._elems):
+            row[e] = True
+        self.masks = [_bitset(row) for row in rows]
+        self._products: Dict[int, int] = {}  # key i * len(subs) + j, i <= j
+        self.nodes = 0
+
+    def product(self, i: int, j: int) -> int:
+        if i > j:
+            i, j = j, i
+        key = i * len(self.subs) + j
+        v = self._products.get(key)
+        if v is None:
+            row = np.zeros(self.G.n, dtype=bool)
+            row[self.G.mul[self._elems[i][:, None], self._elems[j]]] = True
+            v = self._products[key] = _bitset(row)
+        return v
+
+    def backtrack(self, cands: Sequence[int], target: int, fixed: Sequence[int] = (),
+                  compat: Optional[Sequence[AbstractSet[int]]] = None
+                  ) -> List[Tuple[int, ...]]:
+        """Every target-sized subset of cands (indices into subs, in the
+        given order) that extends the fixed members to a family
+        satisfying AS2.  The cands must already meet each fixed member
+        trivially.  compat[c], when given, is the set of indices that
+        may follow c.  Adds the nodes visited to self.nodes."""
+        masks, product = self.masks, self.product
+        found: List[Tuple[int, ...]] = []
+        nodes = 0
+
+        def dfs(cur: Tuple[int, ...], pool: List[int]) -> None:
+            nonlocal nodes
+            nodes += 1
+            need = target - len(cur)
+            if need == 0:
+                found.append(cur)
+                return
+            placed = tuple(fixed) + cur
+            for pos in range(len(pool) - need + 1):
+                c = pool[pos]
+                blocked = masks[c]
+                for x in placed:
+                    blocked |= product(x, c)
+                if compat is None:
+                    rest = [d for d in pool[pos + 1:] if masks[d] & blocked == 1]
+                else:
+                    allowed = compat[c]
+                    rest = [d for d in pool[pos + 1:]
+                            if d in allowed and masks[d] & blocked == 1]
+                if 1 < need and len(rest) < need - 1:
+                    # the child could place nothing: count it as visited
+                    nodes += 1
+                else:
+                    dfs(cur + (c,), rest)
+
+        dfs((), list(cands))
+        del dfs  # the closure refers to itself and, through self, to G
+        self.nodes += nodes
+        return found
+
+
 def conjugation_table(G: FiniteGroup, elems: Sequence[int]) -> np.ndarray:
     """The (n, len(elems)) table of g^-1 h g, row g, column h."""
     m, hs = G.mul, np.asarray(elems, dtype=np.intp)
@@ -436,10 +520,10 @@ def enumerate_elem_abelian_subgroups(
     sub = G.mul[np.ix_(invol, invol)]
     commuting = np.zeros((len(invol), n), dtype=bool)
     commuting[:, invol] = sub == sub.T
-    # comm[h]: the involutions of the pool commuting with h, as a bitset
-    comm = {int(h): _bitset(row) for h, row in zip(invol, commuting)}
+    # peers[h]: the involutions of the pool commuting with h, as a bitset
+    peers = {int(h): _bitset(row) for h, row in zip(invol, commuting)}
     code = "h" if G.mul.itemsize == 2 else "i"
-    rows = {h: array(code, G.mul[h].tobytes()) for h in comm}
+    rows = {h: array(code, G.mul[h].tobytes()) for h in peers}
     badbits = _bitset(bad)
     found: List[Subgroup] = []
 
@@ -460,17 +544,12 @@ def enumerate_elem_abelian_subgroups(
                 cbits |= 1 << x
             cand &= ~cbits  # the rest of hE has the same least element
             if min(coset) == h and not cbits & badbits:
-                extend(elems + coset, ebits | cbits, gens + (h,), pool & comm[h])
+                extend(elems + coset, ebits | cbits, gens + (h,), pool & peers[h])
 
     extend([0], 1, (), _bitset(usable))
     del extend  # the closure refers to itself and, through found, to G
     found.sort(key=lambda s: s.elements)
     return found
-
-
-def _bitset(mask: np.ndarray) -> int:
-    """A bool array over element indices as a Python-int bitset."""
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
 def order_histogram(G: FiniteGroup, elements: Optional[Sequence[int]] = None) -> Dict[int, int]:

@@ -111,10 +111,6 @@ class FormClass:
     rad_dim: int
     srad_dim: int
 
-    @property
-    def degenerate(self) -> bool:
-        return self.rad_dim > 0
-
 
 def _terms_to_coeff(dim: int, terms: List[Tuple[int, int]]) -> Tuple[int, ...]:
     rows = [0] * dim
@@ -201,11 +197,6 @@ def _singular_points(q: QuadraticForm) -> Tuple[np.ndarray, np.ndarray]:
     v = np.arange(1 << q.dim)
     pts = np.flatnonzero((np.bitwise_count(v & xor_span(q.coeff))[1:] & 1) == 0) + 1
     return pts, xor_span(q._brows)[pts]
-
-
-def singular_vectors(q: QuadraticForm) -> List[int]:
-    """All nonzero v with Q(v) = 0."""
-    return _singular_points(q)[0].tolist()
 
 
 def singular_subspaces(q: QuadraticForm, k: int) -> List[Subspace]:

@@ -9,8 +9,9 @@ tested by one batched permgroup.canonical_children call), extend_arcs
 completes them by the same level loop without the canonicity test and
 deduplicates the completions by min_image, lift_arc turns arc planes
 into Frattini-complement candidate pools, and as_backtrack searches
-those pools for (q+1)-families; a separate complete_with_U0 pass adjoins
-the normal member.
+those pools for (q+1)-families.  Every group-level search (as_backtrack,
+the size-6 search of lemma53_counts and brute_force_as_configs) is the
+backtrack of groups.ProductMasks.
 
 The plane catalogue is built as whole arrays: singular_subspaces emits
 each plane once, from its least-vector basis, and reduces it with one
@@ -26,24 +27,25 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import gf2
 from ._kernels import membership_words, pairwise_disjoint, xor_span
-from .asconfig import ASConfiguration, _cube_root, _preimage, check_as_axioms
+from .asconfig import ASConfiguration, _cube_root
 from .groups import (
     CocycleGroup,
     FiniteGroup,
+    ProductMasks,
     Subgroup,
     center,
+    centralizer,
     complements,
     enumerate_elem_abelian_subgroups,
     frattini,
     is_normal,
     product_set,
-    quotient,
     subgroup_generate,
 )
 from .permgroup import PermGroup, canonical_children, min_image
@@ -59,7 +61,6 @@ __all__ = [
     "extend_arcs",
     "lift_arc",
     "as_backtrack",
-    "complete_with_U0",
     "lemma53_counts",
     "minus_type_obstruction",
     "brute_force_as_configs",
@@ -405,83 +406,6 @@ def lift_arc(G: CocycleGroup, planes: Sequence[gf2.Subspace]
     return pool, dropped
 
 
-def _bits(elements: Sequence[int]) -> int:
-    m = 0
-    for e in elements:
-        m |= 1 << e
-    return m & ~1
-
-
-class _ProductSearch:
-    """Bitsets over group elements, identity bit cleared, of a list of
-    subgroups and of their pairwise products, with the one backtrack
-    that tests AS2 on them.  A meet is trivial when a & b == 0.
-
-    Once the members of a family meet pairwise trivially, U_a U_b cap
-    U_c = 1 holds for one orientation of a triple iff it holds for all
-    (see check_as_axioms), so a product is cached once per unordered
-    pair."""
-
-    def __init__(self, G: FiniteGroup, subs: Sequence[Subgroup]):
-        self.G = G
-        self.subs = list(subs)
-        self.masks = [_bits(s.elements) for s in self.subs]
-        self._products: Dict[int, int] = {}  # key i * len(subs) + j, i <= j
-        self.nodes = 0
-
-    def product(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        key = i * len(self.subs) + j
-        v = self._products.get(key)
-        if v is None:
-            v = _bits(product_set(self.G, self.subs[i].elements, self.subs[j].elements))
-            self._products[key] = v
-        return v
-
-    def backtrack(self, cands: Sequence[int], target: int, fixed: Sequence[int] = (),
-                  compat: Optional[Sequence[AbstractSet[int]]] = None
-                  ) -> List[Tuple[int, ...]]:
-        """Every target-sized subset of cands (indices into subs, in the
-        given order) that extends the fixed members to a family
-        satisfying AS2.  The cands must already meet each fixed member
-        trivially.  compat[c], when given, is the set of indices that
-        may follow c.  Adds the nodes visited to self.nodes."""
-        masks, product = self.masks, self.product
-        found: List[Tuple[int, ...]] = []
-        nodes = 0
-
-        def dfs(cur: Tuple[int, ...], pool: List[int]) -> None:
-            nonlocal nodes
-            nodes += 1
-            need = target - len(cur)
-            if need == 0:
-                found.append(cur)
-                return
-            placed = tuple(fixed) + cur
-            for pos in range(len(pool) - need + 1):
-                c = pool[pos]
-                blocked = masks[c]
-                for x in placed:
-                    blocked |= product(x, c)
-                if compat is None:
-                    rest = [d for d in pool[pos + 1:] if not masks[d] & blocked]
-                else:
-                    allowed = compat[c]
-                    rest = [d for d in pool[pos + 1:]
-                            if d in allowed and not masks[d] & blocked]
-                if 1 < need and len(rest) < need - 1:
-                    # the child could place nothing: count it as visited
-                    nodes += 1
-                else:
-                    dfs(cur + (c,), rest)
-
-        dfs((), list(cands))
-        del dfs  # the closure refers to itself and, through self, to G
-        self.nodes += nodes
-        return found
-
-
 def as_backtrack(G: FiniteGroup, candidates: Sequence[Subgroup], target: int,
                  trace: Optional[SearchTrace] = None
                  ) -> List[Tuple[Subgroup, ...]]:
@@ -489,7 +413,7 @@ def as_backtrack(G: FiniteGroup, candidates: Sequence[Subgroup], target: int,
     two members meet trivially and U_a U_b cap U_c = 1 for every
     triple.  Pairwise meets are tested separately, since the triple
     condition cannot see the first two members placed."""
-    search = _ProductSearch(G, sorted(candidates, key=lambda s: s.key()))
+    search = ProductMasks(G, sorted(candidates, key=lambda s: s.key()))
     families = search.backtrack(range(len(search.subs)), target)
     out = [tuple(search.subs[i] for i in fam) for fam in families]
     if trace is not None:
@@ -499,8 +423,7 @@ def as_backtrack(G: FiniteGroup, candidates: Sequence[Subgroup], target: int,
 
 
 def _order_q_subgroups(G: FiniteGroup, q: int) -> List[Subgroup]:
-    if q not in (2, 3):
-        raise ValueError(f"order-{q} subgroup enumeration not supported")
+    """The subgroups of prime order q, sorted by elements."""
     orders = G.element_orders()
     found: Dict[Tuple[int, ...], Subgroup] = {}
     for g in range(1, G.n):
@@ -508,34 +431,6 @@ def _order_q_subgroups(G: FiniteGroup, q: int) -> List[Subgroup]:
             s = subgroup_generate(G, (g,))
             found.setdefault(s.key(), s)
     return [found[k] for k in sorted(found)]
-
-
-def complete_with_U0(G: FiniteGroup, family: Sequence[Subgroup]
-                     ) -> List[ASConfiguration]:
-    """All completions of a (q+1)-family to a full AS-configuration:
-    normal U_0 of order q containing Phi(G), checked against AS2."""
-    q = _cube_root(G.n)
-    frat = frattini(G)
-    if q % frat.order:
-        return []
-    cands: List[Subgroup]
-    if frat.order == q:
-        cands = [frat]
-    elif q % 2:  # q = 3 with Phi = 1 (other odd q are refused)
-        cands = _order_q_subgroups(G, q)
-    else:  # U_0 / Phi is elementary abelian in G / Phi
-        Q, proj = quotient(G, frat)
-        cands = [_preimage(G, proj, s.elements)
-                 for s in enumerate_elem_abelian_subgroups(Q, q // frat.order)]
-    fam_keys = {u.key() for u in family}
-    out: List[ASConfiguration] = []
-    for u0 in cands:
-        if u0.order != q or u0.key() in fam_keys or not is_normal(G, u0):
-            continue
-        cfg = ASConfiguration(G, q, (u0,) + tuple(family))
-        if check_as_axioms(G, cfg)["ok"]:
-            out.append(cfg)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -582,7 +477,7 @@ def lemma53_counts(G: FiniteGroup, rng=None) -> Dict[str, object]:
     # the size-6 search: for each third choice U_3 with a nonempty
     # fourth pool, no six members of that pool can join
     # (U_0, U_1, U_2, U_3) - which would complete the configuration.
-    search = _ProductSearch(G, pool)
+    search = ProductMasks(G, pool)
     size6 = 0
     for a in range(n):
         fourths = np.flatnonzero(fits[a]).tolist()
@@ -605,7 +500,6 @@ def minus_type_obstruction(G: CocycleGroup, planes: Sequence[gf2.Subspace]
     form = G.form
     top = 1 << G.d
     vectors = np.arange(top)
-    comm = np.asarray(G.mul) == np.asarray(G.mul).T
     centraliser_ok = True
     n_candidates = 0
     for p in planes:
@@ -619,8 +513,7 @@ def minus_type_obstruction(G: CocycleGroup, planes: Sequence[gf2.Subspace]
             continue
         for u in pool:
             n_candidates += 1
-            cz = np.flatnonzero(comm[:, list(u.elements)].all(axis=1))
-            if not np.array_equal(cz, pre_perp):
+            if not np.array_equal(centralizer(G, u.elements).elements, pre_perp):
                 centraliser_ok = False
     return {
         "center_order": center(G).order,
@@ -633,20 +526,13 @@ def brute_force_as_configs(G: FiniteGroup) -> List[ASConfiguration]:
     """Ground-truth oracle at orders 8 and 27: enumerate every order-q
     subgroup, search all (q+2)-families by plain backtracking (no
     symmetry), then emit one configuration per normal member acting as
-    U_0.  Order 64 is refused: its families of six among hundreds of
+    U_0.  The backtrack proves AS2 and a normal U_0 gives AS1, so no
+    configuration is checked again.  Order 64 is refused: its families of six among hundreds of
     subgroups are out of reach without symmetry pruning."""
     if G.n not in (8, 27):
         raise ValueError("brute force supports orders 8 and 27 only")
     q = _cube_root(G.n)
     subs = _order_q_subgroups(G, q)
-    families = _ProductSearch(G, subs).backtrack(range(len(subs)), q + 2)
-    out: List[ASConfiguration] = []
-    for fam in families:
-        for u0i in fam:
-            if not is_normal(G, subs[u0i]):
-                continue
-            rest = tuple(subs[i] for i in fam if i != u0i)
-            cfg = ASConfiguration(G, q, (subs[u0i],) + rest)
-            if check_as_axioms(G, cfg)["ok"]:
-                out.append(cfg)
-    return out
+    families = ProductMasks(G, subs).backtrack(range(len(subs)), q + 2)
+    return [ASConfiguration(G, q, (subs[u0i],) + tuple(subs[i] for i in fam if i != u0i))
+            for fam in families for u0i in fam if is_normal(G, subs[u0i])]

@@ -10,6 +10,7 @@ from asq.asconfig import check_as_axioms, check_pds, delta
 from asq.geometry import as_quadrangle, collinearity_srg, verify_gq
 from asq.groups import (
     TABLE4_IDS,
+    ProductMasks,
     abelian_type,
     center,
     frattini,
@@ -58,6 +59,23 @@ def plus_pipeline():
     return cat, seeds, arcs
 
 
+@pytest.fixture
+def backtrack_nodes(monkeypatch):
+    """The nodes of every ProductMasks.backtrack call, in call order: the
+    group-level node counts that a recast of the backtrack must keep."""
+    calls = []
+    backtrack = ProductMasks.backtrack
+
+    def counted(self, *args, **kwargs):
+        before = self.nodes
+        out = backtrack(self, *args, **kwargs)
+        calls.append(self.nodes - before)
+        return out
+
+    monkeypatch.setattr(ProductMasks, "backtrack", counted)
+    return calls
+
+
 # -- criteria ----------------------------------------------------------
 
 
@@ -72,7 +90,7 @@ def test_c1_table1_fingerprints():
     _line(1, "table-1 fingerprints", ok)
 
 
-def test_c2_deghyp_ruleout(deghyp_pipeline):
+def test_c2_deghyp_ruleout(deghyp_pipeline, backtrack_nodes):
     cat, seeds, arcs = deghyp_pipeline
     G = table4_group("208a")
     ok = len(arcs) == 8
@@ -81,7 +99,7 @@ def test_c2_deghyp_ruleout(deghyp_pipeline):
         pool, dropped = lift_arc(G, [cat.planes[i] for i in arc.members])
         ok &= len(pool) == 72 and not dropped
         families += len(as_backtrack(G, pool, 9))
-    ok &= families == 0
+    ok &= families == 0 and sum(backtrack_nodes) == 105104
     _line(2, "deg-hyp6: 8 arcs, 72 candidates, 0 families", ok)
 
 
@@ -91,12 +109,14 @@ def test_c3_plus_ruleout(plus_pipeline):
     _line(3, "plus form: 1402 seeds, 0 arcs", ok)
 
 
-def test_c4_lemma53_counts():
+def test_c4_lemma53_counts(backtrack_nodes):
     G = table4_group("210b")
     ok = True
     for sd in (None, 101, 202):
         rng = None if sd is None else random.Random(sd)
         res = lemma53_counts(G, rng=rng)
+        if sd is None:  # as `asq ruleout 210b` runs it
+            ok &= sum(backtrack_nodes) == 33690
         ok &= res["pool"] == 784
         ok &= res["distribution"] == {0: 112, 48: 672}
         ok &= res["size6_families"] == 0
@@ -123,15 +143,19 @@ def test_c6_isometry_orders():
     _line(6, "isometry-group orders", ok)
 
 
-def test_c7_small_order_classification():
+def test_c7_small_order_classification(backtrack_nodes):
     ok = True
     for _ in range(2):  # two independent oracle runs
         for G in order8_catalogue():
             n = len(brute_force_as_configs(G))
             ok &= (n == 28) if G.name == "C2^3" else (n == 0)
+        ok &= sum(backtrack_nodes) == 48  # as `asq classify 8` runs it
+        backtrack_nodes.clear()
         for G in order27_catalogue():
             n = len(brute_force_as_configs(G))
             ok &= (n == 9) if G.name == "Heisenberg(3)" else (n == 0)
+        ok &= sum(backtrack_nodes) == 452  # as `asq classify 27` runs it
+        backtrack_nodes.clear()
     _line(7, "order 8 -> C2^3 only, order 27 -> Heisenberg only", ok)
 
 

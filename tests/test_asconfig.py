@@ -5,6 +5,7 @@ import pytest
 
 from asq.asconfig import (
     ASConfiguration,
+    KantorFamily,
     check_as_axioms,
     check_kantor,
     check_pds,
@@ -31,6 +32,7 @@ from asq.groups import (
     subgroup_generate,
     table4_group,
 )
+from asq.cli import _hyperoval_config
 from asq.search import brute_force_as_configs
 
 
@@ -60,7 +62,19 @@ def test_axioms_reject_perturbation(heis_cfg):
     )
     bad = ASConfiguration(G, cfg.q, cfg.subgroups[:-1] + (other,))
     rep = check_as_axioms(G, bad)
-    assert not rep["ok"] and rep["witness"] is not None
+    assert not rep["ok"] and rep["pairwise_trivial"] and not rep["as2_triple"]
+    assert rep["witness"] == {"triple": [0, 1, 4]}
+
+
+def test_axioms_pair_witness():
+    # the pseudo-hyperoval with U_5 replaced by a subgroup sharing an
+    # element with U_1 and one with U_3: the first failing pair is (1, 5)
+    cfg = _hyperoval_config()
+    G, subs = cfg.group, cfg.subgroups
+    shared = subgroup_generate(G, [subs[1].elements[1], subs[3].elements[1]])
+    rep = check_as_axioms(G, ASConfiguration(G, 4, subs[:5] + (shared,)))
+    assert not rep["ok"] and not rep["pairwise_trivial"] and rep["as2_triple"]
+    assert rep["witness"] == {"pair": [1, 5]}
 
 
 def test_orientation_reduction(heis_cfg):
@@ -114,6 +128,39 @@ def test_kantor_family(heis_cfg):
     assert rep["ok"], rep
     # wrong parameters must fail the size axioms
     assert not check_kantor(G, fam, cfg.q - 1, cfg.q + 1)["ok"]
+
+
+def test_kantor_first_failures(heis_cfg):
+    # perturbed Heisenberg(3) families with the sizes intact, failing
+    # K1, K2 and K3 in turn; each report keeps its first failure
+    G, cfg = heis_cfg
+    u0, u1, u2, u3, u4 = cfg.subgroups
+    fam = kantor_from_as(cfg)
+
+    def report(F, Fstar):
+        rep = check_kantor(G, KantorFamily(tuple(F), tuple(Fstar)), 3, 3)
+        return [rep[k] for k in ("sizes", "k1", "k2", "k3", "ok")], rep["witness"]
+
+    # K1: U_0 lies in every A*, so A*_0 = U_0 U_1 holds F_0 and F_1 (and
+    # meets F_1, so K2 fails too)
+    assert report((u1, u0, u3, u4), fam.Fstar) == (
+        [True, False, False, True, False], {"k1": [0, [0, 1]]})
+    # K2: A*_0 swaps an element of U_0 U_1 outside U_1 for one of U_2
+    a = set(fam.Fstar[0].elements) - set(u1.elements)
+    star0 = Subgroup(G, tuple(sorted(set(fam.Fstar[0].elements) - {min(a)}
+                                     | {u2.elements[1]})))
+    assert report(fam.F, (star0,) + fam.Fstar[1:]) == (
+        [True, True, False, True, False], {"k2": [0, 1]})
+    # K3: V, a fourth order-3 subgroup of U_0 U_1, meets U_0, U_1 and U_2
+    # trivially but lies in U_0 U_1; each A* is its F plus six elements
+    # outside every member of F
+    u01 = set(product_set(G, u0.elements, u1.elements))
+    v = next(subgroup_generate(G, [g]) for g in sorted(u01 - {0})
+             if g not in u0.elements and g not in u1.elements)
+    F = (u0, u1, u2, v)
+    rest = sorted(set(range(G.n)) - set().union(*(f.elements for f in F)))[:6]
+    Fstar = [Subgroup(G, tuple(sorted(set(f.elements) | set(rest)))) for f in F]
+    assert report(F, Fstar) == ([True, True, True, False, False], {"k3": [0, 1, 3]})
 
 
 def test_config_roundtrip(heis_cfg):

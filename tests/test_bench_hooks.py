@@ -1,10 +1,12 @@
 """The pipeline benchmark's hooks into asq: perfbench/spans.py wraps asq
-functions by name and reads SearchTrace counters through its probes, so
-a rename or a changed signature fails here before it fails a benchmark
-run."""
+functions by name and reads SearchTrace counters through its probes,
+perfbench/gen_inputs.py builds its inputs from asq, and perfbench/child.py
+calls asq by name, so a rename or a changed signature fails here before
+it fails a benchmark run."""
+import hashlib
 import os
 
-from asq import cli
+from asq import cli, gf2, groups, search
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -31,3 +33,19 @@ def test_span_targets_resolve_and_probes_read_counts(monkeypatch):
     assert rec.extend_arcs[1] == {"nodes": 113, "max_seed_nodes": 30}
     names = {name for _sid, _parent, name, _t0, _t1 in rec.spans}
     assert {"search.arc_seeds", "search.extend_arcs"} <= names
+
+
+def test_benchmark_imports_resolve(monkeypatch):
+    # the names perfbench/child.py calls, and gen_inputs' inputs: the
+    # verify files draw a seeded choice from the brute-force list, so a
+    # reordered list changes their md5
+    monkeypatch.syspath_prepend(BENCH)
+    import gen_inputs
+
+    for module, name in ((cli, "extend_arcs"), (search, "lemma53_counts"),
+                         (search, "lift_arc"), (groups, "centralizer"),
+                         (groups, "table4_group"), (gf2, "rref")):
+        assert callable(getattr(module, name)), name
+    files = gen_inputs.verify_files(1)
+    text = "".join(g + c for _, (g, c) in sorted(files.items()))
+    assert hashlib.md5(text.encode()).hexdigest() == "9dd1a89ebb5cedf0b9b35e7698312885"

@@ -16,6 +16,7 @@ from asq.asconfig import check_as_axioms
 from asq.groups import (
     HeisenbergGroup,
     elementary_abelian,
+    is_normal,
     order8_catalogue,
     order27_catalogue,
     product_set,
@@ -30,7 +31,6 @@ from asq.search import (
     arc_seeds,
     as_backtrack,
     brute_force_as_configs,
-    complete_with_U0,
     extend_arcs,
     is_partial_pseudo_arc,
     lift_arc,
@@ -251,17 +251,18 @@ def test_brute_force_rejects_order64():
 
 
 def test_backtrack_agrees_with_brute_force():
-    # group-level backtracking + U_0 completion reproduces the oracle
+    # as_backtrack's (q+2)-families with a normal member, each normal
+    # member taken as U_0, are the oracle's configurations
+    total = 0
     for G in order8_catalogue() + order27_catalogue():
         brute = family_keys(brute_force_as_configs(G))
         q = round(G.n ** (1 / 3))
-        got = set()
-        fams = as_backtrack(G, order_q_subgroups(G, q), q + 1)
-        for fam in fams:
-            for cfg in complete_with_U0(G, fam):
-                got.add((frozenset(u.elements for u in cfg.subgroups),
-                         cfg.subgroups[0].elements))
+        got = {(frozenset(u.elements for u in fam), u0.elements)
+               for fam in as_backtrack(G, order_q_subgroups(G, q), q + 2)
+               for u0 in fam if is_normal(G, u0)}
         assert got == brute, G.name
+        total += len(got)
+    assert total == 28 + 9
 
 
 def test_minus_catalogue_counts(cat_minus):
@@ -529,9 +530,9 @@ def orbit_least_members(sets, perms, n):
         image = np.sort(np.asarray(g)[sets], axis=1) @ weights
         at = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
         assert np.array_equal(keys[at], image)  # an isometry keeps the sets
-        v.append(at)
-    u, v = np.tile(np.arange(len(sets)), len(perms)), np.concatenate(v)
-    parent = np.arange(len(sets))
+        v.append(at.astype(np.int32))
+    u, v = np.tile(np.arange(len(sets), dtype=np.int32), len(perms)), np.concatenate(v)
+    parent = np.arange(len(sets), dtype=np.int32)
     while True:
         while not np.array_equal(parent, parent[parent]):
             parent = parent[parent]
@@ -559,6 +560,47 @@ def test_arc_seeds_against_orbit_oracle():
     cat = PlaneCatalogue(form)
     assert cat.group.order() == 2580480
     assert arc_seeds(cat, 1) == singles and arc_seeds(cat, 2) == doubles
+
+
+def test_arc_seeds_size3_against_orbit_oracle(cat_dim7):
+    # all partial pseudo-arcs of size 3 on the dim-7 form, from the plane
+    # vectors alone: c > b disjoint from a and b with |(W_a + W_b) cap
+    # W_c| = 2^(6 + 3 - 7), 3 nonzero vectors, so the three span the
+    # space.  Their orbits under three seeded random subproducts of the
+    # slow-loop generators are the canonical sets; a proper subgroup
+    # would only split orbits
+    form = DIM7
+    planes = singular_subspaces(form, 3)
+    n = len(planes)
+    vecs = np.array([list(gf2.subspace_vectors(p)) for p in planes])
+    member = np.zeros((n, 1 << form.dim), dtype=np.float32)
+    member[np.arange(n)[:, None], vecs] = 1
+    member[:, 0] = 0
+    disjoint = member @ member.T == 0
+    a, b = np.nonzero(np.triu(disjoint, 1))
+    triples = []
+    for lo in range(0, len(a), 4096):  # blocks of pairs, in lexicographic order
+        pa, pb = a[lo:lo + 4096], b[lo:lo + 4096]
+        span = np.zeros((len(pa), 1 << form.dim), dtype=np.float32)
+        sums = vecs[pa, :, None] ^ vecs[pb, None, :]
+        span[np.arange(len(pa))[:, None], sums.reshape(len(pa), -1)] = 1
+        ok = (span @ member.T == 3) & disjoint[pa] & disjoint[pb] & (np.arange(n) > pb[:, None])
+        pair, c = np.nonzero(ok)
+        triples.append(np.stack([pa[pair], pb[pair], c], axis=1).astype(np.int32))
+    triples = np.concatenate(triples)
+    assert len(triples) == 645120
+    rng = random.Random(3)
+    gens = [np.asarray(g) for g in plane_perms_oracle(form, planes)]
+    perms = []
+    for _ in range(3):
+        g = np.arange(n)
+        for h in gens:
+            if rng.random() < 0.5:
+                g = h[g]
+        perms.append(g)
+    orbits = orbit_least_members(triples, perms, n)
+    assert len(orbits) == 4
+    assert arc_seeds(cat_dim7, 3) == orbits
 
 
 def test_chain_memory_guard():
