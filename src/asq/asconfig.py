@@ -229,7 +229,8 @@ def lemma41_invariants(G: FiniteGroup, cfg: ASConfiguration) -> Dict[str, object
     q = cfg.q
     p = _prime_of(q)
     subs = cfg.subgroups
-    u0set = subs[0].element_set()
+    members = [u.element_set() for u in subs]
+    u0set = members[0]
     report: Dict[str, object] = {"witness": None}
     report["phi_in_u0"] = frattini(G).element_set() <= u0set
 
@@ -259,8 +260,7 @@ def lemma41_invariants(G: FiniteGroup, cfg: ASConfiguration) -> Dict[str, object
     nsubs = len(subs)
     for j in range(1, nsubs - 1):
         star = stars[j - 1]
-        uj = subs[j].element_set()
-        for g in sorted(star - u0set - uj):
+        for g in sorted(star - u0set - members[j]):
             for i in range(1, nsubs):
                 if i == j:
                     continue
@@ -270,7 +270,7 @@ def lemma41_invariants(G: FiniteGroup, cfg: ASConfiguration) -> Dict[str, object
                     if rest == 0:
                         continue
                     for k in range(nsubs):
-                        if k != i and rest in subs[k].element_set():
+                        if k != i and rest in members[k]:
                             count += 1
                 if count != 1:
                     unique_fact = False

@@ -185,11 +185,12 @@ def cmd_verify(group_file: str, config_file: str) -> RunReport:
 def _arc_search(rep: RunReport, form, seed_size: int, target: int,
                 threads: int) -> Tuple[PlaneCatalogue, List[PseudoArc]]:
     """The arc pipeline of every arc search: the plane catalogue of the
-    form and the order of its group, one canonical seed per orbit of
-    seed_size planes, and every extension of the seeds to target planes
-    on threads workers.  The wall seconds of the four stages go to
-    notes["stage_s"], and the number of canonical sets of each size
-    0..seed_size to notes["canonical_sets"]."""
+    form and the order of its group (sifted up to the order of the
+    group on the points, which the order stage computes too), one
+    canonical seed per orbit of seed_size planes, and every extension
+    of the seeds to target planes on threads workers.  The wall seconds
+    of the four stages go to notes["stage_s"], and the number of
+    canonical sets of each size 0..seed_size to notes["canonical_sets"]."""
     if not 1 <= seed_size <= target:
         raise InputError(f"--seed-size must be between 1 and the target {target}, "
                          f"got {seed_size}")

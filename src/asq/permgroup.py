@@ -36,24 +36,33 @@ min_image and is_min_image, which trace one candidate set at a time,
 are its slow oracle.
 
 Each level of a stabiliser chain is a tree rooted at its base point,
-over the level's strong generators.  Sifting walks the tree.  The group order comes from a
-deterministic Schreier-Sims that starts from two random subproducts of
-the generators: every Schreier generator u_x s u_{s(x)}^-1 of a level,
-with u_x formed from its parent's while the tree is walked depth first,
-sifts through the levels below.  A group keeps its complete chain, and a
-point stabiliser is read off it.  For the first base point it is the
-next level and the levels below, shared.  For any other point, a new
-chain is sifted from uniform random elements of the group, drawn
-through its chain and moved to fix the point, until the stabiliser's
-known order |G|/|x^G| is reached, which proves the chain complete.
-Each element g is moved to fix x along the group's own orbit forest: the
-walk of g[x] to its orbit minimum, then one element, fixed per
-stabiliser, from the minimum back to x.  Every order-1 stabiliser below
+over the level's strong generators.  Sifting walks the tree.  A sifted
+chain's order is at most that of the group its strong generators
+generate, so a chain sifted up to an upper bound of the group order is
+complete (known-order randomised Schreier-Sims, Seress, Permutation
+Group Algorithms, 2003, 4.5).  A group built with a cover, a group it
+is a homomorphic image of, sifts product-replacement elements up to
+the cover's order: the plane group of a form is the image of its group
+on the 2^d points, whose order is quick to find.  An action that is
+not faithful stays below that bound; after 200 sifts in a row that
+miss, and for a group with no cover, a deterministic Schreier-Sims
+completes the chain: every Schreier generator u_x s u_{s(x)}^-1 of a
+level, with u_x formed from its parent's while the tree is walked
+depth first, sifts through the levels below.  A group keeps its
+complete chain, and a point stabiliser is read off it.  For the first
+base point it is the next level and the levels below, shared.  For any
+other point, a new chain is sifted from uniform random elements of the
+group, drawn through its chain and moved to fix the point, until the
+stabiliser's known order |G|/|x^G| is reached.  Each element g is
+moved to fix x along the group's own orbit forest: the walk of g[x] to
+its orbit minimum, then one element, fixed per stabiliser, from the
+minimum back to x.  Every order-1 stabiliser below
 a group is one shared generator-free group, which keeps no per-point
 buffers of its own.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -290,21 +299,54 @@ def _random_subproducts(gens: Sequence[np.ndarray], n: int, count: int,
     return out
 
 
-def _build_chain(gens: Sequence[np.ndarray], n: int) -> _Chain:
-    """A complete chain for the group the gens generate.  Two random
-    subproducts keep the first level's strong generators, and so its
-    Schreier generators, few; every generator is then sifted through the
-    completed chain and installed if it fails, so the order is exact."""
+def _product_replacement(gens: Sequence[np.ndarray], n: int,
+                         rng: random.Random) -> Iterator[np.ndarray]:
+    """Random elements of the group the gens generate, by product
+    replacement on 8 random subproducts, with an accumulator, seeded."""
+    state = [w.astype(np.intp) for w in _random_subproducts(gens, n, 8, rng)]
+    acc = np.arange(n)
+    for step in itertools.count():
+        i, j = rng.sample(range(len(state)), 2)
+        s = state[j] if rng.random() < 0.5 else inverse(state[j])
+        state[i] = s.take(state[i]) if rng.random() < 0.5 else state[i].take(s)
+        acc = state[i].take(acc)
+        if step >= 16:
+            yield acc
+
+
+def _sift_to(chain: _Chain, elements: Iterator[np.ndarray], target: int) -> bool:
+    """Sift elements into chain until its order is at least target, or
+    after 200 misses in a row (each has probability at most 1/2 for
+    uniform elements while the chain is short); whether it is target."""
+    misses = 0
+    while chain.order() < target and misses < 200:
+        r, lvl = chain.sift(next(elements))
+        if r is None:
+            misses += 1
+        else:
+            chain.install(r, 0, lvl)
+            misses = 0
+    return chain.order() == target
+
+
+def _build_chain(gens: Sequence[np.ndarray], n: int, bound: Optional[int] = None) -> _Chain:
+    """A complete chain for the group the gens generate: sifted up to
+    bound, an upper bound of its order, if it gets there.  Else two
+    random subproducts keep the first level's strong generators few,
+    Schreier-Sims completes the chain, and each generator is sifted in,
+    so the order is exact."""
     # The chain is built in intp, whose gathers are the fastest, and kept
     # in int32, the dtype of the stabilisers' chains and generators.
     rng = random.Random(0)
     chain = _Chain(n)
-    for g in _random_subproducts(gens, n, 2, rng):
-        chain.add_gen(g.astype(np.intp))
-    chain.complete()
-    for g in gens:
-        if chain.add_gen(g.astype(np.intp)):
-            chain.complete()
+    elements = _product_replacement(gens, n, rng)  # drawn only with a bound
+    if bound is None or not _sift_to(chain, elements, bound):
+        for g in _random_subproducts(gens, n, 2, rng):
+            chain.add_gen(g.astype(np.intp))
+        chain.complete()
+        for g in gens:
+            if chain.add_gen(g.astype(np.intp)):
+                chain.complete()
     small = {id(g): g.astype(np.int32)
              for lv in chain.levels for g in lv.gens + lv.inv}
     for lv in chain.levels:
@@ -316,10 +358,11 @@ def _build_chain(gens: Sequence[np.ndarray], n: int) -> _Chain:
 
 class PermGroup:
     """A permutation group given by generators, with its stabiliser chain
-    and orbit forest built on demand for orbit/minimal-image queries."""
+    and orbit forest built on demand for orbit/minimal-image queries.
+    The order of a cover, a group this one is an image of, bounds it."""
 
     def __init__(self, gens: Iterable[Sequence[int]], degree: int,
-                 order: Optional[int] = None):
+                 order: Optional[int] = None, cover: Optional["PermGroup"] = None):
         arrs = []
         seen = set()
         for g in gens:
@@ -333,6 +376,7 @@ class PermGroup:
         self.gens = arrs
         self.n = degree
         self._order = order
+        self._cover = cover
         self._chain: Optional[_Chain] = None
         self._inv_gens: Optional[np.ndarray] = None  # (gens + 1, n) int32
         self._orbmin: Optional[np.ndarray] = None
@@ -347,7 +391,8 @@ class PermGroup:
 
     def _ensure_chain(self) -> _Chain:
         if self._chain is None:
-            self._chain = _build_chain(self.gens, self.n)
+            bound = self._cover.order() if self._cover is not None else None
+            self._chain, self._cover = _build_chain(self.gens, self.n, bound), None
             if self._order is not None and self._order != self._chain.order():
                 raise AssertionError("the given order is not the group order")
         return self._chain
@@ -455,20 +500,11 @@ class PermGroup:
         to y."""
         back = inverse(self.walk(y, identity(self.n)))
         rng = random.Random(y)
+        elements = (back.take(self.walk(int(g[y]), g))
+                    for g in map(self._chain.random_element, itertools.repeat(rng)))
         out = _Chain(self.n)
-        misses = 0
-        while out.order() < target:
-            g = self._chain.random_element(rng)
-            r, lvl = out.sift(back.take(self.walk(int(g[y]), g)))
-            if r is not None:
-                out.install(r, 0, lvl)
-                misses = 0
-            else:
-                # each miss has probability at most 1/2 while the order
-                # is short of target
-                misses += 1
-                if misses > 200:  # pragma: no cover
-                    raise AssertionError("stabiliser chain missed the target order")
+        if not _sift_to(out, elements, target):  # pragma: no cover
+            raise AssertionError("stabiliser chain missed the target order")
         _finished(out.levels)
         return out
 

@@ -106,7 +106,8 @@ def plane_action(form: QuadraticForm, planes: Sequence[gf2.Subspace]) -> PermGro
     Each generator acts on all 2^d points at once; a plane's image is
     that action on its 8 vectors, found by its least-vector key among
     the catalogue's sorted keys.  An image outside the catalogue (a
-    generator that is no isometry) raises AssertionError."""
+    generator that is no isometry) raises AssertionError.  The group on
+    the 2^d points is its cover: its order bounds the plane group's."""
     d = form.dim
     vectors = _plane_vectors(planes)
     keys = _least_vector_keys(vectors, d)
@@ -121,7 +122,7 @@ def plane_action(form: QuadraticForm, planes: Sequence[gf2.Subspace]) -> PermGro
         if not np.array_equal(sorted_keys[pos], image_keys):
             raise AssertionError("a generator maps a plane outside the catalogue")
         perm[:] = order[pos]
-    return PermGroup(perms, len(planes))
+    return PermGroup(perms, len(planes), cover=PermGroup(point_images, 1 << d))
 
 
 # Pairs per run of PlaneCatalogue.compatible_pairs, which holds about 100

@@ -214,6 +214,19 @@ def test_pseudoarcs_impossible_seed_size_exit2(size):
     assert cli.main(argv) == 2
 
 
+@pytest.mark.parametrize("text, planes", [("dim 3\n000\n000\n000\n", 1),
+                                         ("dim 4\n0100\n0000\n0000\n0000\n", 2)])
+def test_pseudoarcs_non_faithful_plane_action(tmp_path, schema, text, planes):
+    # the dim-3 zero form and x0x1 on F_2^4: the point group's order
+    # (168, 192) only bounds the plane group's (1, 2)
+    path = tmp_path / "nf.form"
+    path.write_text(text)
+    argv = ["pseudoarcs", str(path), "--seed-size", "1", "--target", "2"]
+    code, rep = run_json(tmp_path, argv, schema)
+    assert code == 0
+    assert rep["counts"] == {"planes": planes, "seeds": 1, "arcs": 0}
+
+
 @pytest.mark.parametrize("text", ["dim\n", "dim 0\n", "dim 10\n", "dim x\n"])
 def test_bad_form_file_exit2(tmp_path, capsys, text):
     path = tmp_path / "bad.form"

@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from test_quadform import basis_change, rebased
 
 from asq import permgroup
 from asq.permgroup import (
@@ -190,6 +191,19 @@ def prefix_chain(G, s):
     return chain
 
 
+def complete_degrees(monkeypatch):
+    """The degree of each chain _Chain.complete runs on, appended to the
+    returned list as the calls come."""
+    degrees = []
+
+    def spy(self, complete=permgroup._Chain.complete):
+        degrees.append(self.n)
+        return complete(self)
+
+    monkeypatch.setattr(permgroup._Chain, "complete", spy)
+    return degrees
+
+
 def node_children(chain, s, xs):
     """canonical_children on a batch of one node: the set s, its chain
     and the candidates xs."""
@@ -286,25 +300,42 @@ def test_order_against_explicit_chain():
 
 
 def test_chain_against_explicit_schreier_sims():
-    # the minus8 plane group: its order, and the orders of nested point
-    # stabilisers, against the explicit-transversal oracle
-    G = PlaneCatalogue(preset("minus8")).group
-    n = G.n
-    assert G.order() == ExplicitChain(G.gens, n).order() == 394813440
-    base = G._chain.levels[0].base
-    paths = Counter()
-    for points in ([base, 1, 400], [17, 300], [500, 2, 3]):
-        H, oracle = G, G.gens
-        for x in points:
-            K = H.stabilizer(x)
-            orbit = int(np.count_nonzero(H.orbit_min == H.orbit_min[x]))
-            target = H.order() // orbit
-            oracle = ExplicitChain.stabiliser_gens(oracle, n, x, target)
-            assert K.order() == ExplicitChain(oracle, n).order() == target
-            assert ExplicitChain(K.gens, n).order() == target
-            paths[stabiliser_path(H, K)] += 1
-            H = K
-    assert len(paths) == 2, paths
+    # the minus8 plane group and that of plus8 relabelled by a basis
+    # change: their orders, sifted to the point group's, and the orders
+    # of nested point stabilisers, against the explicit-transversal
+    # oracle
+    for form, order in ((preset("minus8"), 394813440),
+                        (rebased(preset("plus8"), basis_change(8, 11)), 348364800)):
+        G = PlaneCatalogue(form).group
+        n = G.n
+        assert G.order() == ExplicitChain(G.gens, n).order() == order
+        base = G._chain.levels[0].base
+        paths = Counter()
+        for points in ([base, 1, 400], [17, 300], [500, 2, 3]):
+            H, oracle = G, G.gens
+            for x in points:
+                K = H.stabilizer(x)
+                orbit = int(np.count_nonzero(H.orbit_min == H.orbit_min[x]))
+                target = H.order() // orbit
+                oracle = ExplicitChain.stabiliser_gens(oracle, n, x, target)
+                assert K.order() == ExplicitChain(oracle, n).order() == target
+                assert ExplicitChain(K.gens, n).order() == target
+                paths[stabiliser_path(H, K)] += 1
+                H = K
+        assert len(paths) == 2, paths
+
+
+def test_plane_order_needs_no_schreier_sims(monkeypatch):
+    # the plane groups of the arc searches reach their point group's
+    # order by sifting alone: no Schreier-Sims pass on the plane chain
+    degrees = complete_degrees(monkeypatch)
+    for name, order in (("plus8", 348364800), ("minus8", 394813440),
+                        ("deg-hyp6", 990904320)):
+        G = PlaneCatalogue(preset(name)).group
+        cover = G._cover
+        assert G.order() == cover.order() == order
+        assert G.n not in degrees and set(degrees) <= {cover.n}, name
+        assert G._cover is None  # dropped once its order is known
 
 
 def test_stabilizer_generates_point_stabiliser():

@@ -8,7 +8,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from test_permgroup import node_children
+from test_permgroup import complete_degrees, node_children
 from test_quadform import plane_perms_oracle
 
 from asq import gf2, search
@@ -24,7 +24,7 @@ from asq.groups import (
     table4_group,
 )
 from asq.permgroup import is_min_image, min_image
-from asq.quadform import QuadraticForm, preset, singular_subspaces
+from asq.quadform import QuadraticForm, load_form, preset, singular_subspaces
 from asq.search import (
     PlaneCatalogue,
     SearchTrace,
@@ -270,6 +270,26 @@ def test_minus_catalogue_counts(cat_minus):
     seeds = arc_seeds(cat_minus, 6)
     assert len(seeds) == 2
     assert extend_arcs(cat_minus, seeds, 9) == []
+
+
+# Forms whose plane action is not faithful: (form file, planes, plane
+# group order, point group order).  The point group's order only bounds
+# the plane group's.
+NON_FAITHFUL = {
+    "dim-3 zero form": ("dim 3\n000\n000\n000\n", 1, 1, 168),
+    "dim-4 x0x1": ("dim 4\n0100\n0000\n0000\n0000\n", 2, 2, 192),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FAITHFUL))
+def test_non_faithful_plane_actions(name, monkeypatch):
+    # the sift cannot reach the bound, and Schreier-Sims on the plane
+    # chain gives the order
+    text, planes, order, cover = NON_FAITHFUL[name]
+    degrees = complete_degrees(monkeypatch)
+    cat = PlaneCatalogue(load_form(text))
+    assert (cat.n, cat.group._cover.order(), cat.group.order()) == (planes, cover, order)
+    assert cat.n in degrees
 
 
 def test_thread_determinism(cat_minus):
@@ -519,27 +539,33 @@ def test_compatible_pairs_matches_compatible(cat_minus):
 
 def orbit_least_members(sets, perms, n):
     """The least member of each orbit of the k-sets (sorted rows, in
-    lexicographic order) under the plane permutations, by union-find:
-    hook the larger root of each (set, image) pair to the smaller and
-    compress every path, until each pair shares a root."""
-    sets = np.asarray(sets)
-    weights = n ** np.arange(sets.shape[1])[::-1]
+    lexicographic order) under the plane permutations, by min-label
+    propagation over each permutation's map of set indices: every set
+    takes the least label among its images and then its label's label,
+    until nothing changes.  A label only falls and stays in its set's
+    orbit, so at the end each orbit carries its least index."""
+    sets = np.asarray(sets, dtype=np.int32)
+    assert n ** sets.shape[1] < 2 ** 31  # int32 keys
+    weights = n ** np.arange(sets.shape[1], dtype=np.int32)[::-1]
     keys = sets @ weights
-    v = []
+    maps = []
     for g in perms:
-        image = np.sort(np.asarray(g)[sets], axis=1) @ weights
-        at = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
+        image = np.asarray(g, dtype=np.int32)[sets]
+        image.sort(axis=1)
+        image = image @ weights
+        at = np.searchsorted(keys, image)
+        np.minimum(at, len(keys) - 1, out=at)
         assert np.array_equal(keys[at], image)  # an isometry keeps the sets
-        v.append(at.astype(np.int32))
-    u, v = np.tile(np.arange(len(sets), dtype=np.int32), len(perms)), np.concatenate(v)
-    parent = np.arange(len(sets), dtype=np.int32)
+        maps.append(at.astype(np.int32))
+    label = np.arange(len(sets), dtype=np.int32)
     while True:
-        while not np.array_equal(parent, parent[parent]):
-            parent = parent[parent]
-        ru, rv = parent[u], parent[v]
-        if np.array_equal(ru, rv):
-            return [tuple(sets[r].tolist()) for r in np.unique(parent)]
-        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        new = label
+        for at in maps:
+            new = np.minimum(new, new[at])
+        new = new[new]
+        if np.array_equal(new, label):
+            return [tuple(sets[r].tolist()) for r in np.flatnonzero(label == np.arange(len(sets)))]
+        label = new
 
 
 def test_arc_seeds_against_orbit_oracle():
@@ -568,7 +594,9 @@ def test_arc_seeds_size3_against_orbit_oracle(cat_dim7):
     # W_c| = 2^(6 + 3 - 7), 3 nonzero vectors, so the three span the
     # space.  Their orbits under three seeded random subproducts of the
     # slow-loop generators are the canonical sets; a proper subgroup
-    # would only split orbits
+    # would only split orbits.  The oracle's index maps and labels peak
+    # at 24 MB traced; a union-find over every (set, image) edge took 65
+    # MB
     form = DIM7
     planes = singular_subspaces(form, 3)
     n = len(planes)
@@ -598,7 +626,12 @@ def test_arc_seeds_size3_against_orbit_oracle(cat_dim7):
             if rng.random() < 0.5:
                 g = h[g]
         perms.append(g)
-    orbits = orbit_least_members(triples, perms, n)
+    tracemalloc.start()
+    try:
+        orbits = orbit_least_members(triples, perms, n)
+        assert tracemalloc.get_traced_memory()[1] <= 30e6
+    finally:
+        tracemalloc.stop()
     assert len(orbits) == 4
     assert arc_seeds(cat_dim7, 3) == orbits
 
