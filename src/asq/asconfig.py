@@ -258,7 +258,7 @@ def lemma41_invariants(G: FiniteGroup, cfg: ASConfiguration) -> Dict[str, object
     # nontrivial u_k in some U_k (k != i).
     unique_fact = True
     nsubs = len(subs)
-    for j in range(1, nsubs - 1):
+    for j in range(1, nsubs):
         star = stars[j - 1]
         for g in sorted(star - u0set - members[j]):
             for i in range(1, nsubs):
@@ -394,7 +394,7 @@ def structural_filter(G: FiniteGroup) -> FilterReport:
             if flag and _is_elem_abelian(G, u0.elements, 2):
                 flag = exp == 4 and z_elem_ab and not in_z
             if flag and in_z:
-                sq = subgroup_generate(G, {G.power(g, 2) for g in u0.elements})
+                sq = subgroup_generate(G, {int(G.mul[g, g]) for g in u0.elements})
                 flag = sq.element_set() == g2 == fratset
             if flag:
                 found = True
@@ -549,7 +549,9 @@ def clique_size_qplus1(G: FiniteGroup, q: int) -> bool:
                 return False
         return False
 
-    return extend(0, np.ones(m, dtype=bool))
+    found = extend(0, np.ones(m, dtype=bool))
+    del extend  # the closure refers to itself and to the (m, m) adjacency
+    return found
 
 
 # ----------------------------------------------------------------------

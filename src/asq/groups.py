@@ -13,15 +13,15 @@ objects.
 
 ProductMasks holds subgroups and their pairwise products as Python-int
 bitsets over element indices.  Its backtrack is every group-level search
-(asq.search), and its masks carry the AS2 and Kantor-family checks of
-asq.asconfig.
+(asq.search), its masks give lemma 5.3 its pools and fourths, and they
+carry the AS2 and Kantor-family checks of asq.asconfig.
 """
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
 from math import gcd
-from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,8 +59,6 @@ __all__ = [
     "modular_c9_c3",
     "order8_catalogue",
     "order27_catalogue",
-    "order_histogram",
-    "abelian_type",
     "load_group",
     "save_group",
 ]
@@ -87,27 +85,6 @@ class FiniteGroup:
         self.inv = inv
         # structure computed once: see the module docstring
         self._cache: Dict[object, object] = {}
-
-    def op(self, a: int, b: int) -> int:
-        return int(self.mul[a, b])
-
-    def inverse(self, a: int) -> int:
-        return int(self.inv[a])
-
-    def conjugate(self, a: int, g: int) -> int:
-        """g^{-1} a g"""
-        return int(self.mul[self.mul[self.inv[g], a], g])
-
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(int(self.inv[a]), -k)
-        out, base = 0, a
-        while k:
-            if k & 1:
-                out = int(self.mul[out, base])
-            base = int(self.mul[base, base])
-            k >>= 1
-        return out
 
     def element_orders(self) -> np.ndarray:
         orders = self._cache.get("orders")
@@ -297,10 +274,7 @@ class ProductMasks:
         self.G = G
         self.subs = list(subs)
         self._elems = [np.asarray(s.elements, dtype=np.intp) for s in self.subs]
-        rows = np.zeros((len(self.subs), G.n), dtype=bool)
-        for row, e in zip(rows, self._elems):
-            row[e] = True
-        self.masks = [_bitset(row) for row in rows]
+        self.masks = [sum([1 << int(g) for g in s.elements]) for s in self.subs]
         self._products: Dict[int, int] = {}  # key i * len(subs) + j, i <= j
         self.nodes = 0
 
@@ -315,15 +289,22 @@ class ProductMasks:
             v = self._products[key] = _bitset(row)
         return v
 
-    def backtrack(self, cands: Sequence[int], target: int, fixed: Sequence[int] = (),
-                  compat: Optional[Sequence[AbstractSet[int]]] = None
+    def backtrack(self, cands: Sequence[int], target: int, fixed: Sequence[int] = ()
                   ) -> List[Tuple[int, ...]]:
         """Every target-sized subset of cands (indices into subs, in the
         given order) that extends the fixed members to a family
         satisfying AS2.  The cands must already meet each fixed member
-        trivially.  compat[c], when given, is the set of indices that
-        may follow c.  Adds the nodes visited to self.nodes."""
+        trivially.  Each candidate's products with the fixed members are
+        formed once per call, so fixed members cost nothing per node.
+        Adds the nodes visited to self.nodes."""
         masks, product = self.masks, self.product
+        cands = list(cands)
+        base = {}
+        for c in cands:
+            blocked = masks[c]
+            for x in fixed:
+                blocked |= product(x, c)
+            base[c] = blocked
         found: List[Tuple[int, ...]] = []
         nodes = 0
 
@@ -334,25 +315,19 @@ class ProductMasks:
             if need == 0:
                 found.append(cur)
                 return
-            placed = tuple(fixed) + cur
             for pos in range(len(pool) - need + 1):
                 c = pool[pos]
-                blocked = masks[c]
-                for x in placed:
+                blocked = base[c]
+                for x in cur:
                     blocked |= product(x, c)
-                if compat is None:
-                    rest = [d for d in pool[pos + 1:] if masks[d] & blocked == 1]
-                else:
-                    allowed = compat[c]
-                    rest = [d for d in pool[pos + 1:]
-                            if d in allowed and masks[d] & blocked == 1]
+                rest = [d for d in pool[pos + 1:] if masks[d] & blocked == 1]
                 if 1 < need and len(rest) < need - 1:
                     # the child could place nothing: count it as visited
                     nodes += 1
                 else:
                     dfs(cur + (c,), rest)
 
-        dfs((), list(cands))
+        dfs((), cands)
         del dfs  # the closure refers to itself and, through self, to G
         self.nodes += nodes
         return found
@@ -550,51 +525,6 @@ def enumerate_elem_abelian_subgroups(
     del extend  # the closure refers to itself and, through found, to G
     found.sort(key=lambda s: s.elements)
     return found
-
-
-def order_histogram(G: FiniteGroup, elements: Optional[Sequence[int]] = None) -> Dict[int, int]:
-    orders = G.element_orders()
-    idx = range(G.n) if elements is None else elements
-    out: Dict[int, int] = {}
-    for g in idx:
-        out[int(orders[g])] = out.get(int(orders[g]), 0) + 1
-    return out
-
-
-def abelian_type(G: FiniteGroup, elements: Sequence[int]) -> Tuple[int, ...]:
-    """Invariant factors of an abelian subgroup of prime-power order,
-    recovered from the element-order histogram."""
-    elems = list(elements)
-    for a in elems:
-        for b in elems:
-            if G.mul[a, b] != G.mul[b, a]:
-                raise ValueError("subgroup is not abelian")
-    n = len(elems)
-    if n == 1:
-        return ()
-    p = _prime_of(n)
-    orders = G.element_orders()
-    hist: Dict[int, int] = {}
-    for g in elems:
-        o = int(orders[g])
-        hist[o] = hist.get(o, 0) + 1
-    # counts[k] = number of x with x^{p^k} = 1; the number of cyclic
-    # factors of order >= p^k is log_p(counts[k] / counts[k-1]).
-    factors: List[int] = []
-    counts = []
-    k = 0
-    while p**k <= max(hist):
-        counts.append(sum(c for o, c in hist.items() if o <= p**k))
-        k += 1
-    counts.append(n)
-    ranks = [
-        int(round(np.log(counts[k] / counts[k - 1]) / np.log(p)))
-        for k in range(1, len(counts))
-    ]
-    for k, r in enumerate(ranks):
-        nxt = ranks[k + 1] if k + 1 < len(ranks) else 0
-        factors += [p ** (k + 1)] * (r - nxt)
-    return tuple(sorted(factors, reverse=True))
 
 
 # ----------------------------------------------------------------------

@@ -35,7 +35,6 @@ __all__ = [
     "mat_mul",
     "mat_inverse",
     "transvection",
-    "preserves_form",
 ]
 
 
@@ -261,11 +260,6 @@ def transvection(q: QuadraticForm, v: int) -> Tuple[int, ...]:
     return tuple(
         (1 << i) ^ (v if q.bilinear(1 << i, v) else 0) for i in range(q.dim)
     )
-
-
-def preserves_form(q: QuadraticForm, g: Tuple[int, ...]) -> bool:
-    """Exhaustive check that Q(gx) = Q(x) for all x."""
-    return all(q.evaluate(apply_matrix(g, v)) == q.evaluate(v) for v in range(1 << q.dim))
 
 
 def isometry_generators(q: QuadraticForm) -> List[Tuple[int, ...]]:

@@ -11,7 +11,8 @@ deduplicates the completions by min_image, lift_arc turns arc planes
 into Frattini-complement candidate pools, and as_backtrack searches
 those pools for (q+1)-families.  Every group-level search (as_backtrack,
 the size-6 search of lemma53_counts and brute_force_as_configs) is the
-backtrack of groups.ProductMasks.
+backtrack of groups.ProductMasks; lemma53_counts also filters its pools
+and fourths by that object's product masks.
 
 The plane catalogue is built as whole arrays: singular_subspaces emits
 each plane once, from its least-vector basis, and reduces it with one
@@ -45,7 +46,6 @@ from .groups import (
     enumerate_elem_abelian_subgroups,
     frattini,
     is_normal,
-    product_set,
     subgroup_generate,
 )
 from .permgroup import PermGroup, canonical_children, min_image
@@ -444,49 +444,40 @@ def lemma53_counts(G: FiniteGroup, rng=None) -> Dict[str, object]:
     elementary abelian order-8 subgroups meeting U_0U_1, U_0U_2, U_1U_2
     trivially, then for each third choice the compatible fourth pool,
     and finally search the pool for families of size 6 (three pool
-    members beyond U_0, U_1, U_2)."""
+    members beyond U_0, U_1, U_2).
+
+    Everything runs on one ProductMasks over U_0 and the order-8
+    subgroups meeting it trivially (index 0 is U_0).  U_0U_1 contains
+    U_0, and so on, so each later pool is the earlier one filtered by a
+    product mask, in the enumeration's order."""
     u0 = center(G)
     if u0.order != 8:
         raise ValueError("expected |Z(G)| = 8")
-    pool1 = enumerate_elem_abelian_subgroups(G, 8, avoid=[u0.elements])
+    search = ProductMasks(G, [u0] + enumerate_elem_abelian_subgroups(G, 8, avoid=[u0.elements]))
+    masks, product = search.masks, search.product
+    pool1 = list(range(1, len(masks)))
     u1 = rng.choice(pool1) if rng is not None else pool1[0]
-    p01 = product_set(G, u0.elements, u1.elements)
-    pool2 = enumerate_elem_abelian_subgroups(G, 8, avoid=[p01])
+    blocked = product(0, u1)
+    pool2 = [i for i in pool1 if masks[i] & blocked == 1]
     u2 = rng.choice(pool2) if rng is not None else pool2[0]
-    p02 = product_set(G, u0.elements, u2.elements)
-    p12 = product_set(G, u1.elements, u2.elements)
-    pool = enumerate_elem_abelian_subgroups(G, 8, avoid=[p01, p02, p12])
-    n = len(pool)
+    blocked = product(0, u2) | product(u1, u2)
+    pool = [i for i in pool2 if masks[i] & blocked == 1]
 
-    # compat[i] holds j iff U_b U_i cap U_j = 1 for every base
-    # member b: the pool of fourths left by third i.  One matrix product
-    # counts, for every (i, j), the elements of U_j (identity aside) that
-    # the products U_b U_i cover.
-    blocked = np.zeros((n, G.n), dtype=np.float32)
-    members = np.zeros((n, G.n), dtype=np.float32)
-    for i, u3 in enumerate(pool):
-        for b in (u0, u1, u2):
-            blocked[i, list(product_set(G, b.elements, u3.elements))] = 1
-        members[i, list(u3.elements[1:])] = 1
-    fits = blocked @ members.T == 0
-    if not np.array_equal(fits, fits.T):  # pragma: no cover
-        raise AssertionError("compatibility relation is not symmetric")
-    compat = [frozenset(np.flatnonzero(row).tolist()) for row in fits]
-    sizes = np.bincount(fits.sum(axis=1))
-    distribution = {v: int(c) for v, c in enumerate(sizes) if c}
-
-    # the size-6 search: for each third choice U_3 with a nonempty
-    # fourth pool, no six members of that pool can join
-    # (U_0, U_1, U_2, U_3) - which would complete the configuration.
-    search = ProductMasks(G, pool)
+    # the pool of fourths left by third i: the j with U_b U_i cap U_j = 1
+    # for every base member b
+    distribution: Dict[int, int] = {}
     size6 = 0
-    for a in range(n):
-        fourths = np.flatnonzero(fits[a]).tolist()
+    for i in pool:
+        blocked = product(0, i) | product(u1, i) | product(u2, i)
+        fourths = [j for j in pool if masks[j] & blocked == 1]
+        distribution[len(fourths)] = distribution.get(len(fourths), 0) + 1
+        # no six fourths can join (U_0, U_1, U_2, U_i): that would
+        # complete the configuration
         if fourths:
-            size6 += len(search.backtrack(fourths, 6, fixed=(a,), compat=compat))
+            size6 += len(search.backtrack(fourths, 6, fixed=(0, u1, u2, i)))
     return {
-        "pool": n,
-        "distribution": distribution,
+        "pool": len(pool),
+        "distribution": dict(sorted(distribution.items())),
         "size6_families": size6,
     }
 

@@ -5,13 +5,13 @@ import os
 import random
 
 import pytest
+from test_groups import abelian_type
 
 from asq.asconfig import check_as_axioms, check_pds, delta
 from asq.geometry import as_quadrangle, collinearity_srg, verify_gq
 from asq.groups import (
     TABLE4_IDS,
     ProductMasks,
-    abelian_type,
     center,
     frattini,
     order8_catalogue,
@@ -112,11 +112,12 @@ def test_c3_plus_ruleout(plus_pipeline):
 def test_c4_lemma53_counts(backtrack_nodes):
     G = table4_group("210b")
     ok = True
-    for sd in (None, 101, 202):
+    # the size-6 search's nodes; seed None is how `asq ruleout 210b` runs
+    for sd, nodes in ((None, 33690), (101, 33077), (202, 33140)):
         rng = None if sd is None else random.Random(sd)
+        backtrack_nodes.clear()
         res = lemma53_counts(G, rng=rng)
-        if sd is None:  # as `asq ruleout 210b` runs it
-            ok &= sum(backtrack_nodes) == 33690
+        ok &= sum(backtrack_nodes) == nodes
         ok &= res["pool"] == 784
         ok &= res["distribution"] == {0: 112, 48: 672}
         ok &= res["size6_families"] == 0

@@ -1,5 +1,6 @@
 """AS-axioms, the derived invariants, PDS/Kantor checks and filters."""
 import random
+from itertools import permutations
 
 import pytest
 
@@ -102,6 +103,52 @@ def test_lemma41_invariants(heis_cfg):
     rep = lemma41_invariants(D, ASConfiguration(D, 2, subs))
     assert not rep["conjugates_in_u0ui"] and not rep["ok"]
     assert rep["witness"] == {"conjugate": 1}
+
+
+def unique_factorisation_oracle(G, subs):
+    """Lemma 4.1 (v) by direct count over every j >= 1: the first
+    [g, i, count] with g in U_0 U_j off U_0 and U_j, i >= 1 and i != j,
+    and count != 1 products u_i u_k = g (u_k nontrivial, k != i), or
+    None."""
+    members = [u.element_set() for u in subs]
+    for j in range(1, len(subs)):
+        star = set(product_set(G, subs[0].elements, subs[j].elements))
+        for g in sorted(star - members[0] - members[j]):
+            for i in range(1, len(subs)):
+                if i == j:
+                    continue
+                count = sum(G.mul[a, b] == g for a in subs[i].elements
+                            for k, u in enumerate(subs) if k != i for b in u.elements[1:])
+                if count != 1:
+                    return [g, i, count]
+    return None
+
+
+def test_lemma41_factorisation_matches_direct_count(heis_cfg):
+    # configurations with one or two members swapped for other subgroups
+    # of order q, and every 4-tuple of distinct order-2 subgroups of C2^3
+    H, cfg = heis_cfg
+    rng = random.Random(5)
+    cases = [(H, cfg.subgroups)]
+    others = [subgroup_generate(H, [g]) for g in range(1, H.n) if H.element_orders()[g] == 3]
+    for _ in range(40):
+        subs = list(cfg.subgroups)
+        for pos in rng.sample(range(len(subs)), rng.randint(1, 2)):
+            subs[pos] = rng.choice(others)
+        if len({u.elements for u in subs}) == len(subs):
+            cases.append((H, tuple(subs)))
+    C = elementary_abelian(3)
+    cases += [(C, t) for t in permutations([Subgroup(C, (0, g)) for g in range(1, 8)], 4)]
+    failing = witnessed = 0
+    for G, subs in cases:
+        want = unique_factorisation_oracle(G, subs)
+        rep = lemma41_invariants(G, ASConfiguration(G, len(subs) - 2, subs))
+        assert rep["unique_factorisation"] == (want is None), subs
+        if "factorisation" in (rep["witness"] or {}):
+            assert rep["witness"]["factorisation"] == want
+            witnessed += 1
+        failing += want is not None
+    assert 0 < witnessed <= failing < len(cases)
 
 
 def test_delta_and_pds(heis_cfg):

@@ -19,7 +19,6 @@ from asq.quadform import (
     mat_inverse,
     mat_mul,
     preset,
-    preserves_form,
     radicals,
     gamma_forms,
     save_form,
@@ -27,6 +26,12 @@ from asq.quadform import (
     transvection,
 )
 from asq.search import plane_action
+
+
+def preserves_form(q, g):
+    """Exhaustive check that Q(gx) = Q(x) for all x."""
+    return all(q.evaluate(apply_matrix(g, v)) == q.evaluate(v) for v in range(1 << q.dim))
+
 
 DIMS = st.integers(min_value=1, max_value=10)
 

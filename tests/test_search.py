@@ -11,11 +11,16 @@ import pytest
 from test_permgroup import complete_degrees, node_children
 from test_quadform import plane_perms_oracle
 
-from asq import gf2, search
-from asq.asconfig import check_as_axioms
+from asq import asconfig, gf2, search
+from asq.asconfig import check_as_axioms, clique_size_qplus1
 from asq.groups import (
     HeisenbergGroup,
+    ProductMasks,
+    center,
+    dihedral8,
+    direct_product,
     elementary_abelian,
+    enumerate_elem_abelian_subgroups,
     is_normal,
     order8_catalogue,
     order27_catalogue,
@@ -33,6 +38,7 @@ from asq.search import (
     brute_force_as_configs,
     extend_arcs,
     is_partial_pseudo_arc,
+    lemma53_counts,
     lift_arc,
 )
 
@@ -683,7 +689,7 @@ def test_extension_memory_guard(cat_plus):
         tracemalloc.stop()
 
 
-def test_searches_leave_no_reference_cycles(cat_minus):
+def test_searches_leave_no_reference_cycles(cat_minus, monkeypatch):
     # with the cyclic collector off, the catalogue and the group must be
     # freed as soon as the searches return
     gc.disable()
@@ -699,6 +705,17 @@ def test_searches_leave_no_reference_cycles(cat_minus):
         assert as_backtrack(G, order_q_subgroups(G, 3), 4)
         del G
         assert gref() is None
+        # the clique search drops its (m, m) adjacency on return
+        adj, real = [], asconfig.pairwise_disjoint
+
+        def disjoint(*args, **kwargs):
+            out = real(*args, **kwargs)
+            adj.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(asconfig, "pairwise_disjoint", disjoint)
+        assert clique_size_qplus1(direct_product(dihedral8(), elementary_abelian(3)), 4)
+        assert len(adj) == 1 and adj[0]() is None
     finally:
         gc.enable()
 
@@ -731,3 +748,60 @@ def test_backtrack_rejects_pairwise_meets(minus_pools):
     for fam in as_backtrack(G, pool2, 3):
         for a, b in combinations(fam, 2):
             assert a.element_set() & b.element_set() == {0}
+
+
+def lemma53_oracle(G, rng=None):
+    """Lemma 5.3's pools by three enumerations, each avoiding the products
+    of the base so far, and each third's fourths by product-set
+    compatibility: U_1, U_2, the pool, and each third's fourths."""
+    u0 = center(G).elements
+    pool1 = enumerate_elem_abelian_subgroups(G, 8, avoid=[u0])
+    u1 = (rng.choice(pool1) if rng is not None else pool1[0]).elements
+    p01 = product_set(G, u0, u1)
+    pool2 = enumerate_elem_abelian_subgroups(G, 8, avoid=[p01])
+    u2 = (rng.choice(pool2) if rng is not None else pool2[0]).elements
+    avoid = [p01, product_set(G, u0, u2), product_set(G, u1, u2)]
+    pool = [u.elements for u in enumerate_elem_abelian_subgroups(G, 8, avoid=avoid)]
+    fourths = []
+    for third in pool:
+        blocked = set().union(*(product_set(G, b, third) for b in (u0, u1, u2)))
+        fourths.append([u for u in pool if blocked.isdisjoint(u[1:])])
+    return u1, u2, pool, fourths
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_lemma53_pools_match_oracle(seed, monkeypatch):
+    # each size-6 search is recorded, not run: its fixed members (U_0,
+    # U_1, U_2 and the third) and its fourths, as subgroup elements
+    G = table4_group("210b")
+    rng = None if seed is None else random.Random(seed)
+    u1, u2, pool, fourths = lemma53_oracle(G, rng)
+    calls = []
+
+    def record(self, cands, target, fixed=()):
+        assert target == 6
+        calls.append((tuple(self.subs[i].elements for i in fixed),
+                       [self.subs[i].elements for i in cands]))
+        return []
+
+    monkeypatch.setattr(ProductMasks, "backtrack", record)
+    rng = None if seed is None else random.Random(seed)
+    res = lemma53_counts(G, rng)
+    u0 = center(G).elements
+    assert calls == [((u0, u1, u2, third), fs) for third, fs in zip(pool, fourths) if fs]
+    sizes = [len(fs) for fs in fourths]
+    assert res["pool"] == len(pool) == 784
+    assert res["distribution"] == {k: sizes.count(k) for k in sorted(set(sizes))}
+    assert res["size6_families"] == 0
+
+
+def test_lemma53_memory_guard():
+    # one ProductMasks over the 8641 subgroups and its product cache:
+    # about 9 MB traced
+    G = table4_group("210b")
+    tracemalloc.start()
+    try:
+        assert lemma53_counts(G)["pool"] == 784
+        assert tracemalloc.get_traced_memory()[1] <= 11e6
+    finally:
+        tracemalloc.stop()
