@@ -517,7 +517,8 @@ def clique_size_qplus1(G: FiniteGroup, q: int) -> bool:
 
     All four conditions are equivalent to Phi H cap Phi K = Phi, which
     depends only on the products Phi H; subgroups sharing a product are
-    never adjacent, so the search runs on the distinct products.
+    never adjacent, so the search runs on the distinct products.  As H
+    meets Phi trivially, the sorted row of products phi h is Phi H.
     """
     if G.is_abelian():
         return True
@@ -525,10 +526,13 @@ def clique_size_qplus1(G: FiniteGroup, q: int) -> bool:
     if len(subs) < q + 1:
         return False
     frat = frattini(G)
-    stars = sorted({product_set(G, frat.elements, s.elements) for s in subs})
+    rows = np.array([s.elements for s in subs], dtype=np.intp)
+    stars = G.mul[np.asarray(frat.elements)[:, None], rows[:, None, :]].reshape(len(subs), -1)
+    stars.sort(axis=1)
+    stars = stars[np.lexsort(stars.T[::-1])]
+    stars = stars[np.r_[True, (stars[1:] != stars[:-1]).any(axis=1)]]  # the distinct rows
     m = len(stars)
-    # every H meets Phi trivially, so each Phi H has |Phi| q elements
-    masks = membership_words(np.array(stars, dtype=np.int64), G.n)
+    masks = membership_words(stars, G.n)
     adj = pairwise_disjoint(masks, meet=frat.order)
     np.fill_diagonal(adj, False)
 

@@ -34,6 +34,7 @@ from .asconfig import (
     clique_size_qplus1,
     delta,
     enough_subgroups,
+    good_subgroups,
     kantor_from_as,
     lemma41_invariants,
     parse_config,
@@ -182,6 +183,14 @@ def cmd_verify(group_file: str, config_file: str) -> RunReport:
     return rep
 
 
+def _timed(stages: Dict[str, float], name: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), its wall seconds recorded as stages[name]."""
+    t0 = time.monotonic()
+    out = fn(*args, **kwargs)
+    stages[name] = time.monotonic() - t0
+    return out
+
+
 def _arc_search(rep: RunReport, form, seed_size: int, target: int,
                 threads: int) -> Tuple[PlaneCatalogue, List[PseudoArc]]:
     """The arc pipeline of every arc search: the plane catalogue of the
@@ -197,21 +206,16 @@ def _arc_search(rep: RunReport, form, seed_size: int, target: int,
     if radicals(form)[2].tag == "mixed":
         raise InputError("cannot build a symmetry group for this form: "
                          "mixed-radical forms have no structural generator set here")
-    t0 = time.monotonic()
-    cat = PlaneCatalogue(form)
-    t1 = time.monotonic()
+    stages: Dict[str, float] = {}
+    cat = _timed(stages, "catalogue", PlaneCatalogue, form)
     rep.counts["planes"] = cat.n
-    cat.group.order()
-    t2 = time.monotonic()
+    _timed(stages, "order", cat.group.order)
     seeding = SearchTrace(seed=None)
-    seeds = arc_seeds(cat, seed_size, trace=seeding)
-    t3 = time.monotonic()
+    seeds = _timed(stages, "arc_seeds", arc_seeds, cat, seed_size, trace=seeding)
     rep.counts["seeds"] = len(seeds)
-    arcs = extend_arcs(cat, seeds, target, threads=threads)
-    t4 = time.monotonic()
+    arcs = _timed(stages, "extend_arcs", extend_arcs, cat, seeds, target, threads=threads)
     rep.counts["arcs"] = len(arcs)
-    rep.notes["stage_s"] = {"catalogue": t1 - t0, "order": t2 - t1,
-                            "arc_seeds": t3 - t2, "extend_arcs": t4 - t3}
+    rep.notes["stage_s"] = stages
     rep.notes["canonical_sets"] = seeding.sizes
     return cat, arcs
 
@@ -246,6 +250,7 @@ def _ruleout_210b(rep: RunReport) -> None:
     for v in sorted(dist):
         rep.counts[f"thirds_with_{v}_fourths"] = dist[v]
     rep.counts["size6_families"] = res["size6_families"]
+    rep.notes.update(stage_s=res["stage_s"], nodes=res["nodes"])
     rep.verdicts["distribution_matches"] = dist == {0: 112, 48: 672}
     _expect(rep, {"pool": 784, "size6_families": 0})
 
@@ -323,13 +328,18 @@ def cmd_filters(group_arg: str) -> RunReport:
         q, p = _cube_root(G.n), _prime_of(G.n)
     except ValueError as e:
         raise InputError(str(e))
-    fr = structural_filter(G)
+    stages = rep.notes["stage_s"] = {}
+    fr = _timed(stages, "structural_filter", structural_filter, G)
     for name, ok in fr.conditions.items():
         rep.verdicts[name] = ok
     rep.notes.update(fr.notes)
     if p == 2:  # the subgroup-clique predicates are 2-group only
-        rep.verdicts["enough_subgroups"] = enough_subgroups(G, q)
-        rep.verdicts["clique_of_size_q_plus_1"] = clique_size_qplus1(G, q)
+        if not G.is_abelian():  # both predicates hold at once on abelian G
+            _timed(stages, "good_subgroups", good_subgroups, G, q)  # kept on G for both
+        rep.verdicts["enough_subgroups"] = _timed(stages, "enough_subgroups",
+                                                  enough_subgroups, G, q)
+        rep.verdicts["clique_of_size_q_plus_1"] = _timed(stages, "clique",
+                                                         clique_size_qplus1, G, q)
     return rep
 
 

@@ -11,21 +11,26 @@ kept on the group: the element orders, the sorted distinct commutators
 frattini, center and derived return.  Repeated calls return the same
 objects.
 
-ProductMasks holds subgroups and their pairwise products as Python-int
-bitsets over element indices.  Its backtrack is every group-level search
-(asq.search), its masks give lemma 5.3 its pools and fourths, and they
+enumerate_elem_abelian_subgroups works one rank at a time on arrays:
+the subgroups of a rank are element rows, and their children come from
+blocked mul-table gathers.  ProductMasks holds subgroups and their
+pairwise products as bitsets over element indices: rows of uint64 words
+for whole-array tests and batched products, Python ints for its
+recursive backtrack.  The backtrack is every group-level search
+(asq.search), the masks give lemma 5.3 its pools and fourths, and they
 carry the AS2 and Kantor-family checks of asq.asconfig.
 """
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import gf2
+from ._kernels import membership_words
 from .quadform import QuadraticForm
 
 __all__ = [
@@ -247,15 +252,16 @@ def subgroup_generate(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     return Subgroup(G, tuple(sorted(elems)), gens)
 
 
+def _ints(words: np.ndarray) -> List[int]:
+    """Each row of little-endian bit words as one Python int."""
+    raw, step = words.astype("<u8", copy=False).tobytes(), words.shape[1] * 8
+    return [int.from_bytes(raw[k:k + step], "little") for k in range(0, len(raw), step)]
+
+
 def product_set(G: FiniteGroup, A: Sequence[int], B: Sequence[int]) -> Tuple[int, ...]:
     """The sorted element set AB."""
     prods = G.mul[np.asarray(A, dtype=np.intp)[:, None], np.asarray(B, dtype=np.intp)]
     return tuple(sorted(set(prods.ravel().tolist())))
-
-
-def _bitset(mask: np.ndarray) -> int:
-    """A bool array over element indices as a Python-int bitset."""
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
 class ProductMasks:
@@ -264,19 +270,44 @@ class ProductMasks:
     Every mask keeps the identity bit, so two sets meet trivially when
     a & b == 1 and A lies in B when a & ~b == 0.
 
+    The element rows of the subgroups are padded with the identity,
+    which every product holds anyway.  words holds the masks as uint64
+    word rows and masks as Python ints.  products() forms the products
+    of one subgroup with many by one mul gather and one packbits, and
+    product() one pair the same way.
+
     Once the members of a family meet pairwise trivially, U_a U_b cap
     U_c = 1 holds for one orientation of a triple iff it holds for all:
     u_a u_b = u_c with nontrivial factors rearranges to a nontrivial
     membership witness in every orientation.  So a product is cached
-    once per unordered pair, as U_i U_j with i <= j."""
+    once per unordered pair, as U_i U_j with i <= j or, when products()
+    formed it, possibly as its inverse U_j U_i."""
 
     def __init__(self, G: FiniteGroup, subs: Sequence[Subgroup]):
         self.G = G
         self.subs = list(subs)
-        self._elems = [np.asarray(s.elements, dtype=np.intp) for s in self.subs]
-        self.masks = [sum([1 << int(g) for g in s.elements]) for s in self.subs]
+        sizes = np.array([s.order for s in self.subs], dtype=np.intp)
+        self._rows = np.zeros((len(sizes), sizes.max(initial=1)), dtype=np.intp)
+        self._rows[np.arange(self._rows.shape[1]) < sizes[:, None]] = np.fromiter(
+            chain.from_iterable(s.elements for s in self.subs), np.intp, sizes.sum())
+        self.words = membership_words(self._rows, G.n)
+        self.masks = _ints(self.words)
         self._products: Dict[int, int] = {}  # key i * len(subs) + j, i <= j
         self.nodes = 0
+
+    def products(self, i: int, js: Sequence[int]) -> np.ndarray:
+        """The word rows of U_i U_j for j in js, cached for product().
+        For j < i that caches U_i U_j where product() would form U_j U_i,
+        its inverse: a subgroup meets the one trivially iff the other."""
+        js = np.asarray(js, dtype=np.intp)
+        prods = self.G.mul[self._rows[i][:, None], self._rows[js][:, None, :]]
+        bits = np.zeros((len(js), self.words.shape[1] * 64), dtype=bool)
+        bits[np.arange(len(js))[:, None, None], prods] = True
+        words = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+        n = len(self.subs)
+        self._products.update((min(i, j) * n + max(i, j), v)
+                              for j, v in zip(js.tolist(), _ints(words)))
+        return words
 
     def product(self, i: int, j: int) -> int:
         if i > j:
@@ -284,9 +315,14 @@ class ProductMasks:
         key = i * len(self.subs) + j
         v = self._products.get(key)
         if v is None:
+            # one pair packed as products() packs many, without its batch
+            # set-up: the order-8 and order-27 searches form about 400
+            # products one at a time per perfbench small round, and going
+            # through products() made that round 7% slower (2 cores)
             row = np.zeros(self.G.n, dtype=bool)
-            row[self.G.mul[self._elems[i][:, None], self._elems[j]]] = True
-            v = self._products[key] = _bitset(row)
+            row[self.G.mul[self._rows[i][:, None], self._rows[j]]] = True
+            bits = np.packbits(row, bitorder="little").tobytes()
+            v = self._products[key] = int.from_bytes(bits, "little")
         return v
 
     def backtrack(self, cands: Sequence[int], target: int, fixed: Sequence[int] = ()
@@ -412,14 +448,9 @@ def quotient(G: FiniteGroup, N: Subgroup) -> Tuple[TableGroup, np.ndarray]:
         raise ValueError("subgroup is not normal")
     nels = np.asarray(N.elements, dtype=np.intp)
     coset_min = np.min(G.mul[:, nels], axis=1)  # least element of gN
-    reps = np.unique(coset_min)  # identity coset holds 0, so reps[0] = 0
-    index_of = {int(r): i for i, r in enumerate(reps)}
-    proj = np.array([index_of[int(coset_min[g])] for g in range(G.n)], dtype=np.int32)
-    m = len(reps)
-    table = np.zeros((m, m), dtype=np.int32)
-    for i, r in enumerate(reps):
-        table[i] = proj[G.mul[int(r), reps]]
-    Q = TableGroup(table, name=f"{G.name or 'G'}/{len(N.elements)}")
+    reps = _distinct(coset_min, G.n)  # identity coset holds 0, so reps[0] = 0
+    proj = np.searchsorted(reps, coset_min).astype(np.int32)
+    Q = TableGroup(proj[G.mul[np.ix_(reps, reps)]], name=f"{G.name or 'G'}/{len(N.elements)}")
     return Q, proj
 
 
@@ -467,6 +498,13 @@ def complements(H: Subgroup, N: Subgroup) -> List[Subgroup]:
                   key=lambda s: s.elements)
 
 
+# Coset entries (pairs times 2^rank) gathered per block of parents.  On
+# 210b at order 8 avoiding Z(G) (2 cores), blocks of 2^13 to 2^17 entries
+# take the same 0.06-0.09 s; the peak traced above the returned subgroups
+# is 1.0 MB at 2^15 and 1.4 MB at 2^17 (2.0 MB on 212m avoiding Phi(G)).
+_CELLS = 1 << 15
+
+
 def enumerate_elem_abelian_subgroups(
     G: FiniteGroup, order: int, avoid: Sequence[Sequence[int]] = ()
 ) -> List[Subgroup]:
@@ -475,55 +513,57 @@ def enumerate_elem_abelian_subgroups(
     elements.
 
     Each subgroup is built once, from its greedy basis: E grows by an
-    involution h commuting with it only when h exceeds the last
-    generator and is the least element of its coset hE.  Along such a
-    path every coset of the final subgroup that a later step adds lies
-    above that step's generator, so each generator is the least element
-    outside the E before it: the path is the greedy basis, which is
-    also the lexicographically first increasing basis.  E is a bitset
-    over element indices."""
+    involution h commuting with it only when h exceeds the last generator
+    and is the least element of its coset hE.  Along such a path every
+    coset of the final subgroup that a later step adds lies above that
+    step's generator, so each generator is the least element outside the
+    E before it: the path is the greedy basis, which is also the
+    lexicographically first increasing basis.
+
+    One rank is one level: element rows, gens and pools (the usable
+    involutions above the last generator commuting with every generator,
+    as bits over invol).  Per block of parents, one mul[h, E] gather forms
+    the coset hE for every h in E's pool; min(hE) == h rules out h in E."""
     rank = order.bit_length() - 1
     if 1 << rank != order or order > 16:
         raise ValueError("order must be a 2-power <= 16")
-    n = G.n
-    bad = np.zeros(n, dtype=bool)
+    bad = np.zeros(G.n, dtype=bool)
     for a in avoid:
         bad[np.asarray(a, dtype=np.intp)] = True
     bad[0] = False
-    usable = (G.element_orders() == 2) & ~bad
-    invol = np.flatnonzero(usable)
+    invol = np.flatnonzero((G.element_orders() == 2) & ~bad).astype(G.mul.dtype)
     sub = G.mul[np.ix_(invol, invol)]
-    commuting = np.zeros((len(invol), n), dtype=bool)
-    commuting[:, invol] = sub == sub.T
-    # peers[h]: the involutions of the pool commuting with h, as a bitset
-    peers = {int(h): _bitset(row) for h, row in zip(invol, commuting)}
-    code = "h" if G.mul.itemsize == 2 else "i"
-    rows = {h: array(code, G.mul[h].tobytes()) for h in peers}
-    badbits = _bitset(bad)
+    # peers[j]: the involutions above invol[j] commuting with it
+    peers = np.packbits(np.triu(sub == sub.T, k=1), axis=1, bitorder="little")
+    elems = np.zeros((1, 1), dtype=G.mul.dtype)
+    gens = np.zeros((1, 0), dtype=G.mul.dtype)
+    pools = np.packbits(np.ones((1, len(invol)), dtype=bool), axis=1, bitorder="little")
+    for k in range(rank):
+        # blocks of parents with about _CELLS coset entries each
+        cells = np.cumsum(np.bitwise_count(pools).sum(axis=1, dtype=np.intp)) << k
+        parts = []
+        for block in np.split(np.arange(len(elems)), np.flatnonzero(np.diff(cells // _CELLS)) + 1):
+            # (parent, involution) pairs, unpacked one nonzero byte at a time
+            par, byte = np.nonzero(pools[block])
+            bits = np.unpackbits(pools[block[par], byte, None], axis=1, bitorder="little")
+            at, bit = np.nonzero(bits)
+            par, j = block[par[at]], byte[at] * 8 + bit
+            h = invol[j]
+            coset = G.mul[h[:, None], elems[par]]  # h commutes with E: eh = he
+            keep = (coset.min(axis=1) == h) & ~bad[coset].any(axis=1)
+            par, j = par[keep], j[keep]
+            parts.append((np.hstack([elems[par], coset[keep]]),
+                          np.hstack([gens[par], h[keep, None]]),
+                          pools[par] & peers[j]))
+        elems, gens, pools = (np.concatenate(p) for p in zip(*parts))
+        del parts  # the blocks would double the level
+    elems.sort(axis=1)
+    first = np.lexsort(elems.T[::-1])
+    ints = np.array(range(G.n), dtype=object)  # one int per element, shared by every tuple
     found: List[Subgroup] = []
-
-    def extend(elems: List[int], ebits: int, gens: Tuple[int, ...], pool: int) -> None:
-        if len(elems) == order:
-            found.append(Subgroup(G, tuple(sorted(elems)), gens))
-            return
-        above = gens[-1] + 1 if gens else 1
-        cand = (pool >> above << above) & ~ebits
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            h = low.bit_length() - 1
-            row = rows[h]
-            coset = [row[e] for e in elems]  # h commutes with E: eh = he
-            cbits = 0
-            for x in coset:
-                cbits |= 1 << x
-            cand &= ~cbits  # the rest of hE has the same least element
-            if min(coset) == h and not cbits & badbits:
-                extend(elems + coset, ebits | cbits, gens + (h,), pool & peers[h])
-
-    extend([0], 1, (), _bitset(usable))
-    del extend  # the closure refers to itself and, through found, to G
-    found.sort(key=lambda s: s.elements)
+    for rows in np.split(first, range(1024, len(first), 1024)):  # 1024 lists at a time
+        found += [Subgroup(G, tuple(e), tuple(g))
+                  for e, g in zip(ints[elems[rows]].tolist(), ints[gens[rows]].tolist())]
     return found
 
 

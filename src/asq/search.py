@@ -27,6 +27,7 @@ of their parents' rows, in runs of (child, plane) pairs.
 from __future__ import annotations
 
 import multiprocessing
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -449,11 +450,15 @@ def lemma53_counts(G: FiniteGroup, rng=None) -> Dict[str, object]:
     Everything runs on one ProductMasks over U_0 and the order-8
     subgroups meeting it trivially (index 0 is U_0).  U_0U_1 contains
     U_0, and so on, so each later pool is the earlier one filtered by a
-    product mask, in the enumeration's order."""
+    product mask, in the enumeration's order.  The base's products with
+    the pool come in three batches, and a third's fourths by one word
+    test.  Also returns the seconds of three stages and the nodes."""
     u0 = center(G)
     if u0.order != 8:
         raise ValueError("expected |Z(G)| = 8")
+    t0 = time.monotonic()
     search = ProductMasks(G, [u0] + enumerate_elem_abelian_subgroups(G, 8, avoid=[u0.elements]))
+    t1 = time.monotonic()
     masks, product = search.masks, search.product
     pool1 = list(range(1, len(masks)))
     u1 = rng.choice(pool1) if rng is not None else pool1[0]
@@ -461,24 +466,33 @@ def lemma53_counts(G: FiniteGroup, rng=None) -> Dict[str, object]:
     pool2 = [i for i in pool1 if masks[i] & blocked == 1]
     u2 = rng.choice(pool2) if rng is not None else pool2[0]
     blocked = product(0, u2) | product(u1, u2)
-    pool = [i for i in pool2 if masks[i] & blocked == 1]
+    pool = np.array([i for i in pool2 if masks[i] & blocked == 1], dtype=np.intp)
 
-    # the pool of fourths left by third i: the j with U_b U_i cap U_j = 1
-    # for every base member b
+    # the fourths left by third i: the j with U_b U_i cap U_j = 1 for
+    # every base member b (no bit but the identity's in common)
+    blocks = search.products(0, pool) | search.products(u1, pool) | search.products(u2, pool)
+    members = search.words[pool]
+    members[:, 0] &= ~np.uint64(1)
+    fourths = [pool[~(members & b).any(axis=1)] for b in blocks]
+    t2 = time.monotonic()
     distribution: Dict[int, int] = {}
     size6 = 0
-    for i in pool:
-        blocked = product(0, i) | product(u1, i) | product(u2, i)
-        fourths = [j for j in pool if masks[j] & blocked == 1]
-        distribution[len(fourths)] = distribution.get(len(fourths), 0) + 1
+    for i, js in zip(pool.tolist(), fourths):
+        distribution[len(js)] = distribution.get(len(js), 0) + 1
         # no six fourths can join (U_0, U_1, U_2, U_i): that would
         # complete the configuration
-        if fourths:
-            size6 += len(search.backtrack(fourths, 6, fixed=(0, u1, u2, i)))
+        if len(js):
+            # j is a fourth of i iff i is one of j, so the batches of the
+            # thirds below i formed U_j U_i already
+            search.products(i, js[js > i])
+            size6 += len(search.backtrack(js.tolist(), 6, fixed=(0, u1, u2, i)))
+    t3 = time.monotonic()
     return {
         "pool": len(pool),
         "distribution": dict(sorted(distribution.items())),
         "size6_families": size6,
+        "stage_s": {"enumeration": t1 - t0, "pools": t2 - t1, "size6": t3 - t2},
+        "nodes": search.nodes,
     }
 
 

@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from asq import asconfig
 from asq.asconfig import (
     ASConfiguration,
     KantorFamily,
@@ -28,6 +29,7 @@ from asq.groups import (
     dihedral8,
     direct_product,
     elementary_abelian,
+    frattini,
     product_set,
     quaternion8,
     subgroup_generate,
@@ -268,3 +270,18 @@ def test_enough_subgroups_and_clique():
         assert not clique_size_qplus1(G, 2)
         # built once per group, and shared by both predicates
         assert good_subgroups(G, 2) is good_subgroups(G, 2)
+
+
+@pytest.mark.parametrize("ident", ["212m", "210b"])
+def test_clique_stars_match_product_sets(ident, monkeypatch):
+    # the stars Phi H come from one gather; the clique runs on the same
+    # sorted list of distinct product sets as one product_set per H gives
+    G = table4_group(ident)
+    frat = frattini(G)
+    want = sorted({product_set(G, frat.elements, s.elements) for s in good_subgroups(G, 8)})
+    seen = []
+    words = asconfig.membership_words
+    monkeypatch.setattr(asconfig, "membership_words",
+                        lambda rows, n: seen.append(rows) or words(rows, n))
+    clique_size_qplus1(G, 8)
+    assert [tuple(r) for r in seen[0].tolist()] == want

@@ -1,13 +1,15 @@
 """Exit codes, report shape and JSON schema conformance."""
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
-from asq import cli, search
+from asq import asconfig, cli, search
 from asq.asconfig import save_config
-from asq.groups import HeisenbergGroup, cyclic, direct_product, save_group
+from asq.groups import HeisenbergGroup, cyclic, direct_product, elementary_abelian, save_group
 from asq.permgroup import PermGroup
 from asq.search import brute_force_as_configs
 
@@ -119,6 +121,49 @@ def test_arc_search_reports_stage_times(tmp_path, schema):
     assert sorted(stages) == ["arc_seeds", "catalogue", "extend_arcs", "order"]
     assert all(t >= 0 for t in stages.values())
     assert rep["notes"]["canonical_sets"] == [1, 1, 1, 1, 5]
+
+
+def test_group_level_commands_report_stage_times(tmp_path, schema):
+    code, rep = run_json(tmp_path, ["ruleout", "210b"], schema)
+    assert code == 0
+    assert sorted(rep["notes"]["stage_s"]) == ["enumeration", "pools", "size6"]
+    assert rep["notes"]["nodes"] == 33690
+    code, rep = run_json(tmp_path, ["filters", "212m"], schema)
+    assert code == 0
+    assert sorted(rep["notes"]["stage_s"]) == ["clique", "enough_subgroups",
+                                               "good_subgroups", "structural_filter"]
+    assert all(t >= 0 for t in rep["notes"]["stage_s"].values())
+
+
+def test_filters_abelian_group_file_skips_subgroup_enumeration(tmp_path, schema, monkeypatch):
+    # C2^9 (q = 8) has 788035 subgroups of order 8; both subgroup-clique
+    # predicates hold at once on abelian groups and need none of them
+    def refuse(*args):
+        raise AssertionError("good_subgroups called on an abelian group")
+    monkeypatch.setattr(cli, "good_subgroups", refuse)
+    monkeypatch.setattr(asconfig, "good_subgroups", refuse)
+    path = tmp_path / "c2-9.group"
+    path.write_text(save_group(elementary_abelian(9)))
+    code, rep = run_json(tmp_path, ["filters", str(path)], schema)
+    assert code == 1 and not rep["verdicts"]["nonabelian"]
+    assert rep["verdicts"]["enough_subgroups"] and rep["verdicts"]["clique_of_size_q_plus_1"]
+    assert sorted(rep["notes"]["stage_s"]) == ["clique", "enough_subgroups", "structural_filter"]
+
+
+def test_group_level_commands_leave_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call: 17-26 ms and 1.6 MB
+    # of a fresh interpreter
+    script = ("import random, sys\n"
+              "from asq import cli, groups, search\n"
+              "cli.main(['--quiet', 'filters', '212m'])\n"
+              "cli.main(['--quiet', 'ruleout', '210b'])\n"
+              "search.lemma53_counts(groups.table4_group('210b'), random.Random(1))\n"
+              "print('numpy.ma' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_flags_accepted_after_subcommand(tmp_path, schema):

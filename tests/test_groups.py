@@ -1,6 +1,7 @@
 """Group tables, subgroup machinery and the cocycle constructions."""
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from asq import groups
 from asq.groups import (
     TABLE4_IDS,
     HeisenbergGroup,
+    ProductMasks,
     Subgroup,
     agemo,
     center,
@@ -260,6 +262,51 @@ def elem_abelian_oracle(G, order, avoid=()):
     return out
 
 
+def bitset(mask):
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def elem_abelian_recursive(G, order, avoid=()):
+    """The depth-first enumerator that the level-wise one replaced: the
+    same greedy-basis rule (E grows by a commuting involution h above
+    the last generator that is the least element of hE), one coset at a
+    time over Python-int bitsets, as (elements, gens) pairs."""
+    bad = np.zeros(G.n, dtype=bool)
+    for a in avoid:
+        bad[np.asarray(a, dtype=np.intp)] = True
+    bad[0] = False
+    usable = (G.element_orders() == 2) & ~bad
+    invol = np.flatnonzero(usable)
+    sub = G.mul[np.ix_(invol, invol)]
+    commuting = np.zeros((len(invol), G.n), dtype=bool)
+    commuting[:, invol] = sub == sub.T
+    peers = {int(h): bitset(row) for h, row in zip(invol, commuting)}
+    rows = {h: G.mul[h].tolist() for h in peers}
+    badbits = bitset(bad)
+    found = []
+
+    def extend(elems, ebits, gens, pool):
+        if len(elems) == order:
+            found.append((tuple(sorted(elems)), gens))
+            return
+        above = gens[-1] + 1 if gens else 1
+        cand = (pool >> above << above) & ~ebits
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            h = low.bit_length() - 1
+            coset = [rows[h][e] for e in elems]
+            cbits = 0
+            for x in coset:
+                cbits |= 1 << x
+            cand &= ~cbits  # the rest of hE has the same least element
+            if min(coset) == h and not cbits & badbits:
+                extend(elems + coset, ebits | cbits, gens + (h,), pool & peers[h])
+
+    extend([0], 1, (), bitset(usable))
+    return sorted(found)
+
+
 def avoid_sets(G):
     yield ()
     if G.n % 2 == 0 and G.n > 2:
@@ -286,6 +333,68 @@ def test_enumerate_elem_abelian_matches_oracle_table4(ident):
     got = [(s.elements, s.gens)
            for s in enumerate_elem_abelian_subgroups(G, 8, avoid=avoid)]
     assert got == elem_abelian_oracle(G, 8, avoid)
+
+
+@pytest.mark.parametrize("ident, order, avoid", [
+    ("210b", 8, center), ("210b", 8, frattini),
+    ("212m", 8, center), ("212m", 8, frattini),
+    ("211p", 16, frattini),
+])
+def test_enumerate_elem_abelian_matches_recursive(ident, order, avoid):
+    G = table4_group(ident)
+    avoid = [avoid(G).elements]
+    got = [(s.elements, s.gens)
+           for s in enumerate_elem_abelian_subgroups(G, order, avoid=avoid)]
+    assert got == elem_abelian_recursive(G, order, avoid)
+
+
+def test_enumerate_elem_abelian_blocks_agree(monkeypatch):
+    # a block of one coset entry takes one parent at a time
+    G = table4_group("212m")
+    avoid = [frattini(G).elements]
+    want = enumerate_elem_abelian_subgroups(G, 4, avoid=avoid)
+    monkeypatch.setattr(groups, "_CELLS", 1)
+    assert enumerate_elem_abelian_subgroups(G, 4, avoid=avoid) == want
+
+
+def test_enumerate_elem_abelian_memory_guard():
+    # the 8640 returned subgroups take about 2.4 MB traced and the
+    # level arrays about 1 MB more at their peak
+    G = table4_group("210b")
+    avoid = [center(G).elements]
+    G.element_orders()
+    tracemalloc.start()
+    try:
+        assert len(enumerate_elem_abelian_subgroups(G, 8, avoid=avoid)) == 8640
+        assert tracemalloc.get_traced_memory()[1] <= 4e6
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("G", [table4_group("210b"), HeisenbergGroup(3)], ids=lambda G: G.name)
+def test_batched_products_match_product_set(G):
+    rng = random.Random(5)
+    subs = [subgroup_generate(G, rng.sample(range(1, G.n), rng.randint(1, 2)))
+            for _ in range(40)]
+    pm, single = ProductMasks(G, subs), ProductMasks(G, subs)
+    for s, mask in zip(subs, pm.masks):
+        assert mask == sum(1 << g for g in s.elements)
+    for _ in range(5):
+        i = rng.randrange(len(subs))
+        js = rng.sample(range(len(subs)), 12)
+        words = pm.products(i, js)
+        for j, row in zip(js, words):
+            want = product_set(G, subs[i].elements, subs[j].elements)
+            bits = np.unpackbits(row.view(np.uint8), bitorder="little")
+            assert tuple(np.flatnonzero(bits).tolist()) == want
+            assert pm.product(i, j) == pm.product(j, i) == sum(1 << g for g in want)
+            # one pair at a time product() forms U_a U_b with a <= b, the
+            # orientation products() holds when i <= j
+            a, b = sorted((i, j))
+            want = product_set(G, subs[a].elements, subs[b].elements)
+            assert single.product(j, i) == sum(1 << g for g in want)
+            if i <= j:
+                assert single.product(i, j) == pm.product(i, j)
 
 
 def commutator(G, a, b):
