@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import gf2
-from ._kernels import membership_words
+from ._kernels import membership_words, xor_span
 from .quadform import QuadraticForm
 
 __all__ = [
@@ -160,15 +160,9 @@ class CocycleGroup(FiniteGroup):
         self.d = d
         self.form = QuadraticForm(d, coeff)
         nvec = 1 << d
-        # f[v] has bit i = parity(M_i & v), so beta(u, v) = parity(u & f[v]).
-        f = np.zeros(nvec, dtype=np.int64)
-        for i in range(d):
-            row = self.form.coeff[i]
-            v = np.arange(nvec, dtype=np.int64)
-            par = np.bitwise_count(v & row).astype(np.int64) & 1
-            f |= par << i
+        # xor_span(M)[u] = u^T M, so beta(u, v) = parity(xor_span(M)[u] & v)
         u = np.arange(nvec, dtype=np.int64)
-        beta = np.bitwise_count(u[:, None] & f[None, :]).astype(np.int64) & 1
+        beta = np.bitwise_count(xor_span(self.form.coeff)[:, None] & u) & 1
         n = nvec << 1
         x = np.arange(n, dtype=np.int64)
         uu, aa = x & (nvec - 1), x >> d

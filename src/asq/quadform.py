@@ -5,6 +5,11 @@ A form is stored by its upper-triangular coefficient matrix M with
 Q(x) = x^T M x; the polarisation B = M + M^T is alternating.  Matrices
 acting on F_2^d are tuples g of d ints, g[i] = image of e_{i+1}, so the
 action is apply_matrix(g, v) = XOR of g[i] over the set bits of v.
+
+Each form owns two read-only whole-space tables, built on first use:
+values[v] = Q(v) and polar[v] = bilinear_row(v) for every v in F_2^d.
+Every scan over all vectors of the space or of a subspace reads them;
+evaluate, bilinear and bilinear_row are the scalar definitions.
 """
 from __future__ import annotations
 
@@ -45,7 +50,7 @@ def _parity(x: int) -> int:
 class QuadraticForm:
     """Q(x) = x^T M x over F_2 with M upper triangular."""
 
-    __slots__ = ("dim", "coeff", "_brows")
+    __slots__ = ("dim", "coeff", "_brows", "_values", "_polar")
 
     def __init__(self, dim: int, coeff: Tuple[int, ...]):
         if len(coeff) != dim:
@@ -57,6 +62,25 @@ class QuadraticForm:
         # row i of B = M + M^T: row i of M plus column i, the diagonal cancelling
         self._brows = tuple(row ^ sum((self.coeff[j] >> i & 1) << j for j in range(dim))
                             for i, row in enumerate(self.coeff))
+        self._values: Optional[np.ndarray] = None
+        self._polar: Optional[np.ndarray] = None
+
+    @property
+    def values(self) -> np.ndarray:
+        """Q(v) for every v in F_2^d, as parity(v & v^T M); read-only."""
+        if self._values is None:
+            v = np.arange(1 << self.dim)
+            self._values = np.bitwise_count(v & xor_span(self.coeff)) & 1
+            self._values.flags.writeable = False
+        return self._values
+
+    @property
+    def polar(self) -> np.ndarray:
+        """bilinear_row(v) for every v in F_2^d; read-only."""
+        if self._polar is None:
+            self._polar = xor_span(self._brows)
+            self._polar.flags.writeable = False
+        return self._polar
 
     def evaluate(self, v: int) -> int:
         """Q(v) = sum over i <= j of M_ij v_i v_j = parity(v & v^T M)."""
@@ -177,7 +201,7 @@ def radicals(q: QuadraticForm) -> Tuple[Subspace, Subspace, FormClass]:
         else:
             srad_basis.append(r)
     srad = gf2.rref(srad_basis, d)
-    zeros = sum(q.evaluate(v) == 0 for v in xor_span(gf2.complement_basis(rad)).tolist())
+    zeros = np.count_nonzero(q.values[xor_span(gf2.complement_basis(rad))] == 0)
     if srad.rank == rad.rank:
         m2 = d - rad.rank  # = 2m, the nondegenerate part is even-dimensional
         if m2 == 0:
@@ -188,14 +212,6 @@ def radicals(q: QuadraticForm) -> Tuple[Subspace, Subspace, FormClass]:
     else:
         tag = "mixed"
     return rad, srad, FormClass(tag, rad.rank, srad.rank)
-
-
-def _singular_points(q: QuadraticForm) -> Tuple[np.ndarray, np.ndarray]:
-    """The nonzero singular vectors, ascending, and their bilinear rows,
-    from tables of all 2^d vectors: Q(v) = parity(v & v^T M)."""
-    v = np.arange(1 << q.dim)
-    pts = np.flatnonzero((np.bitwise_count(v & xor_span(q.coeff))[1:] & 1) == 0) + 1
-    return pts, xor_span(q._brows)[pts]
 
 
 def singular_subspaces(q: QuadraticForm, k: int) -> List[Subspace]:
@@ -210,8 +226,8 @@ def singular_subspaces(q: QuadraticForm, k: int) -> List[Subspace]:
     """
     if k > q.dim:
         return []
-    pts, rows = _singular_points(q)
-    perp = (np.bitwise_count(rows[:, None] & pts) & 1) == 0
+    pts = np.flatnonzero(q.values[1:] == 0) + 1
+    perp = (np.bitwise_count(q.polar[pts, None] & pts) & 1) == 0
     top = np.left_shift(1, np.frexp(pts)[1] - 1)
     basis = np.zeros((1, 0), dtype=np.intp)  # indices into pts
     tops = np.zeros(1, dtype=np.int64)
@@ -255,11 +271,10 @@ def mat_inverse(g: Tuple[int, ...]) -> Tuple[int, ...]:
 
 def transvection(q: QuadraticForm, v: int) -> Tuple[int, ...]:
     """Orthogonal transvection x -> x + B(x, v) v; requires Q(v) = 1."""
-    if q.evaluate(v) != 1:
+    if v >> q.dim or q.values[v] != 1:
         raise ValueError("transvections need an anisotropic vector")
-    return tuple(
-        (1 << i) ^ (v if q.bilinear(1 << i, v) else 0) for i in range(q.dim)
-    )
+    row = int(q.polar[v])  # bit i is B(e_i, v)
+    return tuple((1 << i) ^ (v if row >> i & 1 else 0) for i in range(q.dim))
 
 
 def isometry_generators(q: QuadraticForm) -> List[Tuple[int, ...]]:
@@ -274,7 +289,7 @@ def isometry_generators(q: QuadraticForm) -> List[Tuple[int, ...]]:
     if cls.tag == "mixed":
         raise ValueError("mixed-radical forms have no structural generator set here")
     d = q.dim
-    gens = [transvection(q, v) for v in range(1, 1 << d) if q.evaluate(v) == 1]
+    gens = [transvection(q, v) for v in np.flatnonzero(q.values).tolist()]
     if rad.rank:
         comp = gf2.complement_basis(rad)
         rb = rad.basis
@@ -298,48 +313,32 @@ def _normal_basis(q: QuadraticForm) -> Tuple[List[int], FormClass]:
     """A basis b_1.. with Q(sum y_i b_i) in normal form.
 
     Layout: hyperbolic pairs, then an anisotropic pair for '-' type, then
-    one anisotropic radical vector for mixed forms, then SRad.
+    one anisotropic radical vector for mixed forms, then SRad.  Each pick
+    is the first fitting nonzero vector of the current space in subset
+    order.
     """
     rad, srad, cls = radicals(q)
     d = q.dim
-    aniso_rad = None
-    if cls.tag == "mixed":
-        aniso_rad = next((r for r in rad.basis if q.evaluate(r)), None)
-        if aniso_rad is None:  # pragma: no cover
-            raise AssertionError("mixed class without anisotropic radical vector")
+    aniso_rad = next((r for r in rad.basis if q.values[r]), 0)
     # Work inside a complement of the radical, refining to hyperbolic pairs.
     space = list(gf2.complement_basis(rad))
-    pairs: List[Tuple[int, int]] = []
-    aniso_pair: Optional[Tuple[int, int]] = None
-    while space:
-        vecs = [v for v in gf2.subspace_vectors(gf2.rref(space, d)) if v]
-        sing = next((v for v in vecs if q.evaluate(v) == 0), None)
-        if sing is None:
-            if len(space) != 2:  # pragma: no cover
-                raise AssertionError("anisotropic part larger than a plane")
-            a, b = vecs[0], next(v for v in vecs if q.bilinear(vecs[0], v))
-            aniso_pair = (a, b)
-            break
-        u = sing
-        w = next(v for v in vecs if q.bilinear(u, v))
-        w ^= u if q.evaluate(w) else 0
-        pairs.append((u, w))
-        # restrict to the perp of the pair inside the current space
-        perp = [v for v in vecs if not q.bilinear(u, v) and not q.bilinear(w, v)]
-        space = list(gf2.rref(perp, d).basis)
-    if aniso_pair is not None and aniso_rad is not None:
-        # x^2 + xy + y^2 + r^2 rewrites hyperbolically via (x+r, y+r).
-        a, b = aniso_pair
-        pairs.append((a ^ aniso_rad, b ^ aniso_rad))
-        aniso_pair = None
     basis: List[int] = []
-    for a, b in pairs:
-        basis += [a, b]
-    if aniso_pair is not None:
-        basis += list(aniso_pair)
-    if aniso_rad is not None:
-        basis.append(aniso_rad)
-    basis += list(srad.basis)
+    while space:
+        vecs = xor_span(gf2.rref(space, d).basis)[1:]
+        sing = np.flatnonzero(q.values[vecs] == 0)
+        u = int(vecs[sing[0]] if len(sing) else vecs[0])
+        off_u = np.bitwise_count(vecs & q.polar[u]) & 1  # B(u, v) for each v
+        w = int(vecs[np.argmax(off_u)])
+        if not len(sing):  # an anisotropic plane; with an anisotropic r in the
+            # radical, x^2 + xy + y^2 + r^2 rewrites hyperbolically via (x+r, y+r)
+            basis += [u ^ aniso_rad, w ^ aniso_rad]
+            break
+        w ^= u if q.values[w] else 0
+        basis += [u, w]
+        # restrict to the perp of the pair inside the current space
+        perp = vecs[(off_u | np.bitwise_count(vecs & q.polar[w]) & 1) == 0]
+        space = list(gf2.rref(perp.tolist(), d).basis)
+    basis += ([aniso_rad] if aniso_rad else []) + list(srad.basis)
     assert len(basis) == d and gf2.rank_of(basis, d) == d
     return basis, cls
 
@@ -348,17 +347,13 @@ def forms_equivalent(q1: QuadraticForm, q2: QuadraticForm) -> Optional[Tuple[int
     """An invertible g with Q2(x) = Q1(g x) for all x, or None."""
     if q1.dim != q2.dim:
         raise ValueError("ambient dimension mismatch")
-    _, _, c1 = radicals(q1)
-    _, _, c2 = radicals(q2)
+    b1, c1 = _normal_basis(q1)
+    b2, c2 = _normal_basis(q2)
     if c1 != c2:
         return None
-    b1, _ = _normal_basis(q1)
-    b2, _ = _normal_basis(q2)
     # A_i maps coordinate vectors to the normal basis: Q_i(A_i y) = N(y).
-    a1 = tuple(b1)
-    a2 = tuple(b2)
-    g = mat_mul(mat_inverse(a2), a1)  # x -> A1(A2^{-1} x)
-    if not all(q2.evaluate(v) == q1.evaluate(apply_matrix(g, v)) for v in range(1 << q1.dim)):
+    g = mat_mul(mat_inverse(tuple(b2)), tuple(b1))  # x -> A1(A2^{-1} x)
+    if not np.array_equal(q2.values, q1.values[xor_span(g)]):
         raise AssertionError("normal-form reduction produced a non-witness")
     return g
 

@@ -325,9 +325,12 @@ def _extend_block(cat: PlaneCatalogue, seeds: Sequence[Tuple[int, ...]],
         if m < k:
             firsts = np.flatnonzero(first <= m)
             parent, xs = prefix[firsts], seed_sets[firsts, m]
-            # the level's rows as keys (node << 32) + plane
+            # the level's rows as keys (node << 32) + plane, sorted as the
+            # rows are (np.isin would import numpy.ma)
             keys = np.repeat(np.arange(len(sets)) << 32, np.diff(ptr)) + cols
-            if not np.isin((parent << 32) + xs, keys).all():
+            probe = (parent << 32) + xs
+            at = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+            if not len(keys) or not np.array_equal(keys[at], probe):
                 raise ValueError("a seed is not a partial pseudo-arc")
             starts = ptr[parent]
             prefix = np.cumsum(first <= m) - 1

@@ -150,11 +150,12 @@ def test_filters_abelian_group_file_skips_subgroup_enumeration(tmp_path, schema,
     assert sorted(rep["notes"]["stage_s"]) == ["clique", "enough_subgroups", "structural_filter"]
 
 
-def test_group_level_commands_leave_numpy_ma_unimported():
-    # np.unique imports numpy.ma on its first call: 17-26 ms and 1.6 MB
-    # of a fresh interpreter
+def test_commands_leave_numpy_ma_unimported():
+    # np.unique and np.isin import numpy.ma on their first call: 14-26 ms
+    # and 1.6-2.4 MB of a fresh interpreter
     script = ("import random, sys\n"
               "from asq import cli, groups, search\n"
+              "cli.main(['--quiet', 'pseudoarcs', 'plus8', '--threads', '1'])\n"
               "cli.main(['--quiet', 'filters', '212m'])\n"
               "cli.main(['--quiet', 'ruleout', '210b'])\n"
               "search.lemma53_counts(groups.table4_group('210b'), random.Random(1))\n"

@@ -187,6 +187,31 @@ def test_table4_rejects_unknown():
         table4_group("999z")
 
 
+def cocycle_mul_oracle(d, coeff):
+    """Slow oracle for CocycleGroup.mul: f[v] = M v one row of M at a
+    time, beta(u, v) = parity(u & f[v])."""
+    nvec = 1 << d
+    f = np.zeros(nvec, dtype=np.int64)
+    for i in range(d):
+        v = np.arange(nvec, dtype=np.int64)
+        f |= (np.bitwise_count(v & coeff[i]).astype(np.int64) & 1) << i
+    u = np.arange(nvec, dtype=np.int64)
+    beta = np.bitwise_count(u[:, None] & f[None, :]).astype(np.int64) & 1
+    x = np.arange(nvec << 1, dtype=np.int64)
+    uu, aa = x & (nvec - 1), x >> d
+    return (uu[:, None] ^ uu[None, :]) | ((aa[:, None] ^ aa[None, :] ^ beta[np.ix_(uu, uu)]) << d)
+
+
+def test_cocycle_tables_match_oracle():
+    rng = random.Random(20)
+    cases = [table4_group(ident) for ident in TABLE4_IDS]
+    for _ in range(40):
+        d = rng.randrange(1, 7)
+        cases.append(groups.CocycleGroup(d, tuple(rng.randrange(1 << d) for _ in range(d))))
+    for G in cases:
+        assert np.array_equal(G.mul, cocycle_mul_oracle(G.d, G.form.coeff)), G.name or G.form
+
+
 def test_enumerate_elem_abelian():
     G = elementary_abelian(3)
     subs = enumerate_elem_abelian_subgroups(G, 4)

@@ -10,6 +10,7 @@ from asq.permgroup import PermGroup
 from asq.quadform import (
     PRESETS,
     QuadraticForm,
+    _normal_basis,
     _parity,
     apply_matrix,
     field_reduction_arc,
@@ -68,6 +69,26 @@ def test_bilinear_is_symmetric_alternating(fv):
     assert q.bilinear(u, v) == q.bilinear(v, u)
     assert q.bilinear(u, u) == 0
     assert q.bilinear(u ^ v, w) == q.bilinear(u, w) ^ q.bilinear(v, w)
+
+
+def assert_tables_match(q):
+    vs = range(1 << q.dim)
+    assert q.values.tolist() == [q.evaluate(v) for v in vs]
+    assert q.polar.tolist() == [q.bilinear_row(v) for v in vs]
+
+
+@settings(max_examples=60)
+@given(form_and_vectors(0))
+def test_tables_match_scalar_definitions(fv):
+    assert_tables_match(fv[0])
+
+
+def test_preset_tables_match_and_are_read_only():
+    for q in PRESETS.values():
+        assert_tables_match(q)
+        for table in (q.values, q.polar):
+            with pytest.raises(ValueError):
+                table[1] = 0
 
 
 def test_preset_radical_types():
@@ -259,3 +280,102 @@ def test_singular_subspaces_random_forms_match_oracle():
             for k in (0, 1, 2, 3, d + 1):
                 got = [p.key() for p in singular_subspaces(q, k)]
                 assert got == [p.key() for p in singular_subspaces_oracle(q, k)], (q, k)
+
+
+# ----------------------------------------------------------------------
+# normal bases, witnesses and isometry generators against the per-vector
+# scans they replaced
+
+
+def normal_basis_oracle(q):
+    """Slow oracle for _normal_basis: each pick by a scan of the current
+    space with the scalar evaluate and bilinear."""
+    rad, srad, cls = radicals(q)
+    d = q.dim
+    aniso_rad = None
+    if cls.tag == "mixed":
+        aniso_rad = next(r for r in rad.basis if q.evaluate(r))
+    space = list(gf2.complement_basis(rad))
+    pairs, aniso_pair = [], None
+    while space:
+        vecs = [v for v in gf2.subspace_vectors(gf2.rref(space, d)) if v]
+        sing = next((v for v in vecs if q.evaluate(v) == 0), None)
+        if sing is None:
+            assert len(space) == 2
+            aniso_pair = (vecs[0], next(v for v in vecs if q.bilinear(vecs[0], v)))
+            break
+        u = sing
+        w = next(v for v in vecs if q.bilinear(u, v))
+        w ^= u if q.evaluate(w) else 0
+        pairs.append((u, w))
+        perp = [v for v in vecs if not q.bilinear(u, v) and not q.bilinear(w, v)]
+        space = list(gf2.rref(perp, d).basis)
+    if aniso_pair is not None and aniso_rad is not None:
+        a, b = aniso_pair
+        pairs.append((a ^ aniso_rad, b ^ aniso_rad))
+        aniso_pair = None
+    basis = [x for pair in pairs for x in pair]
+    basis += list(aniso_pair or ()) + ([aniso_rad] if aniso_rad is not None else [])
+    return basis + list(srad.basis), cls
+
+
+def forms_equivalent_oracle(q1, q2):
+    """Slow oracle for forms_equivalent: the witness checked vector by
+    vector with evaluate and apply_matrix."""
+    b1, c1 = normal_basis_oracle(q1)
+    b2, c2 = normal_basis_oracle(q2)
+    if c1 != c2:
+        return None
+    g = mat_mul(mat_inverse(tuple(b2)), tuple(b1))
+    assert all(q2.evaluate(v) == q1.evaluate(apply_matrix(g, v)) for v in range(1 << q1.dim))
+    return g
+
+
+def isometry_generators_oracle(q):
+    """Slow oracle for isometry_generators: the transvections by a scan
+    of every vector with the scalar evaluate and bilinear."""
+    rad, srad, cls = radicals(q)
+    d = q.dim
+    gens = [tuple((1 << i) ^ (v if q.bilinear(1 << i, v) else 0) for i in range(d))
+            for v in range(1, 1 << d) if q.evaluate(v) == 1]
+    if rad.rank:
+        comp, rb = gf2.complement_basis(rad), rad.basis
+        if len(rb) >= 2:
+            gens.append(gf2.linear_map(comp + rb, comp + rb[1:] + rb[:1], d))
+            gens.append(gf2.linear_map(comp + rb, comp + (rb[0] ^ rb[1],) + rb[1:], d))
+        for c in comp:
+            for s in srad.basis:
+                sheared = tuple(x ^ s if x == c else x for x in comp)
+                gens.append(gf2.linear_map(comp + rb, sheared + rb, d))
+    return gens
+
+
+def oracle_corpus():
+    """The presets, the seven Q_gamma and 504 seeded random forms of
+    dimension 1-9."""
+    rng = random.Random(2014)
+    out = list(PRESETS.values()) + list(gamma_forms().values())
+    for d in range(1, 10):
+        out += [QuadraticForm(d, tuple(rng.randrange(1 << d) for _ in range(d)))
+                for _ in range(56)]
+    return out
+
+
+def test_normal_bases_and_isometry_generators_match_oracles():
+    for q in oracle_corpus():
+        assert _normal_basis(q) == normal_basis_oracle(q), q
+        if radicals(q)[2].tag == "mixed":
+            with pytest.raises(ValueError):
+                isometry_generators(q)
+        else:
+            assert isometry_generators(q) == isometry_generators_oracle(q), q
+
+
+def test_forms_equivalent_matches_oracle():
+    forms = oracle_corpus()
+    rng = random.Random(20)
+    for k, q in enumerate(forms):
+        others = [rebased(q, basis_change(q.dim, k)),
+                  rng.choice([p for p in forms if p.dim == q.dim])]
+        for q2 in others:
+            assert forms_equivalent(q, q2) == forms_equivalent_oracle(q, q2), (q, q2)

@@ -386,6 +386,12 @@ def test_extend_arcs_edge_cases(cat_minus):
     for bad in ((a, a, c, d), (a, meets, c, d), (a, b, no_span, d), (d, c, b, meets)):
         with pytest.raises(ValueError, match="not a partial pseudo-arc"):
             extend_arcs(cat_minus, [seeds[1], bad], 6)
+    # no Klein-quadric plane is disjoint from two disjoint ones, so the
+    # level below (x, y) holds no plane at all
+    klein = PlaneCatalogue(QuadraticForm(6, (0b10, 0, 0b1000, 0, 0b100000, 0)))
+    x, y = np.argwhere(klein.disjoint)[0].tolist()
+    with pytest.raises(ValueError, match="not a partial pseudo-arc"):
+        extend_arcs(klein, [(x, y, 0)], 3)
     with pytest.raises(ValueError):  # seeds of mixed sizes
         extend_arcs(cat_minus, [seeds[0], seeds[1][:3]], 6)
     with pytest.raises(ValueError, match="below the seed size"):
