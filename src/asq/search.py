@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import gf2
-from ._kernels import membership_words, pairwise_disjoint, xor_span
+from ._kernels import membership_words, xor_span
 from .asconfig import ASConfiguration, _cube_root
 from .groups import (
     CocycleGroup,
@@ -137,13 +137,12 @@ _PAIRS = 2048
 class PlaneCatalogue:
     """Immutable search context: the totally singular planes of a form
     (one gf2.rref per plane), their vectors as an (n, 8) array and
-    bit-packed membership masks as an (n, words) uint64 array, the
-    pairwise-disjointness matrix, and the
+    bit-packed membership masks as an (n, words) uint64 array, and the
     plane action of the form's isometry group (planes found by their
     least-vector keys; a ValueError for a form with no structural
-    generator set).  compatible_pairs is the one test of whether a set
-    of planes stays a partial pseudo-arc; is_partial_pseudo_arc is its
-    slow oracle."""
+    generator set).  compatible_pairs is the one test of whether a set of
+    planes stays a partial pseudo-arc; is_partial_pseudo_arc is its slow
+    oracle."""
 
     def __init__(self, form: QuadraticForm):
         self.form = form
@@ -151,7 +150,6 @@ class PlaneCatalogue:
         self.n = len(self.planes)
         self.vectors = _plane_vectors(self.planes)
         self.words = membership_words(self.vectors, 1 << form.dim)
-        self.disjoint = pairwise_disjoint(self.words)
         self.group: PermGroup = plane_action(form, self.planes)
 
     def compatible_pairs(self, sets: np.ndarray, xs: np.ndarray, owner: np.ndarray,
@@ -162,19 +160,21 @@ class PlaneCatalogue:
         indices: the planes k disjoint from x with W_a + W_x + W_k
         filling the space for every a in the set.  W_a and W_x meet
         trivially, so W_a + W_x is the 64 XORs of their vectors, of
-        dimension 6, and by the dimension formula
-        |(W_a + W_x) cap W_k| = 2^(9 - dim).  The words of every child's
-        sums are formed at once, and the meet test runs member by member
-        on the pairs still alive; callers bound the pairs and children
-        of one call."""
-        live = np.flatnonzero(self.disjoint[xs[owner], ks])
+        dimension 6, and by the dimension formula |(W_a + W_x) cap W_k|
+        = 2^(9 - dim).  The pairs still alive are met with each member's
+        sum in turn (the words formed at once), then with W_x, the only
+        test at the first level.  Counts fit in uint8, as W_k has 8
+        vectors; callers bound the pairs and children of one call."""
+        m, w = sets.shape[1], self.words.shape[1]
         sums = self.vectors[sets, :, None] ^ self.vectors[xs, None, None, :]
-        words = membership_words(sums.reshape(-1, 64), 1 << self.form.dim)
-        words = words.reshape(len(sets), sets.shape[1], self.words.shape[1])
-        meet_size = 1 << (9 - self.form.dim)
-        for j in range(sets.shape[1]):
-            meet = np.bitwise_count(self.words[ks[live]] & words[owner[live], j]).sum(axis=1)
-            live = live[meet == meet_size]
+        words = membership_words(sums.reshape(-1, 64), 1 << self.form.dim).reshape(len(sets), m, w)
+        # row c * (m + 1) + j: child c's sum with member j, then W_x
+        words = np.concatenate([words, self.words[xs, None]], axis=1).reshape(-1, w)
+        live = np.arange(len(ks))
+        for j, size in enumerate([1 << (9 - self.form.dim)] * m + [1]):
+            meet = np.take(self.words, ks[live], axis=0)
+            meet &= np.take(words, owner[live] * (m + 1) + j, axis=0)
+            live = live[np.bitwise_count(meet).sum(axis=1, dtype=np.uint8) == size]
         return live
 
 

@@ -12,6 +12,7 @@ from test_permgroup import complete_degrees, node_children
 from test_quadform import plane_perms_oracle
 
 from asq import asconfig, gf2, search
+from asq._kernels import pairwise_disjoint
 from asq.asconfig import check_as_axioms, clique_size_qplus1
 from asq.groups import (
     HeisenbergGroup,
@@ -379,9 +380,10 @@ def test_extend_arcs_edge_cases(cat_minus):
     assert [a.members for a in arcs] == seeds
     assert [(t.seed, t.nodes, t.solutions) for t in traces] == [(s, 1, 1) for s in seeds]
     a, b, c, d = seeds[0]
-    meets = next(k for k in range(cat_minus.n) if k != a and not cat_minus.disjoint[a, k])
-    no_span = next(k for k in range(cat_minus.n) if cat_minus.disjoint[a, k]
-                   and cat_minus.disjoint[b, k] and not is_partial_pseudo_arc(
+    disjoint = pairwise_disjoint(cat_minus.words)
+    meets = next(k for k in range(cat_minus.n) if k != a and not disjoint[a, k])
+    no_span = next(k for k in range(cat_minus.n) if disjoint[a, k]
+                   and disjoint[b, k] and not is_partial_pseudo_arc(
                        cat_minus.form, [cat_minus.planes[i] for i in (a, b, k)]))
     for bad in ((a, a, c, d), (a, meets, c, d), (a, b, no_span, d), (d, c, b, meets)):
         with pytest.raises(ValueError, match="not a partial pseudo-arc"):
@@ -389,7 +391,7 @@ def test_extend_arcs_edge_cases(cat_minus):
     # no Klein-quadric plane is disjoint from two disjoint ones, so the
     # level below (x, y) holds no plane at all
     klein = PlaneCatalogue(QuadraticForm(6, (0b10, 0, 0b1000, 0, 0b100000, 0)))
-    x, y = np.argwhere(klein.disjoint)[0].tolist()
+    x, y = np.argwhere(pairwise_disjoint(klein.words))[0].tolist()
     with pytest.raises(ValueError, match="not a partial pseudo-arc"):
         extend_arcs(klein, [(x, y, 0)], 3)
     with pytest.raises(ValueError):  # seeds of mixed sizes
@@ -526,27 +528,29 @@ def test_search_trace_accounting(cat_minus):
     assert len(arcs) == 2
 
 
-def test_compatible_pairs_matches_compatible(cat_minus):
+def test_compatible_pairs_matches_compatible(cat_minus, cat_dim7):
     # the rows both arc searches grow, against the slow oracle, along
-    # random growing partial arcs
+    # random growing partial arcs from the empty set, whose first level
+    # tests disjointness alone: on minus8, where each member's sum meets
+    # a compatible plane in 2 vectors, and on the dim-7 form (4 vectors)
     rng = random.Random(31)
-    cat = cat_minus
-    checked = 0
-    for _ in range(6):
-        s, row = [], np.arange(cat.n)
-        while True:
-            planes = [cat.planes[i] for i in s]
-            want = [is_partial_pseudo_arc(cat.form, planes + [p]) for p in cat.planes]
-            assert row.tolist() == np.flatnonzero(want).tolist()
-            checked += 1
-            if len(row) == 0 or len(s) == 5:
-                break
-            x = int(rng.choice(row))
-            sets = np.array(s, dtype=np.intp).reshape(1, -1)
-            row = row[cat.compatible_pairs(sets, np.array([x]), np.zeros(len(row), dtype=np.intp),
-                                           row)]
-            s.append(x)
-    assert checked >= 24
+    for cat in (cat_minus, cat_dim7):
+        checked = 0
+        for _ in range(6):
+            s, row = [], np.arange(cat.n)
+            while True:
+                planes = [cat.planes[i] for i in s]
+                want = [is_partial_pseudo_arc(cat.form, planes + [p]) for p in cat.planes]
+                assert row.tolist() == np.flatnonzero(want).tolist()
+                checked += 1
+                if len(row) == 0 or len(s) == 5:
+                    break
+                x = int(rng.choice(row))
+                sets = np.array(s, dtype=np.intp).reshape(1, -1)
+                row = row[cat.compatible_pairs(sets, np.array([x]),
+                                               np.zeros(len(row), dtype=np.intp), row)]
+                s.append(x)
+        assert checked >= 24, cat.form
 
 
 def orbit_least_members(sets, perms, n):
@@ -646,6 +650,19 @@ def test_arc_seeds_size3_against_orbit_oracle(cat_dim7):
         tracemalloc.stop()
     assert len(orbits) == 4
     assert arc_seeds(cat_dim7, 3) == orbits
+
+
+def test_catalogue_memory_guard():
+    # deg-hyp6 (3215 planes): the catalogue keeps its planes, their
+    # vectors and membership words and the plane action, about 2.4 MB
+    # traced.  With an (n, n) disjointness matrix it kept 12.7 MB.
+    tracemalloc.start()
+    try:
+        cat = PlaneCatalogue(preset("deg-hyp6"))
+        assert tracemalloc.get_traced_memory()[0] <= 4e6
+    finally:
+        tracemalloc.stop()
+    assert cat.n == 3215
 
 
 def test_chain_memory_guard():
