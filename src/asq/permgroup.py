@@ -28,10 +28,10 @@ candidate x of many search nodes s at once, whether s + [x] is its own
 minimal image.  Each child walks its node's chain of stabilisers of the
 prefixes of s, so it runs as whole arrays: one (rows, k) array of
 candidate images with an owner per row.  At each depth the rows are
-grouped by their node's stabiliser, which nodes with a common prefix
-share through the stabiliser cache; each group's rows are traced
-through its forest together and deduplicated per owner, and the owners
-whose stabiliser is trivial take one lexicographic test together.
+grouped by their node's stabiliser, which a node's chain shares with
+its parent's; each group's rows are traced through its forest together
+and deduplicated per owner, and the owners whose stabiliser is trivial
+take one lexicographic test together.
 min_image and is_min_image, which trace one candidate set at a time,
 are its slow oracle.
 
@@ -56,9 +56,9 @@ group, drawn through its chain and moved to fix the point, until the
 stabiliser's known order |G|/|x^G| is reached.  Each element g is
 moved to fix x along the group's own orbit forest: the walk of g[x] to
 its orbit minimum, then one element, fixed per stabiliser, from the
-minimum back to x.  Every order-1 stabiliser below
-a group is one shared generator-free group, which keeps no per-point
-buffers of its own.
+minimum back to x.  No stabiliser is cached, but every order-1
+stabiliser below a group is one shared generator-free group, which
+keeps no per-point buffers of its own.
 """
 from __future__ import annotations
 
@@ -383,9 +383,10 @@ class PermGroup:
         self._pred: Optional[np.ndarray] = None
         self._edge: Optional[np.ndarray] = None
         self._depth: Optional[np.ndarray] = None
-        self._children: Dict[int, "PermGroup"] = {}
         # the one order-1 group that every trivial stabiliser below is
         self._trivial: Optional["PermGroup"] = None
+        # min_image's stabilisers of the minimal-image prefixes it walked
+        self._prefixes: Dict[Tuple[int, ...], "PermGroup"] = {}
 
     # -- order ---------------------------------------------------------
 
@@ -461,15 +462,12 @@ class PermGroup:
     # -- point stabiliser (read off the chain) -------------------------
 
     def stabilizer(self, point: int) -> "PermGroup":
-        """The stabiliser of point, cached, with its chain read off this
-        group's.  A group with no generators is its own stabiliser; every
-        order-1 stabiliser below a group is one shared group with no
-        generators."""
+        """The stabiliser of point, with its chain read off this group's;
+        computed on every call.  A group with no generators is its own
+        stabiliser; every order-1 stabiliser below a group is one shared
+        group with no generators."""
         if not self.gens:
             return self
-        child = self._children.get(point)
-        if child is not None:
-            return child
         om = self.orbit_min
         target, rem = divmod(self.order(), int(np.count_nonzero(om == om[point])))
         if rem:
@@ -477,7 +475,6 @@ class PermGroup:
         if self._trivial is None:
             self._trivial = PermGroup([], self.n, order=1)
         if target == 1:
-            self._children[point] = self._trivial
             return self._trivial
         chain = self._ensure_chain()
         if point == chain.levels[0].base:
@@ -489,7 +486,6 @@ class PermGroup:
         child = PermGroup(chain.levels[0].gens, self.n, order=target)
         child._chain = chain
         child._trivial = self._trivial
-        self._children[point] = child
         return child
 
     def _fixing(self, y: int, target: int) -> _Chain:
@@ -520,7 +516,8 @@ def min_image(group: PermGroup, points: Sequence[int],
     With `upper` given (a sorted tuple), returns None as soon as the
     minimum is proven strictly smaller than `upper`: the early exit of
     is_min_image.  The slow oracle of canonical_children, and the
-    canonical form that extend_arcs deduplicates by.
+    canonical form that extend_arcs deduplicates by.  The stabilisers of
+    the minimal-image prefixes it walks are kept on the group.
     """
     node = group
     cands: set[FrozenSet[int]] = {frozenset(int(x) for x in points)}
@@ -552,7 +549,9 @@ def min_image(group: PermGroup, points: Sequence[int],
                 if om[s] == mu:
                     rest = np.array([x for x in t if x != s], dtype=np.intp)
                     new.add(frozenset(node.walk(s, rest).tolist()))
-        node = node.stabilizer(mu)
+        if tuple(res) not in group._prefixes:
+            group._prefixes[tuple(res)] = node.stabilizer(mu)
+        node = group._prefixes[tuple(res)]
         cands = new
     return tuple(res)
 
@@ -596,10 +595,10 @@ def canonical_children(chains: Sequence[Sequence[PermGroup]], sets: np.ndarray,
     depth d the batch holds every image of each child (its owner) that
     starts with that prefix, one sorted row of the remaining points
     each, up to the node's chain[d].  The rows are grouped by that
-    group: nodes with one prefix share it through the stabiliser cache,
-    and every order-1 stabiliser is one group.  Within a non-trivial
-    group, an owner whose least orbit minimum is below its own point at
-    d (sets[j, d], or x at the last depth) is rejected; the rows at that
+    group: the chains of nodes with one prefix share it, and every
+    order-1 stabiliser is one group.  Within a non-trivial group, an
+    owner whose least orbit minimum is below its own point at d
+    (sets[j, d], or x at the last depth) is rejected; the rows at that
     minimum are traced to it through the group's Schreier forest, the
     moved point is dropped, and the rows are sorted and deduplicated per
     owner.  Once an owner's chain[d] is trivial its rows are all its

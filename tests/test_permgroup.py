@@ -184,10 +184,15 @@ def stabiliser_path(parent, child):
 
 
 def prefix_chain(G, s):
-    """[G, G_(s0), G_(s0, s1), ...]: the stabilisers of the prefixes of s."""
+    """[G, G_(s0), G_(s0, s1), ...]: the stabilisers of the prefixes of s,
+    kept with min_image's on the group, so that the chains of one group's
+    sets share their prefixes as arc_seeds' do."""
     chain = [G]
-    for x in s:
-        chain.append(chain[-1].stabilizer(x))
+    for i, x in enumerate(s):
+        prefix = tuple(s[:i + 1])
+        if prefix not in G._prefixes:
+            G._prefixes[prefix] = chain[-1].stabilizer(x)
+        chain.append(G._prefixes[prefix])
     return chain
 
 
@@ -265,21 +270,20 @@ def test_nested_stabilisers_against_closure():
         elems = closure(gens, n)
         assert G.order() == len(elems)
         for _ in range(3):
-            H, fixed = G, []
-            for x in rng.sample(range(n), rng.randint(1, n)):
-                K = H.stabilizer(x)
-                fixed.append(x)
+            points = rng.sample(range(n), rng.randint(1, n))
+            chain = prefix_chain(G, points)
+            for i, x in enumerate(points):
+                H, K, fixed = chain[i], chain[i + 1], points[:i + 1]
                 want = {g for g in elems if all(g[p] == p for p in fixed)}
                 assert closure(K.gens, n) == want, (gens, fixed)
                 assert K.order() == len(want)
-                if K.order() > 1 and H._children.get(x) is K and K._chain.levels:
+                if K.order() > 1 and K is not H and K._chain.levels:
                     path = stabiliser_path(H, K)
                     paths[path] += 1
                     if path == "new chain":
                         # its elements walk to x's orbit minimum and back
                         # to x, which for a minimum is no move
                         kinds[bool(x == H.orbit_min[x])] += 1
-                H = K
     assert min(paths[k] for k in ("first base point", "new chain")) >= 10, paths
     assert min(kinds[True], kinds[False]) >= 10, kinds
 
@@ -295,8 +299,8 @@ def test_order_against_explicit_chain():
             else random_small_group(rng, n)
         G = PermGroup(gens, n)
         assert G.order() == ExplicitChain(gens, n).order(), gens
-        x = rng.randrange(n)
-        assert ExplicitChain(G.stabilizer(x).gens, n).order() == G.stabilizer(x).order()
+        H = G.stabilizer(rng.randrange(n))
+        assert ExplicitChain(H.gens, n).order() == H.order()
 
 
 def test_chain_against_explicit_schreier_sims():
@@ -421,15 +425,26 @@ def test_min_image_upper_cutoff():
     assert min_image(G, pts, upper=(1, 2)) is None
 
 
-def test_min_image_builds_no_stabiliser_for_the_last_point():
+def test_min_image_builds_no_stabiliser_for_the_last_point(monkeypatch):
+    built = []
+
+    def spy(self, point, stabilizer=PermGroup.stabilizer):
+        built.append((self, point))
+        return stabilizer(self, point)
+
+    monkeypatch.setattr(PermGroup, "stabilizer", spy)
     n = 6
     cyc = list(range(1, n)) + [0]
     G = PermGroup([cyc], n)
     assert min_image(G, (2,)) == (0,)
-    assert G._children == {}
+    assert built == []
     # (1, 3) -> (0, 2) fixes 0 first; 2 is the last point
     assert min_image(G, (1, 3)) == (0, 2)
-    assert list(G._children) == [0]
+    assert built == [(G, 0)]
+    # the prefix (0,) is walked again without a new stabiliser
+    assert min_image(G, (2, 5)) == (0, 3)
+    assert is_min_image(G, (0, 3))
+    assert built == [(G, 0)]
 
 
 def test_canonical_children_against_oracles():

@@ -8,7 +8,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from test_permgroup import complete_degrees, node_children
+from test_permgroup import complete_degrees, node_children, prefix_chain
 from test_quadform import plane_perms_oracle
 
 from asq import asconfig, gf2, search
@@ -29,7 +29,7 @@ from asq.groups import (
     subgroup_generate,
     table4_group,
 )
-from asq.permgroup import is_min_image, min_image
+from asq.permgroup import PermGroup, is_min_image, min_image
 from asq.quadform import QuadraticForm, load_form, preset, singular_subspaces
 from asq.search import (
     PlaneCatalogue,
@@ -104,7 +104,7 @@ def _seeds_below(cat, seed_size, s, chain, row, out, sizes):
         if len(s) + 1 == seed_size:
             _seeds_below(cat, seed_size, s + [x], chain, None, out, sizes)
         else:
-            _seeds_below(cat, seed_size, s + [x], chain + [node.stabilizer(x)],
+            _seeds_below(cat, seed_size, s + [x], prefix_chain(cat.group, s + [x]),
                          compatible_row(cat, row, s, x), out, sizes)
 
 
@@ -461,7 +461,7 @@ def test_canonical_children_along_random_arcs(cat_minus):
                 break
             x = int(rng.choice(xs[got]))
             row = compatible_row(cat, row, s, x)
-            chain.append(node.stabilizer(x))
+            chain = prefix_chain(cat.group, s + [x])
             s.append(x)
     assert checked > 500 and accepted > 100
 
@@ -487,23 +487,23 @@ def test_canonical_children_wide_rows():
     assert min_image(group, s) == tuple(s)
 
 
-def test_trivial_stabilisers_share_one_group(cat_minus):
-    # every order-1 stabiliser reachable from the group is one object
-    # without generators
+def test_trivial_stabilisers_share_one_group(cat_minus, monkeypatch):
+    # every order-1 stabiliser that arc_seeds builds below the group is
+    # one object without generators
+    edges, trivial = 0, []
+
+    def spy(self, point, stabilizer=PermGroup.stabilizer):
+        nonlocal edges
+        child = stabilizer(self, point)
+        if self.gens and child.order() == 1:
+            edges += 1
+            trivial.append(child)
+            assert child.gens == []
+        return child
+
+    monkeypatch.setattr(PermGroup, "stabilizer", spy)
     arc_seeds(cat_minus, 6)
-    edges, trivial, todo, seen = 0, set(), [cat_minus.group], set()
-    while todo:
-        g = todo.pop()
-        if id(g) in seen:
-            continue
-        seen.add(id(g))
-        for child in g._children.values():
-            if child.order() == 1:
-                edges += 1
-                trivial.add(id(child))
-                assert child.gens == []
-            todo.append(child)
-    assert edges > 1 and len(trivial) == 1
+    assert edges > 1 and len({id(g) for g in trivial}) == 1
 
 
 def test_seeds_revalidate(cat_minus):
@@ -665,14 +665,31 @@ def test_catalogue_memory_guard():
     assert cat.n == 3215
 
 
-def test_chain_memory_guard():
+def test_chain_memory_guard(monkeypatch):
     # plus8 (2025 planes): neither the order's chain nor the stabiliser
     # chains of a fresh arc_seeds hold n-point transversals, and their
     # strong generators and inverses are int32.  With an
     # explicit transversal and its inverses they peaked at 33.5 MB and
     # 23.7 MB traced.  The level-synchronous search holds one level's
     # rows and one block of children beyond the depth-first search's
-    # 2.4 MB; one unbounded batch per level peaked at 18 MB.
+    # 2.4 MB; one unbounded batch per level peaked at 18 MB.  Once the
+    # seeds are dropped the stabilisers go with them: with each one
+    # cached on its parent group, 2.2 MB stayed traced.
+    chains = []
+
+    def int32_chain(G):
+        # every chain, the order's and the stabilisers', is kept in int32
+        for lv in G._chain.levels:
+            assert all(g.dtype == np.int32 for g in lv.gens + lv.inv)
+        chains.append(len(G._chain.levels))
+
+    def spy(self, point, stabilizer=PermGroup.stabilizer):
+        child = stabilizer(self, point)
+        if child._chain is not None:
+            int32_chain(child)
+        return child
+
+    monkeypatch.setattr(PermGroup, "stabilizer", spy)
     cat = PlaneCatalogue(preset("plus8"))
     tracemalloc.start()
     try:
@@ -681,21 +698,16 @@ def test_chain_memory_guard():
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         tr = SearchTrace(seed=None)
-        assert len(arc_seeds(cat, 6, trace=tr)) == 1402
+        seeds = arc_seeds(cat, 6, trace=tr)
+        assert len(seeds) == 1402
         assert tracemalloc.get_traced_memory()[1] - start <= 4e6
+        del seeds
+        assert tracemalloc.get_traced_memory()[0] - start <= 1.6e6
     finally:
         tracemalloc.stop()
     assert tr.sizes == [1, 1, 2, 5, 104, 1129, 1402]
-    # every chain, the order's and the stabilisers', is kept in int32
-    groups, chains = [cat.group], 0
-    while groups:
-        G = groups.pop()
-        groups.extend(G._children.values())
-        if G._chain is not None:
-            chains += 1
-            for lv in G._chain.levels:
-                assert all(g.dtype == np.int32 for g in lv.gens + lv.inv)
-    assert chains > 5
+    int32_chain(cat.group)
+    assert len(chains) > 5
 
 
 def test_extension_memory_guard(cat_plus):
