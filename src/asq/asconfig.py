@@ -162,7 +162,8 @@ def check_pds(G: FiniteGroup, delta_elems: Sequence[int]) -> Tuple[int, int]:
                 mu = c
             elif mu != c:
                 raise ValueError(f"non-constant count {c} != {mu} at element {g}")
-    assert lam is not None and mu is not None
+    if lam is None or mu is None:
+        raise ValueError("the set or its complement in G minus the identity is empty")
     return lam, mu
 
 
@@ -217,96 +218,76 @@ def check_kantor(G: FiniteGroup, fam: KantorFamily, s: int, t: int) -> Dict[str,
 
 
 def lemma41_invariants(G: FiniteGroup, cfg: ASConfiguration) -> Dict[str, object]:
-    """The six structural consequences of the AS axioms.
+    """The six structural consequences of the AS axioms, read off the
+    membership rows of the members U_i and of the products U_0 U_i.
 
     (i) Phi(G) <= U_0; (ii) each U_i (i > 0) elementary abelian;
     (iii) U_i^g <= U_0 U_i; (iv) the U_0 U_i cover G; (v) unique
     factorisation g = u_i u_k for g in U_0 U_j off U_0 and U_j;
-    (vi) G = U_i U_j U_k for distinct triples.  The witness is the
-    first failure found, in that order.
+    (vi) G = U_0 U_j U_k for 0 < j < k.  The witness is the first
+    failure of (iii) by (i, g), else of (v) by (j, g, i), else of (vi)
+    by (j, k).
     """
     _validate(G, cfg)
-    q = cfg.q
-    p = _prime_of(q)
-    subs = cfg.subgroups
-    members = [u.element_set() for u in subs]
-    u0set = members[0]
-    report: Dict[str, object] = {"witness": None}
-    report["phi_in_u0"] = frattini(G).element_set() <= u0set
+    subs, n, m = cfg.subgroups, G.n, cfg.q + 1
+    elems = np.array([u.elements for u in subs], dtype=np.intp)
+    rows = np.zeros((m + 1, n), dtype=bool)  # row i: U_i
+    rows[np.arange(m + 1)[:, None], elems] = True
+    stars = np.zeros((m, n), dtype=bool)  # row i - 1: U_0 U_i
+    stars[np.arange(m)[:, None, None], G.mul[elems[0][:, None], elems[1:, None]]] = True
 
-    report["ui_elementary_abelian"] = all(_is_elem_abelian(G, u.elements, p) for u in subs[1:])
+    # (iii): [i - 1, g] is set when U_i^g leaves U_0 U_i
+    conj = conjugation_table(G, elems[1:].ravel()).reshape(n, m, -1)
+    moved = _first(~stars[np.arange(m)[:, None], conj].all(axis=2).T)
 
-    stars = [set(product_set(G, subs[0].elements, u.elements)) for u in subs[1:]]
-    conj_ok = True
-    for u, star in zip(subs[1:], stars):
-        inside = np.zeros(G.n, dtype=bool)
-        inside[list(star)] = True
-        kept = inside[conjugation_table(G, u.elements)].all(axis=1)  # row g: U_i^g <= U_0 U_i
-        if not kept.all():
-            conj_ok = False
-            report["witness"] = {"conjugate": int(np.argmin(kept))}
-            break
-    report["conjugates_in_u0ui"] = conj_ok
-
-    cover: set = set()
-    for star in stars:
-        cover |= star
-    report["cover"] = len(cover) == G.n
-
-    # (v): for g in U_0 U_j off U_0 and U_j, and each i != j (i >= 1),
-    # exactly one factorisation g = u_i u_k with u_i in U_i and a
-    # nontrivial u_k in some U_k (k != i).
-    unique_fact = True
-    nsubs = len(subs)
-    for j in range(1, nsubs):
-        star = stars[j - 1]
-        for g in sorted(star - u0set - members[j]):
-            for i in range(1, nsubs):
-                if i == j:
-                    continue
-                count = 0
-                for ui in subs[i].elements:
-                    rest = int(G.mul[G.inv[ui], g])  # u_i * rest = g
-                    if rest == 0:
-                        continue
-                    for k in range(nsubs):
-                        if k != i and rest in members[k]:
-                            count += 1
-                if count != 1:
-                    unique_fact = False
-                    report["witness"] = report["witness"] or {"factorisation": [g, i, count]}
-                    break
-            if not unique_fact:
-                break
-        if not unique_fact:
-            break
-    report["unique_factorisation"] = unique_fact
+    # (v): counts[i - 1, g] = #{u_i u_k = g : u_i in U_i, k != i, u_k in
+    # U_k nontrivial}, which must be 1 for g in U_0 U_j off U_0 and U_j
+    # and each i >= 1 other than j; bad[j - 1, g, i - 1] marks a failure.
+    counts = np.zeros((m, n), dtype=np.int64)
+    for i in range(1, m + 1):
+        rest = np.delete(elems, i, axis=0)
+        counts[i - 1] = np.bincount(G.mul[elems[i][:, None], rest[rest != 0]].ravel(),
+                                    minlength=n)
+    off = stars & ~rows[0] & ~rows[1:]
+    bad = off[:, :, None] & (counts.T != 1) & ~np.eye(m, dtype=bool)[:, None, :]
+    fact = _first(bad)
 
     # (vi): G = U_0 U_j U_k.  U_0 U_j is a subgroup meeting U_k trivially,
     # so the product has order q^3.  (For three positive indices the
     # middle product is not a subgroup and the count can genuinely drop:
     # at q = 3 every configuration gives |U_i U_j U_k| = 18, so the
-    # clause is only sound with U_0 involved.)
-    triple_prod = True
-    for j in range(1, nsubs):
-        for k in range(j + 1, nsubs):
-            if len(product_set(G, sorted(stars[j - 1]), subs[k].elements)) != G.n:
-                triple_prod = False
-                report["witness"] = report["witness"] or {"triple_product": [0, j, k]}
-    report["triple_products"] = triple_prod
+    # clause is only sound with U_0 involved.)  g lies in U_0 U_j U_k
+    # when g u^-1 lies in U_0 U_j for some u in U_k.
+    right = G.mul[np.arange(n)[:, None, None], G.inv[elems[1:]]]  # [g, k - 1, b]
+    short = _first(np.triu(~stars[:, right].any(axis=3).all(axis=1), 1))
 
-    report["ok"] = all(
-        report[k]
-        for k in (
-            "phi_in_u0",
-            "ui_elementary_abelian",
-            "conjugates_in_u0ui",
-            "cover",
-            "unique_factorisation",
-            "triple_products",
-        )
-    )
+    if moved:
+        witness: Optional[Dict[str, object]] = {"conjugate": moved[1]}
+    elif fact:
+        j, g, i = fact
+        witness = {"factorisation": [g, i + 1, int(counts[i, g])]}
+    elif short:
+        witness = {"triple_product": [0, short[0] + 1, short[1] + 1]}
+    else:
+        witness = None
+    report: Dict[str, object] = {
+        "witness": witness,
+        "phi_in_u0": bool(rows[0][np.asarray(frattini(G).elements)].all()),
+        "ui_elementary_abelian": all(_is_elem_abelian(G, u.elements, _prime_of(cfg.q))
+                                     for u in subs[1:]),
+        "conjugates_in_u0ui": moved is None,
+        "cover": bool(stars.any(axis=0).all()),
+        "unique_factorisation": fact is None,
+        "triple_products": short is None,
+    }
+    report["ok"] = all(v for k, v in report.items() if k != "witness")
     return report
+
+
+def _first(mask: np.ndarray) -> Optional[Tuple[int, ...]]:
+    """The first set index of mask in C order, or None."""
+    hit = np.argwhere(mask)
+    return tuple(int(x) for x in hit[0]) if len(hit) else None
 
 
 # ----------------------------------------------------------------------
@@ -331,10 +312,9 @@ def _cube_root(n: int) -> int:
 
 
 def _is_elem_abelian(G: FiniteGroup, elems: Sequence[int], p: int) -> bool:
-    orders = G.element_orders()
-    if any(int(orders[g]) > p for g in elems):
-        return False
-    return all(G.mul[a, b] == G.mul[b, a] for a in elems for b in elems)
+    e = np.asarray(elems, dtype=np.intp)
+    table = G.mul[e[:, None], e]
+    return bool((G.element_orders()[e] <= p).all() and (table == table.T).all())
 
 
 def _preimage(G: FiniteGroup, proj: np.ndarray, elems: Sequence[int]) -> Subgroup:

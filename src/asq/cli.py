@@ -458,19 +458,6 @@ def cmd_demo(name: str) -> RunReport:
 # argument parsing and report output
 
 
-def _default_threads() -> int:
-    env = os.environ.get("ASQ_THREADS")
-    if env:
-        try:
-            threads = int(env)
-        except ValueError:
-            raise InputError(f"ASQ_THREADS must be an integer, got {env!r}")
-        if threads < 1:
-            raise InputError(f"ASQ_THREADS must be positive, got {env!r}")
-        return threads
-    return os.cpu_count() or 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     def shared(top: bool) -> argparse.ArgumentParser:
         # Shared flags work both before and after the subcommand.  Only
@@ -480,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
         unset = None if top else argparse.SUPPRESS
         common = argparse.ArgumentParser(add_help=False)
         common.add_argument("--threads", type=int, default=unset,
-                            help="worker count (default: ASQ_THREADS or machine)")
+                            help="forked worker count for the extension (default 1)")
         common.add_argument("--seed-size", type=int, default=unset,
                             help="partial pseudo-arc seed size (default 6)")
         common.add_argument("--json", metavar="PATH", default=unset,
@@ -524,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # The commands that search pseudo-arcs, and so the only ones that take
-# --seed-size and --threads (or read ASQ_THREADS).
+# --seed-size and --threads.
 ARC_SEARCHES = {"pseudoarcs"} | {f"ruleout {ident}" for ident in _ARC_RULEOUTS}
 
 
@@ -542,7 +529,7 @@ def run(argv: Optional[Sequence[str]] = None) -> Tuple[RunReport, int]:
     arc_flags: Dict[str, int] = {}
     if name in ARC_SEARCHES:
         arc_flags["seed_size"] = 6 if args.seed_size is None else args.seed_size
-        arc_flags["threads"] = _default_threads() if args.threads is None else args.threads
+        arc_flags["threads"] = 1 if args.threads is None else args.threads
         if arc_flags["threads"] < 1:
             raise InputError("--threads must be positive")
     elif args.seed_size is not None or args.threads is not None:

@@ -1,12 +1,16 @@
 """AS-axioms, the derived invariants, PDS/Kantor checks and filters."""
+import json
 import random
 from itertools import permutations
+
+import numpy as np
 
 import pytest
 
 from asq import asconfig
 from asq.asconfig import (
     ASConfiguration,
+    _validate,
     KantorFamily,
     check_as_axioms,
     check_kantor,
@@ -25,18 +29,23 @@ from asq.asconfig import (
 from asq.groups import (
     HeisenbergGroup,
     Subgroup,
+    _prime_of,
+    conjugation_table,
     cyclic,
     dihedral8,
     direct_product,
     elementary_abelian,
+    enumerate_elem_abelian_subgroups,
     frattini,
+    order8_catalogue,
+    order27_catalogue,
     product_set,
     quaternion8,
     subgroup_generate,
     table4_group,
 )
 from asq.cli import _hyperoval_config
-from asq.search import brute_force_as_configs
+from asq.search import _order_q_subgroups, brute_force_as_configs
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +162,148 @@ def test_lemma41_factorisation_matches_direct_count(heis_cfg):
     assert 0 < witnessed <= failing < len(cases)
 
 
+def lemma41_oracle(G, cfg):
+    """Lemma 4.1's six invariants element by element: product sets as
+    Python sets, the factorisations g = u_i u_k counted one at a time,
+    and |U_0 U_j U_k| as the length of a product set.  Same report keys,
+    verdicts and witness as asconfig.lemma41_invariants."""
+    _validate(G, cfg)
+    q = cfg.q
+    p = _prime_of(q)
+    subs = cfg.subgroups
+    members = [u.element_set() for u in subs]
+    u0set = members[0]
+    report = {"witness": None}
+    report["phi_in_u0"] = frattini(G).element_set() <= u0set
+
+    def elem_abelian(elems):
+        orders = G.element_orders()
+        if any(int(orders[g]) > p for g in elems):
+            return False
+        return all(G.mul[a, b] == G.mul[b, a] for a in elems for b in elems)
+
+    report["ui_elementary_abelian"] = all(elem_abelian(u.elements) for u in subs[1:])
+
+    stars = [set(product_set(G, subs[0].elements, u.elements)) for u in subs[1:]]
+    conj_ok = True
+    for u, star in zip(subs[1:], stars):
+        inside = np.zeros(G.n, dtype=bool)
+        inside[list(star)] = True
+        kept = inside[conjugation_table(G, u.elements)].all(axis=1)
+        if not kept.all():
+            conj_ok = False
+            report["witness"] = {"conjugate": int(np.argmin(kept))}
+            break
+    report["conjugates_in_u0ui"] = conj_ok
+
+    cover = set()
+    for star in stars:
+        cover |= star
+    report["cover"] = len(cover) == G.n
+
+    unique_fact = True
+    nsubs = len(subs)
+    for j in range(1, nsubs):
+        star = stars[j - 1]
+        for g in sorted(star - u0set - members[j]):
+            for i in range(1, nsubs):
+                if i == j:
+                    continue
+                count = 0
+                for ui in subs[i].elements:
+                    rest = int(G.mul[G.inv[ui], g])  # u_i * rest = g
+                    if rest == 0:
+                        continue
+                    for k in range(nsubs):
+                        if k != i and rest in members[k]:
+                            count += 1
+                if count != 1:
+                    unique_fact = False
+                    report["witness"] = report["witness"] or {"factorisation": [g, i, count]}
+                    break
+            if not unique_fact:
+                break
+        if not unique_fact:
+            break
+    report["unique_factorisation"] = unique_fact
+
+    triple_prod = True
+    for j in range(1, nsubs):
+        for k in range(j + 1, nsubs):
+            if len(product_set(G, sorted(stars[j - 1]), subs[k].elements)) != G.n:
+                triple_prod = False
+                report["witness"] = report["witness"] or {"triple_product": [0, j, k]}
+    report["triple_products"] = triple_prod
+
+    report["ok"] = all(report[k] for k in (
+        "phi_in_u0", "ui_elementary_abelian", "conjugates_in_u0ui", "cover",
+        "unique_factorisation", "triple_products"))
+    return report
+
+
+def lemma41_corpus():
+    """(G, cfg) pairs: the nine Heisenberg(3) configurations with random
+    member swaps, every ordered 4-tuple of order-2 subgroups of each
+    order-8 group and random ones of sets {1, g} in C8 and C4xC2, random
+    5-tuples of order-3 subgroups at order 27, the pseudo-hyperoval with
+    swaps among the order-4 subgroups of C2^6, and random 6-tuples of
+    order-4 subgroups of C4^3, cyclic ones included."""
+    rng = random.Random(41)
+    cases = []
+
+    def add(G, subs):
+        if len({u.elements for u in subs}) == len(subs):
+            cases.append((G, ASConfiguration(G, len(subs) - 2, tuple(subs))))
+
+    def swaps(G, subs, pool, count):
+        add(G, subs)
+        for _ in range(count):
+            subs2 = list(subs)
+            for pos in rng.sample(range(len(subs2)), rng.randint(1, 2)):
+                subs2[pos] = rng.choice(pool)
+            add(G, subs2)
+
+    H = HeisenbergGroup(3)
+    for cfg in brute_force_as_configs(H):
+        swaps(H, cfg.subgroups, _order_q_subgroups(H, 3), 60)
+    for G in order8_catalogue():
+        for subs in permutations(_order_q_subgroups(G, 2), 4):
+            add(G, subs)
+        # sets {1, g} that need not be subgroups: the only cases found
+        # whose first failure is (vi)
+        for _ in range(150 if G.name in ("C8", "C4xC2") else 0):
+            add(G, [Subgroup(G, (0, g)) for g in rng.sample(range(1, 8), 4)])
+    for G in order27_catalogue():
+        pool = _order_q_subgroups(G, 3)
+        for _ in range(150 if len(pool) >= 5 else 0):
+            add(G, rng.sample(pool, 5))
+    hyper = _hyperoval_config()
+    swaps(hyper.group, hyper.subgroups, enumerate_elem_abelian_subgroups(hyper.group, 4), 200)
+    C = direct_product(direct_product(cyclic(4), cyclic(4)), cyclic(4))
+    pool = _order_q_subgroups(C, 4) + enumerate_elem_abelian_subgroups(C, 4)
+    for _ in range(300):
+        add(C, rng.sample(pool, 6))
+    return cases
+
+
+def test_lemma41_matches_oracle():
+    # whole reports, witness and key order included, on configurations
+    # that fail each of the six clauses
+    cases = lemma41_corpus()
+    fails = dict.fromkeys(["phi_in_u0", "ui_elementary_abelian", "conjugates_in_u0ui",
+                           "cover", "unique_factorisation", "triple_products"], 0)
+    witnesses = dict.fromkeys(["conjugate", "factorisation", "triple_product"], 0)
+    for G, cfg in cases:
+        want = lemma41_oracle(G, cfg)
+        assert json.dumps(lemma41_invariants(G, cfg)) == json.dumps(want), cfg.subgroups
+        for key in fails:
+            fails[key] += not want[key]
+        for key in want["witness"] or ():
+            witnesses[key] += 1
+    assert len(cases) >= 2000, len(cases)
+    assert all(fails.values()) and all(witnesses.values()), (fails, witnesses)
+
+
 def test_delta_and_pds(heis_cfg):
     G, cfg = heis_cfg
     d = delta(cfg)
@@ -167,6 +318,11 @@ def test_pds_rejects_non_pds():
     G = cyclic(8)
     with pytest.raises(ValueError):
         check_pds(G, (1, 7, 2, 6))
+    # neither lambda nor mu is defined when the set or its complement in
+    # G minus the identity is empty
+    for elems in ((), range(1, 8)):
+        with pytest.raises(ValueError, match="complement"):
+            check_pds(elementary_abelian(3), elems)
 
 
 def test_kantor_family(heis_cfg):
