@@ -1,15 +1,16 @@
-"""Hot numeric kernels, in numpy: XOR spans, membership bitsets, their
-pairwise meet sizes, and difference counts over a multiplication table."""
+"""Hot numeric kernels, in numpy: XOR spans, difference counts over a
+multiplication table, and the one bitset layout: a membership mask over
+0..n-1 holds g at bit g & 63 of little-endian uint64 word g >> 6, which
+is bit g of the Python int that as_ints reads."""
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BACKEND", "xor_span", "membership_words", "pairwise_disjoint", "difference_counts"]
+__all__ = ["BACKEND", "xor_span", "membership_words", "as_ints", "meet_counts",
+           "pairwise_disjoint", "difference_counts"]
 
 BACKEND = "numpy"
-
-# Bytes of uint64 ANDs held at once by pairwise_disjoint.
-_CHUNK_BYTES = 1 << 21
+_WORD = np.dtype("<u8")  # the word of every mask
 
 
 def xor_span(cols: np.ndarray) -> np.ndarray:
@@ -25,30 +26,42 @@ def xor_span(cols: np.ndarray) -> np.ndarray:
 
 
 def membership_words(members: np.ndarray, n: int) -> np.ndarray:
-    """Row i of members (an int array of shape (m, k), entries in
-    0..n-1) as an n-bit membership mask in little-endian uint64 words,
-    shape (m, (n + 63) // 64)."""
-    out = np.zeros((len(members), (n + 63) // 64), dtype=np.uint64)
-    bits = np.left_shift(np.uint64(1), (members & 63).astype(np.uint64))
-    np.bitwise_or.at(out, (np.arange(len(members))[:, None], members >> 6), bits)
-    return out
+    """Row i of members (ints of shape (m, k) in 0..n-1, repeats
+    allowed) as mask row i, of shape (m, (n + 63) // 64); members of
+    shape (k,) give one row of shape ((n + 63) // 64,)."""
+    if members.ndim == 1:
+        bits = np.zeros((n + 63) // 64 * 64, dtype=bool)
+        bits.put(members, True)  # half the cost of bits[members] on int16
+    else:
+        bits = np.zeros((len(members), (n + 63) // 64 * 64), dtype=bool)
+        bits[np.arange(len(members))[:, None], members] = True
+    return np.packbits(bits, axis=-1, bitorder="little").view(_WORD)
+
+
+def as_ints(words: np.ndarray) -> list[int] | int:
+    """Mask rows (m, w) as a list of Python ints; one row (w,) as its int."""
+    raw, step = words.astype(_WORD, copy=False).tobytes(), words.shape[-1] * 8
+    if words.ndim == 1:
+        return int.from_bytes(raw, "little")  # product()'s one row, without a list
+    return [int.from_bytes(raw[k:k + step], "little") for k in range(0, len(raw), step)]
+
+
+def meet_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The members shared by mask rows a and b, broadcast, in uint16."""
+    return np.bitwise_count(a & b).sum(axis=-1, dtype=np.uint16)
 
 
 def pairwise_disjoint(masks: np.ndarray, meet: int = 1) -> np.ndarray:
-    """masks: (N, w) uint64 membership masks (bit g set iff element g
-    is in the set).  Returns the (N, N) bool matrix of pairs whose
-    intersection has exactly `meet` elements; the default 1 tests
-    subspaces or subgroups, which always contain bit 0, for meeting
-    trivially.  Works in row chunks of about 2 MB of ANDs, so no (N, N)
-    integer matrix is ever held."""
-    masks = np.ascontiguousarray(masks, dtype=np.uint64)
+    """masks: (N, w) membership masks.  Returns the (N, N) bool matrix
+    of pairs whose intersection has exactly `meet` elements; the default
+    1 tests subspaces or subgroups, which always contain bit 0, for
+    meeting trivially.  Works in row chunks of about 2 MB of ANDs, so no
+    (N, N) integer matrix is ever held."""
     n, words = masks.shape
     out = np.empty((n, n), dtype=bool)
-    chunk = max(1, _CHUNK_BYTES // (8 * words * n + 1))
+    chunk = max(1, (1 << 21) // (8 * words * n + 1))
     for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        counts = np.bitwise_count(masks[lo:hi, None, :] & masks[None, :, :])
-        out[lo:hi] = counts.sum(axis=2, dtype=np.int32) == meet
+        out[lo:lo + chunk] = meet_counts(masks[lo:lo + chunk, None], masks) == meet
     return out
 
 

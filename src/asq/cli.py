@@ -201,8 +201,8 @@ def _arc_search(rep: RunReport, form, seed_size: int, target: int,
     of the four stages go to notes["stage_s"], and the number of
     canonical sets of each size 0..seed_size to notes["canonical_sets"]."""
     if not 1 <= seed_size <= target:
-        raise InputError(f"--seed-size must be between 1 and the target {target}, "
-                         f"got {seed_size}")
+        raise InputError(f"--target must be at least 1, got {target}" if target < 1 else
+                         f"--seed-size must be between 1 and the target {target}, got {seed_size}")
     if radicals(form)[2].tag == "mixed":
         raise InputError("cannot build a symmetry group for this form: "
                          "mixed-radical forms have no structural generator set here")
@@ -458,6 +458,12 @@ def cmd_demo(name: str) -> RunReport:
 # argument parsing and report output
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """Usage errors exit 2 in one line, the subcommands' too."""
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     def shared(top: bool) -> argparse.ArgumentParser:
         # Shared flags work both before and after the subcommand.  Only
@@ -477,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="suppress the summary")
         return common
 
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="asq",
         description="AS-configuration and pseudo-arc computations",
         parents=[shared(top=True)],

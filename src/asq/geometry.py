@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .asconfig import ASConfiguration, KantorFamily
+from .asconfig import ASConfiguration, KantorFamily, check_as_axioms, check_kantor
 from .groups import FiniteGroup
 
 __all__ = [
@@ -73,8 +73,6 @@ def as_quadrangle(cfg: ASConfiguration) -> IncidenceGeometry:
     """Points: the q^3 group elements; lines: the right cosets U_i g of
     all q+2 subgroups (the coset count (q+2)q^2 = (t+1)(st+1) for order
     (q-1, q+1) requires including U_0's cosets)."""
-    from .asconfig import check_as_axioms
-
     G = cfg.group
     rep = check_as_axioms(G, cfg)
     if not rep["ok"]:
@@ -88,8 +86,6 @@ def kantor_quadrangle(G: FiniteGroup, fam: KantorFamily, s: int, t: int) -> Inci
     """The coset geometry of a Kantor family: points are the group
     elements, the cosets A*g, and a symbol infinity; lines are the
     cosets Ag and symbols [A]."""
-    from .asconfig import check_kantor
-
     rep = check_kantor(G, fam, s, t)
     if not rep["ok"]:
         raise ValueError(f"not a Kantor family: {rep}")

@@ -3,7 +3,8 @@
 Every group carries a full multiplication table over element indices
 0..n-1 with identity at 0.  Cocycle groups (central extensions of F_2^d
 by F_2) encode the element (u, a) as the integer u | (a << d); Heisenberg
-groups encode (a, b, c) over F_p as a*p^2 + b*p + c.
+groups encode (a, b, c) over F_p as a*p^2 + b*p + c.  The built-in
+groups of order 8 other than C8 are the cocycle groups over F_2^2.
 
 Structure is computed once per group, by whole-table numpy passes, and
 kept on the group: the element orders, the sorted distinct commutators
@@ -14,7 +15,7 @@ objects.
 enumerate_elem_abelian_subgroups works one rank at a time on arrays:
 the subgroups of a rank are element rows, and their children come from
 blocked mul-table gathers.  ProductMasks holds subgroups and their
-pairwise products as bitsets over element indices: rows of uint64 words
+pairwise products as the membership masks of asq._kernels: word rows
 for whole-array tests and batched products, Python ints for its
 recursive backtrack.  The backtrack is every group-level search
 (asq.search), the masks give lemma 5.3 its pools and fourths, and they
@@ -30,7 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import gf2
-from ._kernels import membership_words, xor_span
+from ._kernels import as_ints, membership_words, xor_span
 from .quadform import QuadraticForm
 
 __all__ = [
@@ -246,12 +247,6 @@ def subgroup_generate(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     return Subgroup(G, tuple(sorted(elems)), gens)
 
 
-def _ints(words: np.ndarray) -> List[int]:
-    """Each row of little-endian bit words as one Python int."""
-    raw, step = words.astype("<u8", copy=False).tobytes(), words.shape[1] * 8
-    return [int.from_bytes(raw[k:k + step], "little") for k in range(0, len(raw), step)]
-
-
 def product_set(G: FiniteGroup, A: Sequence[int], B: Sequence[int]) -> Tuple[int, ...]:
     """The sorted element set AB."""
     prods = G.mul[np.asarray(A, dtype=np.intp)[:, None], np.asarray(B, dtype=np.intp)]
@@ -265,10 +260,10 @@ class ProductMasks:
     a & b == 1 and A lies in B when a & ~b == 0.
 
     The element rows of the subgroups are padded with the identity,
-    which every product holds anyway.  words holds the masks as uint64
-    word rows and masks as Python ints.  products() forms the products
-    of one subgroup with many by one mul gather and one packbits, and
-    product() one pair the same way.
+    which every product holds anyway.  words holds the masks as the word
+    rows of asq._kernels and masks as Python ints.  products() forms the
+    products of one subgroup with many by one mul gather, packed as word
+    rows, and product() one pair, packed as one flat row.
 
     Once the members of a family meet pairwise trivially, U_a U_b cap
     U_c = 1 holds for one orientation of a triple iff it holds for all:
@@ -285,7 +280,7 @@ class ProductMasks:
         self._rows[np.arange(self._rows.shape[1]) < sizes[:, None]] = np.fromiter(
             chain.from_iterable(s.elements for s in self.subs), np.intp, sizes.sum())
         self.words = membership_words(self._rows, G.n)
-        self.masks = _ints(self.words)
+        self.masks = as_ints(self.words)
         self._products: Dict[int, int] = {}  # key i * len(subs) + j, i <= j
         self.nodes = 0
 
@@ -295,12 +290,10 @@ class ProductMasks:
         its inverse: a subgroup meets the one trivially iff the other."""
         js = np.asarray(js, dtype=np.intp)
         prods = self.G.mul[self._rows[i][:, None], self._rows[js][:, None, :]]
-        bits = np.zeros((len(js), self.words.shape[1] * 64), dtype=bool)
-        bits[np.arange(len(js))[:, None, None], prods] = True
-        words = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+        words = membership_words(prods.reshape(len(js), prods.shape[1] * prods.shape[2]), self.G.n)
         n = len(self.subs)
         self._products.update((min(i, j) * n + max(i, j), v)
-                              for j, v in zip(js.tolist(), _ints(words)))
+                              for j, v in zip(js.tolist(), as_ints(words)))
         return words
 
     def product(self, i: int, j: int) -> int:
@@ -309,14 +302,9 @@ class ProductMasks:
         key = i * len(self.subs) + j
         v = self._products.get(key)
         if v is None:
-            # one pair packed as products() packs many, without its batch
-            # set-up: the order-8 and order-27 searches form about 400
-            # products one at a time per perfbench small round, and going
-            # through products() made that round 7% slower (2 cores)
-            row = np.zeros(self.G.n, dtype=bool)
-            row[self.G.mul[self._rows[i][:, None], self._rows[j]]] = True
-            bits = np.packbits(row, bitorder="little").tobytes()
-            v = self._products[key] = int.from_bytes(bits, "little")
+            # one flat row: products()' batch set-up made perfbench small 7% slower
+            prods = self.G.mul[self._rows[i][:, None], self._rows[j]].ravel()
+            v = self._products[key] = as_ints(membership_words(prods, self.G.n))
         return v
 
     def backtrack(self, cands: Sequence[int], target: int, fixed: Sequence[int] = ()
@@ -577,69 +565,27 @@ def elementary_abelian(k: int) -> CocycleGroup:
     return CocycleGroup(k - 1, (0,) * (k - 1), name=f"C2^{k}")
 
 
-def dihedral8() -> TableGroup:
-    # elements r^a s^b, index a + 4b; (a,b)(a',b') = (a + a'*(-1)^b, b+b')
-    table = np.zeros((8, 8), dtype=np.int32)
-    for a in range(4):
-        for b in range(2):
-            for a2 in range(4):
-                for b2 in range(2):
-                    na = (a + (a2 if b == 0 else -a2)) % 4
-                    nb = (b + b2) % 2
-                    table[a + 4 * b, a2 + 4 * b2] = na + 4 * nb
-    return TableGroup(table, name="D8")
+def dihedral8() -> CocycleGroup:
+    """D8, the extension by x1 x2: its non-central involutions are 1, 2, 5, 6."""
+    return CocycleGroup(2, (0b10, 0), name="D8")
 
 
-def quaternion8() -> TableGroup:
-    # 0:1, 1:-1, 2:i, 3:-i, 4:j, 5:-j, 6:k, 7:-k
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    mulq = {
-        ("i", "i"): "-1", ("j", "j"): "-1", ("k", "k"): "-1",
-        ("i", "j"): "k", ("j", "k"): "i", ("k", "i"): "j",
-        ("j", "i"): "-k", ("k", "j"): "-i", ("i", "k"): "-j",
-    }
-
-    def mul1(x: str, y: str) -> str:
-        sign = 1
-        if x.startswith("-"):
-            sign, x = -sign, x[1:]
-        if y.startswith("-"):
-            sign, y = -sign, y[1:]
-        if x == "1":
-            out = y
-        elif y == "1":
-            out = x
-        elif x == y:
-            out = "-1"
-        else:
-            out = mulq[(x, y)]
-        if out.startswith("-"):
-            sign, out = -sign, out[1:]
-        return out if sign > 0 else ("-" + out if out != "1" else "-1")
-
-    table = np.zeros((8, 8), dtype=np.int32)
-    for i, x in enumerate(names):
-        for j, y in enumerate(names):
-            table[i, j] = names.index(mul1(x, y))
-    return TableGroup(table, name="Q8")
+def quaternion8() -> CocycleGroup:
+    """Q8 as the extension by the anisotropic form x1^2 + x1 x2 + x2^2."""
+    return CocycleGroup(2, (0b11, 0b10), name="Q8")
 
 
 def modular_c9_c3() -> TableGroup:
     """The nonabelian group of order 27 and exponent 9:
-    (a, b)(a', b') = (a + 4^b a' mod 9, b + b' mod 3)."""
-    table = np.zeros((27, 27), dtype=np.int32)
-    for a in range(9):
-        for b in range(3):
-            for a2 in range(9):
-                for b2 in range(3):
-                    na = (a + pow(4, b, 9) * a2) % 9
-                    nb = (b + b2) % 3
-                    table[b * 9 + a, b2 * 9 + a2] = nb * 9 + na
+    (a, b)(a', b') = (a + 4^b a' mod 9, b + b' mod 3), at index 9b + a."""
+    b, a = np.divmod(np.arange(27), 9)
+    table = (b[:, None] + b) % 3 * 9 + (a[:, None] + np.array([1, 4, 7])[b[:, None]] * a) % 9
     return TableGroup(table, name="C9:C3")
 
 
 def order8_catalogue() -> List[FiniteGroup]:
-    return [cyclic(8), direct_product(cyclic(4), cyclic(2)),
+    """C8 and the extensions of F_2^2 by x1^2, 0, x1 x2 and x1^2 + x1 x2 + x2^2."""
+    return [cyclic(8), CocycleGroup(2, (0b01, 0), name="C4xC2"),
             elementary_abelian(3), dihedral8(), quaternion8()]
 
 

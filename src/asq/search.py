@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import gf2
-from ._kernels import membership_words, xor_span
+from ._kernels import meet_counts, membership_words, xor_span
 from .asconfig import ASConfiguration, _cube_root
 from .groups import (
     CocycleGroup,
@@ -163,8 +163,8 @@ class PlaneCatalogue:
         dimension 6, and by the dimension formula |(W_a + W_x) cap W_k|
         = 2^(9 - dim).  The pairs still alive are met with each member's
         sum in turn (the words formed at once), then with W_x, the only
-        test at the first level.  Counts fit in uint8, as W_k has 8
-        vectors; callers bound the pairs and children of one call."""
+        test at the first level.  Callers bound the pairs and children
+        of one call."""
         m, w = sets.shape[1], self.words.shape[1]
         sums = self.vectors[sets, :, None] ^ self.vectors[xs, None, None, :]
         words = membership_words(sums.reshape(-1, 64), 1 << self.form.dim).reshape(len(sets), m, w)
@@ -172,9 +172,9 @@ class PlaneCatalogue:
         words = np.concatenate([words, self.words[xs, None]], axis=1).reshape(-1, w)
         live = np.arange(len(ks))
         for j, size in enumerate([1 << (9 - self.form.dim)] * m + [1]):
-            meet = np.take(self.words, ks[live], axis=0)
-            meet &= np.take(words, owner[live] * (m + 1) + j, axis=0)
-            live = live[np.bitwise_count(meet).sum(axis=1, dtype=np.uint8) == size]
+            counts = meet_counts(np.take(self.words, ks[live], axis=0),
+                                 np.take(words, owner[live] * (m + 1) + j, axis=0))
+            live = live[counts == size]
         return live
 
 
@@ -455,8 +455,8 @@ def lemma53_counts(G: FiniteGroup, rng=None) -> Dict[str, object]:
     subgroups meeting it trivially (index 0 is U_0).  U_0U_1 contains
     U_0, and so on, so each later pool is the earlier one filtered by a
     product mask, in the enumeration's order.  The base's products with
-    the pool come in three batches, and a third's fourths by one word
-    test.  Also returns the seconds of three stages and the nodes."""
+    the pool come in three batches, and a third's fourths by meet
+    counts.  Also returns the seconds of three stages and the nodes."""
     u0 = center(G)
     if u0.order != 8:
         raise ValueError("expected |Z(G)| = 8")
@@ -473,11 +473,11 @@ def lemma53_counts(G: FiniteGroup, rng=None) -> Dict[str, object]:
     pool = np.array([i for i in pool2 if masks[i] & blocked == 1], dtype=np.intp)
 
     # the fourths left by third i: the j with U_b U_i cap U_j = 1 for
-    # every base member b (no bit but the identity's in common)
+    # every base member b, 32 thirds (1.6 MB of ANDs on 210b) at a time
     blocks = search.products(0, pool) | search.products(u1, pool) | search.products(u2, pool)
     members = search.words[pool]
-    members[:, 0] &= ~np.uint64(1)
-    fourths = [pool[~(members & b).any(axis=1)] for b in blocks]
+    fourths = [pool[row] for lo in range(0, len(pool), 32)
+               for row in meet_counts(blocks[lo:lo + 32, None], members) == 1]
     t2 = time.monotonic()
     distribution: Dict[int, int] = {}
     size6 = 0

@@ -27,15 +27,18 @@ from asq.asconfig import (
     structural_filter,
 )
 from asq.groups import (
+    CocycleGroup,
     HeisenbergGroup,
     Subgroup,
     _prime_of,
+    center,
     conjugation_table,
     cyclic,
     dihedral8,
     direct_product,
     elementary_abelian,
     enumerate_elem_abelian_subgroups,
+    exponent,
     frattini,
     order8_catalogue,
     order27_catalogue,
@@ -107,10 +110,12 @@ def test_lemma41_invariants(heis_cfg):
     G, cfg = heis_cfg
     rep = lemma41_invariants(G, cfg)
     assert rep["ok"], rep
-    # D8 = <r, s>, element r^a s^b at index a + 4b.  With U_0 = <s> and
-    # U_1 = <rs>, U_1^r = <r^3 s> leaves U_0 U_1 = {1, r^3, s, rs}.
+    # D8 is the extension by the form x1 x2: (u, a) at index u + 4a,
+    # centre {0, 4}, and the non-central involutions 1, 5 (u = e1) and
+    # 2, 6 (u = e2).  With U_0 = <1> and U_2 = <2>, 1 and 2 do not
+    # commute, so U_2^1 = <6> leaves U_0 U_2 = {0, 1, 2, 7}.
     D = dihedral8()
-    subs = tuple(Subgroup(D, (0, x)) for x in (4, 5, 6, 7))
+    subs = tuple(Subgroup(D, (0, x)) for x in (1, 5, 2, 6))
     rep = lemma41_invariants(D, ASConfiguration(D, 2, subs))
     assert not rep["conjugates_in_u0ui"] and not rep["ok"]
     assert rep["witness"] == {"conjugate": 1}
@@ -391,7 +396,48 @@ def test_parse_config_errors(heis_cfg):
 def test_structural_filter_passes_candidates():
     for ident in ("208a", "210b", "211p", "212m"):
         rep = structural_filter(table4_group(ident))
-        assert rep.passed, (ident, rep)
+        assert rep.passed and rep.conditions["u0_candidate"] is True, (ident, rep)
+
+
+def u0_conditions_oracle(G, u0):
+    """Conditions (i)-(iii) of structural_filter's docstring at one
+    candidate U_0, from element sets."""
+    z, u0 = set(center(G).elements), set(u0)
+
+    def elem_ab(S):
+        return all(G.element_orders()[a] <= 2 and G.mul[a, b] == G.mul[b, a]
+                   for a in S for b in S)
+
+    exp4 = exponent(G) == 4
+    squares = subgroup_generate(G, {int(G.mul[g, g]) for g in range(G.n)}).elements
+    ok = True
+    if u0 <= z:  # (i)
+        u0_squares = subgroup_generate(G, {int(G.mul[g, g]) for g in u0}).elements
+        ok = exp4 and u0 == z and u0_squares == squares == frattini(G).elements
+    if not elem_ab(z):  # (ii)
+        ok = ok and z <= u0
+    if elem_ab(u0):  # (iii)
+        ok = ok and exp4 and elem_ab(z) and not u0 <= z
+    return ok
+
+
+def test_structural_filter_u0_candidate():
+    # |Phi| = 2 < q = 4: the candidate loop runs, and no U_0 of order q
+    # above Phi meets (i)-(iii)
+    G = CocycleGroup(5, (28, 30, 24, 13, 6))
+    phi = frattini(G)
+    assert phi.order == 2 and not structural_filter(G).conditions["u0_candidate"]
+    above = {subgroup_generate(G, phi.gens + (g,)) for g in range(G.n)}
+    above = [u for u in above if u.order == 4]
+    assert above and not any(u0_conditions_oracle(G, u.elements) for u in above)
+    # |Phi| = 4 = q forces U_0 = Phi; (i)-(iii) fail there too
+    D, Q, C = dihedral8(), quaternion8(), order8_catalogue()[1]
+    for G in (direct_product(D, C), direct_product(Q, C), direct_product(D, D),
+              direct_product(Q, Q), direct_product(D, Q)):
+        phi = frattini(G)
+        assert G.n == 64 and phi.order == 4, G
+        assert structural_filter(G).conditions["u0_candidate"] is False, G
+        assert not u0_conditions_oracle(G, phi.elements), G
 
 
 def test_structural_filter_negative_control():

@@ -244,6 +244,20 @@ def test_group_path_is_directory_exit2(tmp_path):
     assert cli.main(["--quiet", "filters", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["classify", "abc"], "order"),
+    (["ruleout", "999"], "ident"),
+    (["demo"], "name"),
+    (["--threads", "x", "demo", "as35"], "--threads"),
+    (["pseudoarcs", "plus8", "--target", "0"], "--target"),
+])
+def test_usage_errors_exit2_in_one_line(capsys, argv, names):
+    # argparse's own errors as well as the range checks
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and names in err
+
+
 @pytest.mark.parametrize("size", ["0", "12"])
 def test_pseudoarcs_impossible_seed_size_exit2(size):
     argv = ["--quiet", "pseudoarcs", "minus8", "--seed-size", size, "--target", "3"]

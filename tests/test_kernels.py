@@ -1,11 +1,65 @@
-"""Oracle checks for the two numpy kernels."""
+"""Oracle checks for the numpy kernels and the bitset layer."""
 import random
 
 import numpy as np
 import pytest
 
 from asq import _kernels
-from asq.groups import HeisenbergGroup, dihedral8
+from asq.groups import (
+    HeisenbergGroup,
+    ProductMasks,
+    center,
+    dihedral8,
+    subgroup_generate,
+    table4_group,
+)
+
+
+def membership_oracle(members, n):
+    """The packer membership_words replaced: one np.bitwise_or.at
+    scatter of shifted bits into native uint64 words."""
+    out = np.zeros((len(members), (n + 63) // 64), dtype=np.uint64)
+    bits = np.left_shift(np.uint64(1), (members & 63).astype(np.uint64))
+    np.bitwise_or.at(out, (np.arange(len(members))[:, None], members >> 6), bits)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 27, 63, 64, 65, 512])
+def test_membership_words_and_as_ints_oracle(n):
+    rng = np.random.default_rng(n)
+    # 0 rows, one member, and rows of 2n members, which repeat some
+    for m, k in ((0, 5), (1, 1), (9, 3), (40, 2 * n)):
+        for dtype in (np.int16, np.intp):
+            members = rng.integers(0, n, (m, k)).astype(dtype)
+            got = _kernels.membership_words(members, n)
+            want = membership_oracle(members, n)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            ints = [sum(1 << g for g in set(row.tolist())) for row in members]
+            assert _kernels.as_ints(got) == ints
+            # a flat row packs as the same mask, without the row axis
+            for row, v in zip(members, ints):
+                flat = _kernels.membership_words(row, n)
+                assert flat.shape == want.shape[1:] and _kernels.as_ints(flat) == v
+
+
+def test_meet_counts_oracle():
+    rng = random.Random(3)
+    for n in (27, 64, 65, 512):
+        sets = [{0, *rng.sample(range(n), rng.randint(0, n - 1))} for _ in range(12)]
+        rows = np.array([sorted(s) + [0] * (n - len(s)) for s in sets])  # padded by 0
+        words = _kernels.membership_words(rows, n)
+        got = _kernels.meet_counts(words[:, None], words)
+        assert got.tolist() == [[len(a & b) for b in sets] for a in sets]
+        assert _kernels.meet_counts(words[3], words[5]) == len(sets[3] & sets[5])
+
+
+def test_products_with_no_subgroups():
+    # lemma53_counts forms the products of its base with empty pools
+    G = table4_group("210b")
+    pm = ProductMasks(G, [center(G), subgroup_generate(G, [1, 2])])
+    for js in ([], np.zeros(0, dtype=np.intp)):
+        words = pm.products(1, js)
+        assert words.shape == (0, pm.words.shape[1]) and not pm._products
 
 
 def random_masks(rng, n, bits, words):
