@@ -239,7 +239,7 @@ def _arc_families(rep: RunReport, G, cat: PlaneCatalogue,
 
 def _ruleout_208a(rep: RunReport, seed_size: int, threads: int) -> None:
     cat, arcs = _arc_search(rep, preset("deg-hyp6"), seed_size, 9, threads)
-    _arc_families(rep, table4_group("208a"), cat, arcs)
+    _timed(rep.notes["stage_s"], "families", _arc_families, rep, table4_group("208a"), cat, arcs)
     _expect(rep, {"arcs": 8, "candidates_per_arc": 72, "families": 0})
 
 
@@ -266,8 +266,8 @@ def _ruleout_211p(rep: RunReport, seed_size: int, threads: int) -> None:
 def _ruleout_212m(rep: RunReport, seed_size: int, threads: int) -> None:
     G = table4_group("212m")
     cat, arcs = _arc_search(rep, G.form, seed_size, 9, threads)
-    _arc_families(rep, G, cat, arcs)
-    res = minus_type_obstruction(G, cat.planes)
+    _timed(rep.notes["stage_s"], "families", _arc_families, rep, G, cat, arcs)
+    res = _timed(rep.notes["stage_s"], "obstruction", minus_type_obstruction, G, cat.planes)
     rep.counts["center_order"] = res["center_order"]
     rep.counts["candidates"] = res["n_candidates"]
     rep.verdicts["centralizer_is_perp_preimage"] = res["centralizer_is_perp_preimage"]

@@ -469,7 +469,7 @@ def complements(H: Subgroup, N: Subgroup) -> List[Subgroup]:
     order 2 inside H), sorted by elements.
 
     Such a K has index 2 in H, so it is one of the index2_subgroups of
-    H that avoid the generator c of N."""
+    H that avoid the generator c of N.  The slow oracle of search.lift_arc."""
     G = H.parent
     if N.order != 2 or not set(N.elements) <= set(H.elements):
         raise ValueError("N must have order 2 inside H")

@@ -127,6 +127,7 @@ def test_c4_lemma53_counts(backtrack_nodes):
 def test_c5_minus_obstruction():
     rep = cli.cmd_ruleout("212m", seed_size=6, threads=THREADS)
     ok = rep.passed and rep.counts["center_order"] == 2 and rep.counts["families"] == 0
+    ok &= rep.counts["candidates"] == 6120 and rep.counts["dropped_planes"] == 0
     _line(5, "minus form: centraliser obstruction, 0 families", ok)
 
 

@@ -128,6 +128,11 @@ def test_group_level_commands_report_stage_times(tmp_path, schema):
     assert code == 0
     assert sorted(rep["notes"]["stage_s"]) == ["enumeration", "pools", "size6"]
     assert rep["notes"]["nodes"] == 33690
+    code, rep = run_json(tmp_path, ["ruleout", "212m"], schema)
+    assert code == 0
+    assert sorted(rep["notes"]["stage_s"]) == ["arc_seeds", "catalogue", "extend_arcs",
+                                               "families", "obstruction", "order"]
+    assert all(t >= 0 for t in rep["notes"]["stage_s"].values())
     code, rep = run_json(tmp_path, ["filters", "212m"], schema)
     assert code == 0
     assert sorted(rep["notes"]["stage_s"]) == ["clique", "enough_subgroups",

@@ -1,4 +1,5 @@
 """The search engines: seeds, extensions, lifting and backtracking."""
+import copy
 import gc
 import multiprocessing
 import random
@@ -15,13 +16,18 @@ from asq import asconfig, gf2, search
 from asq._kernels import pairwise_disjoint
 from asq.asconfig import check_as_axioms, clique_size_qplus1
 from asq.groups import (
+    TABLE4_IDS,
     HeisenbergGroup,
     ProductMasks,
+    Subgroup,
     center,
+    centralizer,
+    complements,
     dihedral8,
     direct_product,
     elementary_abelian,
     enumerate_elem_abelian_subgroups,
+    frattini,
     is_normal,
     order8_catalogue,
     order27_catalogue,
@@ -41,6 +47,7 @@ from asq.search import (
     is_partial_pseudo_arc,
     lemma53_counts,
     lift_arc,
+    minus_type_obstruction,
 )
 
 
@@ -783,6 +790,113 @@ def test_backtrack_rejects_pairwise_meets(minus_pools):
     for fam in as_backtrack(G, pool2, 3):
         for a, b in combinations(fam, 2):
             assert a.element_set() & b.element_set() == {0}
+
+
+def lift_oracle(G, planes):
+    """lift_arc one plane at a time: the preimage of each plane as a
+    Subgroup, and its complements of Phi(G) by groups.complements."""
+    frat = frattini(G)
+    top = 1 << G.d
+    pool, dropped = [], []
+    for p in planes:
+        elems = [v | t for v in gf2.subspace_vectors(p) for t in (0, top)]
+        comps = complements(Subgroup(G, tuple(sorted(elems))), frat)
+        if not comps:
+            dropped.append(p)
+        pool.extend(comps)
+    pool.sort(key=lambda s: s.key())
+    return pool, dropped
+
+
+def obstruction_oracle(G, planes):
+    """minus_type_obstruction one plane at a time: W^perp by a loop over
+    the basis, and each candidate's centraliser by groups.centralizer."""
+    top = 1 << G.d
+    ok, n_candidates = True, 0
+    for p in planes:
+        perp = np.arange(top)
+        for b in p.basis:  # keep the v with B(b, v) = parity(row & v) = 0
+            perp = perp[np.bitwise_count(perp & G.form.bilinear_row(b)) & 1 == 0]
+        pre_perp = np.concatenate([perp, perp | top])
+        pool, dropped = lift_oracle(G, [p])
+        ok &= not dropped
+        for u in pool:
+            n_candidates += 1
+            ok &= np.array_equal(centralizer(G, u.elements).elements, pre_perp)
+    return {"center_order": center(G).order, "n_candidates": n_candidates,
+            "centralizer_is_perp_preimage": ok}
+
+
+def random_planes(d, count, rng):
+    planes = []
+    while len(planes) < count:
+        p = gf2.rref([rng.randrange(1, 1 << d) for _ in range(3)], d)
+        if p.rank == 3:
+            planes.append(p)
+    return planes
+
+
+def test_lift_matches_oracle(cat_minus):
+    G = table4_group("212m")
+    cases = [(G, cat_minus.planes), (G, [])]
+    rng = random.Random(26)
+    cases += [(table4_group(ident), random_planes(8, 200, rng)) for ident in TABLE4_IDS]
+    sizes = []
+    for H, planes in cases:
+        pool, lost = lift_arc(H, planes)
+        assert (pool, lost) == lift_oracle(H, planes)
+        assert all(type(g) is int for u in pool for g in u.elements)
+        assert [u.gens for u in pool] == [()] * len(pool)
+        sizes.append((len(pool), len(lost)))
+    assert sizes[:2] == [(6120, 0), (0, 0)]
+    # random planes are mostly not totally singular
+    assert sum(lost for _, lost in sizes[2:]) >= 600
+
+
+def test_obstruction_matches_oracle(cat_minus):
+    G = table4_group("212m")
+    report = minus_type_obstruction(G, cat_minus.planes)
+    assert report == obstruction_oracle(G, cat_minus.planes)
+    assert report == {"center_order": 2, "n_candidates": 6120,
+                      "centralizer_is_perp_preimage": True}
+    G208 = table4_group("208a")
+    planes = random.Random(4).sample(singular_subspaces(G208.form, 3), 400)
+    assert minus_type_obstruction(G208, planes) == obstruction_oracle(G208, planes)
+    assert minus_type_obstruction(G, []) == {"center_order": 2, "n_candidates": 0,
+                                             "centralizer_is_perp_preimage": True}
+
+
+def test_obstruction_fails_where_the_oracle_does(cat_minus):
+    G = table4_group("212m")
+    # a plane that is not totally singular has no complement: dropped
+    bad = next(p for p in random_planes(8, 50, random.Random(1)) if lift_arc(G, [p])[1])
+    planes = cat_minus.planes[:40] + [bad] + cat_minus.planes[40:80]
+    assert lift_arc(G, planes)[1] == [bad]
+    verdicts = []
+    # plus8 shares minus8's polarisation, so the obstruction still holds
+    # under it; deg-hyp6's has a radical, so the perps stop matching
+    for name in ("plus8", "deg-hyp6"):
+        swapped = copy.copy(G)
+        swapped.form = preset(name)
+        verdicts.append(minus_type_obstruction(swapped, cat_minus.planes[:80]))
+        assert verdicts[-1] == obstruction_oracle(swapped, cat_minus.planes[:80])
+    report = minus_type_obstruction(G, planes)
+    assert report == obstruction_oracle(G, planes)
+    assert [r["centralizer_is_perp_preimage"] for r in verdicts + [report]] == [True, False, False]
+
+
+def test_lift_errors():
+    plane = gf2.rref([1, 2, 4], 8)
+    with pytest.raises(ValueError):
+        lift_oracle(elementary_abelian(9), [plane])
+    with pytest.raises(ValueError):
+        lift_arc(elementary_abelian(9), [plane])
+    assert lift_arc(elementary_abelian(9), []) == ([], [])
+    G = table4_group("212m")
+    line = gf2.rref([1, 2], 8)
+    for fn in (lift_arc, minus_type_obstruction):
+        with pytest.raises(ValueError, match="rank 3"):
+            fn(G, [plane, line])
 
 
 def lemma53_oracle(G, rng=None):
