@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BACKEND", "xor_span", "membership_words", "as_ints", "meet_counts",
+__all__ = ["BACKEND", "xor_span", "membership_words", "bit_rows", "as_ints", "meet_counts",
            "pairwise_disjoint", "difference_counts"]
 
 BACKEND = "numpy"
@@ -36,6 +36,14 @@ def membership_words(members: np.ndarray, n: int) -> np.ndarray:
         bits = np.zeros((len(members), (n + 63) // 64 * 64), dtype=bool)
         bits[np.arange(len(members))[:, None], members] = True
     return np.packbits(bits, axis=-1, bitorder="little").view(_WORD)
+
+
+def bit_rows(bits: np.ndarray) -> np.ndarray:
+    """Bool rows (..., n) as mask rows (..., (n + 63) // 64): member j
+    of row i is bits[i, j]."""
+    out = np.zeros(bits.shape[:-1] + ((bits.shape[-1] + 63) // 64 * 8,), dtype=np.uint8)
+    out[..., :(bits.shape[-1] + 7) // 8] = np.packbits(bits, axis=-1, bitorder="little")
+    return out.view(_WORD)
 
 
 def as_ints(words: np.ndarray) -> list[int] | int:

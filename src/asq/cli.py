@@ -223,14 +223,16 @@ def _arc_search(rep: RunReport, form, seed_size: int, target: int,
 def _arc_families(rep: RunReport, G, cat: PlaneCatalogue,
                   arcs: Sequence[PseudoArc]) -> None:
     """Lift each arc to its candidate subgroups and search them for
-    families of the arc's size."""
+    families of the arc's size; the search's nodes go to notes["nodes"]."""
     per_arc = set()
     dropped = families = 0
+    trace = SearchTrace(seed=None)
     for arc in arcs:
         pool, lost = lift_arc(G, [cat.planes[i] for i in arc.members])
         per_arc.add(len(pool))
         dropped += len(lost)
-        families += len(as_backtrack(G, pool, len(arc.members)))
+        families += len(as_backtrack(G, pool, len(arc.members), trace=trace))
+    rep.notes["nodes"] = trace.nodes
     if per_arc:
         rep.counts["candidates_per_arc"] = per_arc.pop() if len(per_arc) == 1 else -1
     rep.counts["dropped_planes"] = dropped

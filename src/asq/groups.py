@@ -14,12 +14,11 @@ objects.
 
 enumerate_elem_abelian_subgroups works one rank at a time on arrays:
 the subgroups of a rank are element rows, and their children come from
-blocked mul-table gathers.  ProductMasks holds subgroups and their
-pairwise products as the membership masks of asq._kernels: word rows
-for whole-array tests and batched products, Python ints for its
-recursive backtrack.  The backtrack is every group-level search
-(asq.search), the masks give lemma 5.3 its pools and fourths, and they
-carry the AS2 and Kantor-family checks of asq.asconfig.
+blocked mul-table gathers.  ProductMasks tests many subgroups against
+products of two at once, for lemma 5.3's pools and fourths and for its
+level-wise backtrack, which is every group-level search (asq.search);
+its Python-int masks carry the AS2 and Kantor-family checks of
+asq.asconfig.
 """
 from __future__ import annotations
 
@@ -31,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import gf2
-from ._kernels import as_ints, membership_words, xor_span
+from ._kernels import as_ints, bit_rows, membership_words, xor_span
 from .quadform import QuadraticForm
 
 __all__ = [
@@ -253,24 +252,28 @@ def product_set(G: FiniteGroup, A: Sequence[int], B: Sequence[int]) -> Tuple[int
     return tuple(sorted(set(prods.ravel().tolist())))
 
 
-class ProductMasks:
-    """Bitsets over group elements of a list of subgroups and of their
-    pairwise products, with the one backtrack that tests AS2 on them.
-    Every mask keeps the identity bit, so two sets meet trivially when
-    a & b == 1 and A lies in B when a & ~b == 0.
+# Bytes that one block of fit tests gathers.
+_BLOCK = 1 << 19
+# Triple rows a backtrack makes up front, not as its levels need them:
+# this halves the small searches' time (at most 169 rows); 208a's pools
+# (5184 rows, about 1790 needed) take 0.16 s up front, 0.11 s as needed.
+_TRIPLES = 1 << 10
 
-    The element rows of the subgroups are padded with the identity,
-    which every product holds anyway.  words holds the masks as the word
-    rows of asq._kernels and masks as Python ints.  products() forms the
-    products of one subgroup with many by one mul gather, packed as word
-    rows, and product() one pair, packed as one flat row.
+
+class ProductMasks:
+    """Subgroups of one group, with the one backtrack that tests AS2 on
+    them.  Their element rows are padded with the identity, which every
+    product holds anyway.  masks (bitsets over the group as Python ints,
+    each with the identity bit: two sets meet trivially when a & b == 1
+    and A lies in B when a & ~b == 0) and product() serve the checks of
+    asq.asconfig.
 
     Once the members of a family meet pairwise trivially, U_a U_b cap
     U_c = 1 holds for one orientation of a triple iff it holds for all:
     u_a u_b = u_c with nontrivial factors rearranges to a nontrivial
-    membership witness in every orientation.  So a product is cached
-    once per unordered pair, as U_i U_j with i <= j or, when products()
-    formed it, possibly as its inverse U_j U_i."""
+    membership witness in every orientation.  So the backtrack tests a
+    triple once, when its last member d is placed: U_x U_c against d,
+    for its newest member c and each fixed or earlier member x."""
 
     def __init__(self, G: FiniteGroup, subs: Sequence[Subgroup]):
         self.G = G
@@ -279,76 +282,126 @@ class ProductMasks:
         self._rows = np.zeros((len(sizes), sizes.max(initial=1)), dtype=np.intp)
         self._rows[np.arange(self._rows.shape[1]) < sizes[:, None]] = np.fromiter(
             chain.from_iterable(s.elements for s in self.subs), np.intp, sizes.sum())
-        self.words = membership_words(self._rows, G.n)
-        self.masks = as_ints(self.words)
+        self.masks = as_ints(membership_words(self._rows, G.n))
         self._products: Dict[int, int] = {}  # key i * len(subs) + j, i <= j
-        self.nodes = 0
-
-    def products(self, i: int, js: Sequence[int]) -> np.ndarray:
-        """The word rows of U_i U_j for j in js, cached for product().
-        For j < i that caches U_i U_j where product() would form U_j U_i,
-        its inverse: a subgroup meets the one trivially iff the other."""
-        js = np.asarray(js, dtype=np.intp)
-        prods = self.G.mul[self._rows[i][:, None], self._rows[js][:, None, :]]
-        words = membership_words(prods.reshape(len(js), prods.shape[1] * prods.shape[2]), self.G.n)
-        n = len(self.subs)
-        self._products.update((min(i, j) * n + max(i, j), v)
-                              for j, v in zip(js.tolist(), as_ints(words)))
-        return words
 
     def product(self, i: int, j: int) -> int:
+        """U_i U_j as a mask, formed as U_j U_i when i > j (a subgroup
+        meets the one trivially iff it meets the other), and cached."""
         if i > j:
             i, j = j, i
         key = i * len(self.subs) + j
         v = self._products.get(key)
         if v is None:
-            # one flat row: products()' batch set-up made perfbench small 7% slower
             prods = self.G.mul[self._rows[i][:, None], self._rows[j]].ravel()
             v = self._products[key] = as_ints(membership_words(prods, self.G.n))
         return v
 
-    def backtrack(self, cands: Sequence[int], target: int, fixed: Sequence[int] = ()
-                  ) -> List[Tuple[int, ...]]:
-        """Every target-sized subset of cands (indices into subs, in the
-        given order) that extends the fixed members to a family
-        satisfying AS2.  The cands must already meet each fixed member
-        trivially.  Each candidate's products with the fixed members are
-        formed once per call, so fixed members cost nothing per node.
-        Adds the nodes visited to self.nodes."""
-        masks, product = self.masks, self.product
-        cands = list(cands)
-        base = {}
-        for c in cands:
-            blocked = masks[c]
-            for x in fixed:
-                blocked |= product(x, c)
-            base[c] = blocked
-        found: List[Tuple[int, ...]] = []
-        nodes = 0
+    def fits(self, xs, cs, cols) -> np.ndarray:
+        """out[k, j]: subgroup cols[k, j] (cols[j] when cols is one row)
+        meets U_c and U_x U_c trivially for c = cs[k] and every x in the
+        row xs[k], all indices into subs.  Tests membership in bool rows
+        over the group, which cost less than packing them, in blocks of
+        about _BLOCK bytes."""
+        xs, cs, cols = (np.asarray(a, dtype=np.intp) for a in (xs, cs, cols))
+        rows, mul, n = self._rows, self.G.mul, self.G.n
+        # each subgroup's other members, padded with the identity to whole
+        # words of bytes: a word of the gathered bools is 0 iff none is hit
+        pick = np.arange(1, (rows.shape[1] + 6) // 8 * 8 + 1)
+        others = rows[:, np.where(pick < rows.shape[1], pick, 0)]
+        out = np.empty((len(cs), cols.shape[-1]), dtype=bool)
+        step = max(1, _BLOCK // (n + 9 * others.shape[1] * cols.shape[-1]))
+        for lo in range(0, len(cs), step):
+            c = rows[cs[lo:lo + step]]
+            at = np.arange(len(c))[:, None]
+            hit = np.zeros((len(c), n), dtype=bool)
+            hit[at, c] = True
+            for x in xs[lo:lo + step].T:
+                hit[at, mul[rows[x][:, :, None], c[:, None, :]].reshape(len(c), -1)] = True
+            hit[:, 0] = False
+            if cols.ndim == 1:
+                got = np.take(hit, others[cols].ravel(), axis=1)
+            else:
+                got = hit.ravel().take(others[cols[lo:lo + step]] + at[..., None] * n)
+            got = got.reshape(len(c), out.shape[1], others.shape[1])
+            out[lo:lo + step] = ~got.view(np.uint64).any(axis=2)
+        return out
 
-        def dfs(cur: Tuple[int, ...], pool: List[int]) -> None:
-            nonlocal nodes
-            nodes += 1
-            need = target - len(cur)
-            if need == 0:
-                found.append(cur)
-                return
-            for pos in range(len(pool) - need + 1):
-                c = pool[pos]
-                blocked = base[c]
-                for x in cur:
-                    blocked |= product(x, c)
-                rest = [d for d in pool[pos + 1:] if masks[d] & blocked == 1]
-                if 1 < need and len(rest) < need - 1:
-                    # the child could place nothing: count it as visited
-                    nodes += 1
-                else:
-                    dfs(cur + (c,), rest)
+    def backtrack(self, roots: Sequence[Tuple[Sequence[int], Sequence[int]]], target: int
+                  ) -> List[Tuple[List[Tuple[int, ...]], int]]:
+        """For each root (fixed, cands), indices into subs: every
+        target-sized subset of cands that extends the fixed members to a
+        family satisfying AS2, lexicographic by candidate position, and
+        the nodes visited.  The cands must meet their root's fixed
+        members trivially; all roots fix as many.  Nodes count as in a
+        depth-first search: one per root, and under a node whose pool
+        holds p candidates and that needs k more, one for each of the
+        first p - k + 1, whether or not its own pool can hold k - 1.
 
-        dfs((), cands)
-        del dfs  # the closure refers to itself and, through self, to G
-        self.nodes += nodes
-        return found
+        A level's pools are word rows over candidate positions, and its
+        children come from one np.nonzero.  A child's pool is its
+        parent's after it, met with local, the candidates that fit it
+        and the fixed members all roots share (one fits() over the
+        union of the candidates), and with a triple row (the d with
+        U_x U_c cap U_d = 1) for each other fixed or earlier member x."""
+        R = len(roots)
+        sizes = np.array([len(c) for _, c in roots], dtype=np.intp)
+        m, S = int(sizes.max(initial=0)), len(self.subs)
+        if target == 0 or target > m:  # no root has a child
+            return [([()] if target == 0 else [], 1) for _ in roots]
+        fixed = np.array([tuple(f) for f, _ in roots], dtype=np.intp).reshape(R, -1)
+        cand = np.zeros((R, m), dtype=np.intp)
+        cand[np.arange(m) < sizes[:, None]] = np.concatenate(
+            [np.asarray(c, dtype=np.intp) for _, c in roots])
+        union = _distinct(cand, S)
+        slot = np.searchsorted(union, cand)
+        shared = (fixed == fixed[0]).all(axis=0)
+        pair = self.fits(np.tile(fixed[0, shared], (len(union), 1)), union, union)
+        local = bit_rows(pair[slot[:, :, None], slot[:, None, :]])
+        del pair, slot
+        # triple row (r * span + x) * m + c, for slot x of root r: its
+        # other fixed members, then its candidates
+        e = int((~shared).sum())
+        span, members = e + m, np.hstack([fixed[:, ~shared], cand])
+
+        def triples(keys: np.ndarray) -> np.ndarray:
+            r, x, c = keys // (span * m), keys // m % span, keys % m
+            cols = cand[r] if R > 1 else cand[0]  # one root's: fits gathers them once
+            return bit_rows(self.fits(members[r, x, None], cand[r, c], cols))
+
+        keys = np.arange(R * span * m if R * span * m <= _TRIPLES else 0)
+        rows = triples(keys)
+        after = bit_rows(np.arange(m) > np.arange(m)[:, None])
+        pool = bit_rows(np.arange(m) < sizes[:, None])
+        nodes = np.ones(R, dtype=np.intp)
+        root, fam = np.arange(R), np.tile(np.arange(e), (R, 1))  # fam holds slots
+        for need in range(target, 0, -1):
+            # every pool entry with need - 1 after it is a child
+            bits = np.unpackbits(pool.view(np.uint8), axis=1, count=m, bitorder="little")
+            par, pos = np.nonzero(bits & (np.cumsum(bits[:, ::-1], axis=1)[:, ::-1] >= need))
+            root, fam = root[par], np.column_stack([fam[par], e + pos])
+            nodes += np.bincount(root, minlength=R)
+            if need == 1 or not len(root):
+                break
+            root, fam, pool = _fill(pool[par] & after[pos] & local[root, pos], need, root, fam)
+            want = (root[:, None] * span + fam[:, :-1]) * m + fam[:, -1:] - e
+            if len(keys) < R * span * m:  # make the rows first needed here
+                new = np.sort(want, axis=None)
+                new = new[np.diff(new, prepend=-1) != 0]
+                new = new[np.append(keys, -1)[np.searchsorted(keys, new)] != new]
+                at = np.searchsorted(keys, new)
+                keys, rows = np.insert(keys, at, new), np.insert(rows, at, triples(new), axis=0)
+            pool &= np.bitwise_and.reduce(rows[np.searchsorted(keys, want)], axis=1)
+            root, fam, pool = _fill(pool, need, root, fam)
+        found = [tuple(f) for f in members[root[:, None], fam[:, e:]].tolist()]
+        ends = np.cumsum(np.bincount(root, minlength=R)).tolist()
+        return [(found[lo:hi], n) for lo, hi, n in zip([0] + ends, ends, nodes.tolist())]
+
+
+def _fill(pool: np.ndarray, need: int, root: np.ndarray, fam: np.ndarray):
+    """root, fam and pool of the nodes whose pools hold need - 1."""
+    live = np.bitwise_count(pool).sum(axis=1) >= need - 1
+    return root[live], fam[live], pool[live]
 
 
 def conjugation_table(G: FiniteGroup, elems: Sequence[int]) -> np.ndarray:

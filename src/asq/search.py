@@ -12,7 +12,7 @@ planes at once into Frattini-complement pools, and as_backtrack searches
 those pools for (q+1)-families.  Every group-level search (as_backtrack,
 the size-6 search of lemma53_counts and brute_force_as_configs) is the
 backtrack of groups.ProductMasks; lemma53_counts also filters its pools
-and fourths by that object's product masks.
+and fourths by that object's fits().
 
 The plane catalogue is built as whole arrays: singular_subspaces emits
 each plane once, from its least-vector basis, and reduces it with one
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -427,10 +428,10 @@ def as_backtrack(G: FiniteGroup, candidates: Sequence[Subgroup], target: int,
     triple.  Pairwise meets are tested separately, since the triple
     condition cannot see the first two members placed."""
     search = ProductMasks(G, sorted(candidates, key=lambda s: s.key()))
-    families = search.backtrack(range(len(search.subs)), target)
+    [(families, nodes)] = search.backtrack([((), range(len(search.subs)))], target)
     out = [tuple(search.subs[i] for i in fam) for fam in families]
     if trace is not None:
-        trace.nodes += search.nodes
+        trace.nodes += nodes
         trace.solutions = len(out)
     return out
 
@@ -460,50 +461,37 @@ def lemma53_counts(G: FiniteGroup, rng=None) -> Dict[str, object]:
 
     Everything runs on one ProductMasks over U_0 and the order-8
     subgroups meeting it trivially (index 0 is U_0).  U_0U_1 contains
-    U_0, and so on, so each later pool is the earlier one filtered by a
-    product mask, in the enumeration's order.  The base's products with
-    the pool come in three batches, and a third's fourths by meet
-    counts.  Also returns the seconds of three stages and the nodes."""
+    U_0, and so on, so each later pool is the earlier one filtered by
+    one fits() call, in the enumeration's order, and so are the fourths
+    of all thirds.  The size-6 searches are one backtrack with a root
+    per third.  Also returns the seconds of three stages and the nodes."""
     u0 = center(G)
     if u0.order != 8:
         raise ValueError("expected |Z(G)| = 8")
     t0 = time.monotonic()
     search = ProductMasks(G, [u0] + enumerate_elem_abelian_subgroups(G, 8, avoid=[u0.elements]))
     t1 = time.monotonic()
-    masks, product = search.masks, search.product
-    pool1 = list(range(1, len(masks)))
-    u1 = rng.choice(pool1) if rng is not None else pool1[0]
-    blocked = product(0, u1)
-    pool2 = [i for i in pool1 if masks[i] & blocked == 1]
-    u2 = rng.choice(pool2) if rng is not None else pool2[0]
-    blocked = product(0, u2) | product(u1, u2)
-    pool = np.array([i for i in pool2 if masks[i] & blocked == 1], dtype=np.intp)
-
+    pool1 = np.arange(1, len(search.subs))
+    u1 = int(rng.choice(pool1) if rng is not None else pool1[0])
+    pool2 = pool1[search.fits([[0]], [u1], pool1)[0]]
+    u2 = int(rng.choice(pool2) if rng is not None else pool2[0])
+    pool = pool2[search.fits([[0, u1]], [u2], pool2)[0]]
     # the fourths left by third i: the j with U_b U_i cap U_j = 1 for
-    # every base member b, 32 thirds (1.6 MB of ANDs on 210b) at a time
-    blocks = search.products(0, pool) | search.products(u1, pool) | search.products(u2, pool)
-    members = search.words[pool]
-    fourths = [pool[row] for lo in range(0, len(pool), 32)
-               for row in meet_counts(blocks[lo:lo + 32, None], members) == 1]
+    # every base member b
+    fourths = [pool[row] for row in search.fits(np.tile([0, u1, u2], (len(pool), 1)), pool, pool)]
     t2 = time.monotonic()
-    distribution: Dict[int, int] = {}
-    size6 = 0
-    for i, js in zip(pool.tolist(), fourths):
-        distribution[len(js)] = distribution.get(len(js), 0) + 1
-        # no six fourths can join (U_0, U_1, U_2, U_i): that would
-        # complete the configuration
-        if len(js):
-            # j is a fourth of i iff i is one of j, so the batches of the
-            # thirds below i formed U_j U_i already
-            search.products(i, js[js > i])
-            size6 += len(search.backtrack(js.tolist(), 6, fixed=(0, u1, u2, i)))
+    distribution = Counter(map(len, fourths))
+    # no six fourths can join (U_0, U_1, U_2, U_i): that would complete
+    # the configuration
+    roots = [((0, u1, u2, i), js) for i, js in zip(pool.tolist(), fourths) if len(js)]
+    found = search.backtrack(roots, 6)
     t3 = time.monotonic()
     return {
         "pool": len(pool),
         "distribution": dict(sorted(distribution.items())),
-        "size6_families": size6,
+        "size6_families": sum(len(families) for families, _ in found),
         "stage_s": {"enumeration": t1 - t0, "pools": t2 - t1, "size6": t3 - t2},
-        "nodes": search.nodes,
+        "nodes": sum(nodes for _, nodes in found),
     }
 
 
@@ -542,6 +530,6 @@ def brute_force_as_configs(G: FiniteGroup) -> List[ASConfiguration]:
         raise ValueError("brute force supports orders 8 and 27 only")
     q = _cube_root(G.n)
     subs = _order_q_subgroups(G, q)
-    families = ProductMasks(G, subs).backtrack(range(len(subs)), q + 2)
+    [(families, _)] = ProductMasks(G, subs).backtrack([((), range(len(subs)))], q + 2)
     return [ASConfiguration(G, q, (subs[u0i],) + tuple(subs[i] for i in fam if i != u0i))
             for fam in families for u0i in fam if is_normal(G, subs[u0i])]

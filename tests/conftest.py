@@ -1,0 +1,20 @@
+"""Fixtures shared by test modules: the heavy pipelines run once per
+session."""
+import os
+
+import pytest
+
+from asq.quadform import preset
+from asq.search import PlaneCatalogue, arc_seeds, extend_arcs
+
+THREADS = min(4, os.cpu_count() or 1)
+
+
+@pytest.fixture(scope="session")
+def deghyp_pipeline():
+    """The deg-hyp6 plane catalogue, its canonical seeds of 6 planes and
+    its 8 pseudo-arcs of 9 (the arcs of the 208a rule-out)."""
+    cat = PlaneCatalogue(preset("deg-hyp6"))
+    seeds = arc_seeds(cat, 6)
+    arcs = extend_arcs(cat, seeds, 9, threads=THREADS)
+    return cat, seeds, arcs

@@ -1,10 +1,10 @@
 """End-to-end acceptance gate: one test (and one printed pass/fail
-line) per release criterion.  The heavy pipelines run once in
-module-scoped fixtures and are shared between criteria."""
-import os
+line) per release criterion.  The heavy pipelines run once in fixtures
+(deg-hyp6's in conftest.py) and are shared between criteria."""
 import random
 
 import pytest
+from conftest import THREADS
 from test_groups import abelian_type
 
 from asq.asconfig import check_as_axioms, check_pds, delta
@@ -32,8 +32,6 @@ from asq.search import (
 )
 from asq import cli
 
-THREADS = min(4, os.cpu_count() or 1)
-
 
 def _line(num, label, ok):
     print(f"\ncriterion {num} ({label}): {'PASS' if ok else 'FAIL'}", flush=True)
@@ -41,14 +39,6 @@ def _line(num, label, ok):
 
 
 # -- shared heavy pipelines --------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def deghyp_pipeline():
-    cat = PlaneCatalogue(preset("deg-hyp6"))
-    seeds = arc_seeds(cat, 6)
-    arcs = extend_arcs(cat, seeds, 9, threads=THREADS)
-    return cat, seeds, arcs
 
 
 @pytest.fixture(scope="module")
@@ -67,9 +57,8 @@ def backtrack_nodes(monkeypatch):
     backtrack = ProductMasks.backtrack
 
     def counted(self, *args, **kwargs):
-        before = self.nodes
         out = backtrack(self, *args, **kwargs)
-        calls.append(self.nodes - before)
+        calls.append(sum(nodes for _, nodes in out))
         return out
 
     monkeypatch.setattr(ProductMasks, "backtrack", counted)

@@ -132,12 +132,25 @@ def test_group_level_commands_report_stage_times(tmp_path, schema):
     assert code == 0
     assert sorted(rep["notes"]["stage_s"]) == ["arc_seeds", "catalogue", "extend_arcs",
                                                "families", "obstruction", "order"]
+    assert rep["notes"]["nodes"] == 0  # no arcs, so no family search
     assert all(t >= 0 for t in rep["notes"]["stage_s"].values())
     code, rep = run_json(tmp_path, ["filters", "212m"], schema)
     assert code == 0
     assert sorted(rep["notes"]["stage_s"]) == ["clique", "enough_subgroups",
                                                "good_subgroups", "structural_filter"]
     assert all(t >= 0 for t in rep["notes"]["stage_s"].values())
+
+
+def test_ruleout_208a_reports_family_nodes(tmp_path, schema, monkeypatch, deghyp_pipeline):
+    # the arc search is the session's, so only the lifts and the family
+    # backtrack run here: 105104 nodes over the 8 arcs, 0 families
+    cat, seeds, arcs = deghyp_pipeline
+    monkeypatch.setattr(cli, "PlaneCatalogue", lambda form: cat)
+    monkeypatch.setattr(cli, "arc_seeds", lambda cat, seed_size, trace=None: seeds)
+    monkeypatch.setattr(cli, "extend_arcs", lambda cat, seeds, target, threads=1: arcs)
+    code, rep = run_json(tmp_path, ["ruleout", "208a"], schema)
+    assert code == 0 and rep["counts"]["families"] == 0
+    assert rep["notes"]["nodes"] == 105104
 
 
 def test_filters_abelian_group_file_skips_subgroup_enumeration(tmp_path, schema, monkeypatch):

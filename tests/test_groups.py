@@ -36,6 +36,7 @@ from asq.groups import (
     subgroup_generate,
     table4_group,
 )
+from asq.search import _order_q_subgroups, lemma53_counts, lift_arc
 
 
 # ----------------------------------------------------------------------
@@ -397,29 +398,125 @@ def test_enumerate_elem_abelian_memory_guard():
 
 
 @pytest.mark.parametrize("G", [table4_group("210b"), HeisenbergGroup(3)], ids=lambda G: G.name)
-def test_batched_products_match_product_set(G):
+def test_batched_products_match_product_set(G, monkeypatch):
+    # fits() tests each subgroup against U_x U_c as product_set forms
+    # it, with shared or per-row columns and in blocks of any size;
+    # product() forms one pair, as U_a U_b with a <= b
     rng = random.Random(5)
     subs = [subgroup_generate(G, rng.sample(range(1, G.n), rng.randint(1, 2)))
             for _ in range(40)]
-    pm, single = ProductMasks(G, subs), ProductMasks(G, subs)
+    pm = ProductMasks(G, subs)
     for s, mask in zip(subs, pm.masks):
         assert mask == sum(1 << g for g in s.elements)
+    every = range(len(subs))
     for _ in range(5):
         i = rng.randrange(len(subs))
-        js = rng.sample(range(len(subs)), 12)
-        words = pm.products(i, js)
-        for j, row in zip(js, words):
-            want = product_set(G, subs[i].elements, subs[j].elements)
-            bits = np.unpackbits(row.view(np.uint8), bitorder="little")
-            assert tuple(np.flatnonzero(bits).tolist()) == want
-            assert pm.product(i, j) == pm.product(j, i) == sum(1 << g for g in want)
-            # one pair at a time product() forms U_a U_b with a <= b, the
-            # orientation products() holds when i <= j
+        js = rng.sample(every, 12)
+        want = [[set(product_set(G, subs[i].elements, subs[j].elements)).isdisjoint(d.elements[1:])
+                 for d in subs] for j in js]
+        assert pm.fits([[i]] * 12, js, every).tolist() == want
+        assert pm.fits([[i]] * 12, js, [every] * 12).tolist() == want
+        with monkeypatch.context() as m:
+            m.setattr(groups, "_BLOCK", 1)
+            assert pm.fits([[i]] * 12, js, [every] * 12).tolist() == want
+        for j in js:
             a, b = sorted((i, j))
             want = product_set(G, subs[a].elements, subs[b].elements)
-            assert single.product(j, i) == sum(1 << g for g in want)
-            if i <= j:
-                assert single.product(i, j) == pm.product(i, j)
+            assert pm.product(i, j) == pm.product(j, i) == sum(1 << g for g in want)
+
+
+def backtrack_oracle(pm, cands, target, fixed=()):
+    """The recursive depth-first search that ProductMasks.backtrack runs
+    a level at a time: the target-sized subsets of cands extending the
+    fixed members to an AS2 family, in the order found, and the nodes.
+    Python-int masks, one product at a time."""
+    masks = pm.masks
+    found, nodes = [], 0
+
+    def dfs(cur, pool):
+        nonlocal nodes
+        nodes += 1
+        need = target - len(cur)
+        if need == 0:
+            found.append(cur)
+            return
+        for pos in range(len(pool) - need + 1):
+            c = pool[pos]
+            blocked = masks[c]
+            for x in (*fixed, *cur):
+                blocked |= pm.product(x, c)
+            rest = [d for d in pool[pos + 1:] if masks[d] & blocked == 1]
+            if 1 < need and len(rest) < need - 1:
+                nodes += 1  # the child could place nothing: visited, not expanded
+            else:
+                dfs(cur + (c,), rest)
+
+    dfs((), list(cands))
+    return found, nodes
+
+
+@pytest.mark.parametrize("G", order8_catalogue() + order27_catalogue(), ids=lambda G: G.name)
+def test_backtrack_matches_oracle(G):
+    # one root with every order-q subgroup, at every target; then roots
+    # fixing one member (the others above it that meet it trivially),
+    # and fixing U_0 beside it, in one call
+    subs = _order_q_subgroups(G, round(G.n ** (1 / 3)))
+    pm = ProductMasks(G, subs)
+    every = range(len(subs))
+    for target in range(len(subs) + 2):
+        assert pm.backtrack([((), every)], target) == [backtrack_oracle(pm, every, target)]
+    meets = [[j for j in every if j > i and set(subs[i].elements) & set(subs[j].elements) == {0}]
+             for i in every]
+    for target in (1, 2, 3):
+        for base in ((), (0,)):
+            roots = [((*base, i), js) for i, js in enumerate(meets) if i not in base]
+            got = pm.backtrack(roots, target)
+            assert got == [backtrack_oracle(pm, js, target, fixed) for fixed, js in roots]
+
+
+def test_backtrack_edge_cases():
+    # target 0 places nothing; no candidates, or fewer than the target,
+    # give the root alone; candidates that all meet give every child
+    # the DFS tries and no grandchild
+    G = table4_group("210b")
+    subs = [s for s in enumerate_elem_abelian_subgroups(G, 4) if 1 in s.elements][:6]
+    pm = ProductMasks(G, subs)
+    assert pm.backtrack([((), range(6))], 0) == [([()], 1)]
+    assert pm.backtrack([((), [])], 2) == [([], 1)]
+    assert pm.backtrack([((), [0, 1])], 3) == [([], 1)]
+    assert pm.backtrack([((), range(6))], 3) == [([], 5)] == [backtrack_oracle(pm, range(6), 3)]
+    assert pm.backtrack([((), []), ((), [0, 1]), ((), range(6))], 2) == [([], 1), ([], 2), ([], 6)]
+    assert pm.backtrack([], 2) == []
+
+
+def test_backtrack_matches_oracle_on_208a_pools(deghyp_pipeline):
+    cat, _, arcs = deghyp_pipeline
+    G = table4_group("208a")
+    families = 0
+    for arc in arcs:
+        pool, _ = lift_arc(G, [cat.planes[i] for i in arc.members])
+        pm = ProductMasks(G, pool)
+        for target in (2, 9):
+            got = pm.backtrack([((), range(len(pool)))], target)
+            assert got == [backtrack_oracle(pm, range(len(pool)), target)]
+            families += len(got[0][0])
+    assert families > 0  # the order of found families is compared too
+
+
+@pytest.mark.parametrize("seed", [101, 202, 303])
+def test_backtrack_matches_oracle_on_lemma53_roots(seed, monkeypatch):
+    # lemma53_counts makes one call with a root per third
+    calls, backtrack = [], ProductMasks.backtrack
+
+    def record(self, roots, target):
+        calls.append((self, roots, target, backtrack(self, roots, target)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(ProductMasks, "backtrack", record)
+    lemma53_counts(table4_group("210b"), random.Random(seed))
+    [(pm, roots, target, got)] = calls
+    assert len(roots) == 672
+    assert got == [backtrack_oracle(pm, js, target, fixed) for fixed, js in roots]
 
 
 def commutator(G, a, b):

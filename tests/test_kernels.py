@@ -53,13 +53,26 @@ def test_meet_counts_oracle():
         assert _kernels.meet_counts(words[3], words[5]) == len(sets[3] & sets[5])
 
 
+def test_bit_rows_match_membership_words():
+    # the backtrack's pools and tables: bool rows packed as mask rows
+    rng = np.random.default_rng(4)
+    for n in (0, 1, 63, 64, 65, 130):
+        bits = rng.random((5, n)) < 0.4
+        want = [_kernels.membership_words(np.flatnonzero(row), n) for row in bits]
+        assert np.array_equal(_kernels.bit_rows(bits), np.array(want).reshape(5, -1))
+        assert _kernels.bit_rows(bits[None]).shape == (1, 5, (n + 63) // 64)
+
+
 def test_products_with_no_subgroups():
-    # lemma53_counts forms the products of its base with empty pools
+    # lemma53_counts tests its base's products against pools that may be
+    # empty, and the backtrack tests no products for an empty level
     G = table4_group("210b")
     pm = ProductMasks(G, [center(G), subgroup_generate(G, [1, 2])])
     for js in ([], np.zeros(0, dtype=np.intp)):
-        words = pm.products(1, js)
-        assert words.shape == (0, pm.words.shape[1]) and not pm._products
+        assert pm.fits([[0]], [1], js).shape == (1, 0)
+        assert pm.fits(np.zeros((0, 1)), js, [0, 1]).shape == (0, 2)
+        assert pm.fits(np.zeros((0, 1)), js, np.zeros((0, 2))).shape == (0, 2)
+    assert not pm._products
 
 
 def random_masks(rng, n, bits, words):

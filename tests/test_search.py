@@ -920,18 +920,19 @@ def lemma53_oracle(G, rng=None):
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])
 def test_lemma53_pools_match_oracle(seed, monkeypatch):
-    # each size-6 search is recorded, not run: its fixed members (U_0,
-    # U_1, U_2 and the third) and its fourths, as subgroup elements
+    # the size-6 search, one batched call, is recorded, not run: each
+    # root's fixed members (U_0, U_1, U_2 and the third) and its
+    # fourths, as subgroup elements
     G = table4_group("210b")
     rng = None if seed is None else random.Random(seed)
     u1, u2, pool, fourths = lemma53_oracle(G, rng)
     calls = []
 
-    def record(self, cands, target, fixed=()):
-        assert target == 6
-        calls.append((tuple(self.subs[i].elements for i in fixed),
-                       [self.subs[i].elements for i in cands]))
-        return []
+    def record(self, roots, target):
+        assert target == 6 and not calls
+        calls.extend((tuple(self.subs[i].elements for i in fixed),
+                      [self.subs[i].elements for i in cands]) for fixed, cands in roots)
+        return [([], 1)] * len(roots)
 
     monkeypatch.setattr(ProductMasks, "backtrack", record)
     rng = None if seed is None else random.Random(seed)
@@ -945,8 +946,8 @@ def test_lemma53_pools_match_oracle(seed, monkeypatch):
 
 
 def test_lemma53_memory_guard():
-    # one ProductMasks over the 8641 subgroups and its product cache:
-    # about 9 MB traced
+    # one ProductMasks over the 8641 subgroups and the size-6 search:
+    # about 8.7 MB traced
     G = table4_group("210b")
     tracemalloc.start()
     try:
