@@ -1,12 +1,11 @@
 """Hot numeric kernels, in numpy: XOR spans, difference counts over a
 multiplication table, and the one bitset layout: a membership mask over
-0..n-1 holds g at bit g & 63 of little-endian uint64 word g >> 6, which
-is bit g of the Python int that as_ints reads."""
+0..n-1 holds g at bit g & 63 of little-endian uint64 word g >> 6."""
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BACKEND", "xor_span", "membership_words", "bit_rows", "as_ints", "meet_counts",
+__all__ = ["BACKEND", "xor_span", "membership_words", "bit_rows", "meet_counts",
            "pairwise_disjoint", "difference_counts"]
 
 BACKEND = "numpy"
@@ -44,14 +43,6 @@ def bit_rows(bits: np.ndarray) -> np.ndarray:
     out = np.zeros(bits.shape[:-1] + ((bits.shape[-1] + 63) // 64 * 8,), dtype=np.uint8)
     out[..., :(bits.shape[-1] + 7) // 8] = np.packbits(bits, axis=-1, bitorder="little")
     return out.view(_WORD)
-
-
-def as_ints(words: np.ndarray) -> list[int] | int:
-    """Mask rows (m, w) as a list of Python ints; one row (w,) as its int."""
-    raw, step = words.astype(_WORD, copy=False).tobytes(), words.shape[-1] * 8
-    if words.ndim == 1:
-        return int.from_bytes(raw, "little")  # product()'s one row, without a list
-    return [int.from_bytes(raw[k:k + step], "little") for k in range(0, len(raw), step)]
 
 
 def meet_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -11,8 +11,7 @@ order-512 candidate list down to four groups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,8 +96,8 @@ def _validate(G: FiniteGroup, cfg: ASConfiguration) -> None:
 
 
 def check_as_axioms(G: FiniteGroup, cfg: ASConfiguration) -> Dict[str, object]:
-    """Verify (AS1) and (AS2): pairs, then unordered triples, on the
-    masks of groups.ProductMasks.  The witness is the first failure in
+    """Verify (AS1) and (AS2): pairs, then unordered triples, by
+    groups.ProductMasks.fits.  The witness is the first failure in
     index order.
 
     Once all pairwise intersections are trivial, one orientation per
@@ -108,12 +107,9 @@ def check_as_axioms(G: FiniteGroup, cfg: ASConfiguration) -> Dict[str, object]:
     _validate(G, cfg)
     subs = cfg.subgroups
     pm = ProductMasks(G, subs)
-    masks, index = pm.masks, range(len(subs))
-    pair = next(([i, j] for i, j in combinations(index, 2) if masks[i] & masks[j] != 1), None)
-    triple = None
-    if pair is None:
-        triple = next(([i, j, k] for i, j, k in combinations(index, 3)
-                       if pm.product(i, j) & masks[k] != 1), None)
+    m = len(subs)
+    pair = _first(np.triu(~pm.fits(np.zeros((m, 0)), range(m), range(m)), 1))
+    triple = _first_triple(pm) if pair is None else None
     report: Dict[str, object] = {
         "as1_normal": is_normal(G, subs[0]),
         "pairwise_trivial": pair is None,
@@ -124,6 +120,15 @@ def check_as_axioms(G: FiniteGroup, cfg: ASConfiguration) -> Dict[str, object]:
         report["as1_normal"] and report["pairwise_trivial"] and report["as2_triple"]
     )
     return report
+
+
+def _first_triple(pm: ProductMasks) -> Optional[List[int]]:
+    """The first i < j < k in index order with U_i U_j cap U_k
+    nontrivial, over the subgroups of pm, or None."""
+    m = len(pm.subs)
+    i, j = np.triu_indices(m, 1)
+    hit = _first(~pm.fits(i[:, None], j, range(m)) & (np.arange(m) > j[:, None]))
+    return None if hit is None else [int(i[hit[0]]), int(j[hit[0]]), hit[1]]
 
 
 def delta(cfg: ASConfiguration) -> Tuple[int, ...]:
@@ -179,9 +184,10 @@ def kantor_from_as(cfg: ASConfiguration) -> KantorFamily:
 
 
 def check_kantor(G: FiniteGroup, fam: KantorFamily, s: int, t: int) -> Dict[str, object]:
-    """Kantor-family axioms for an order-(s, t) coset geometry, on the
-    masks of groups.ProductMasks.  Each witness is the first failure in
-    index order, and the report keeps the first of sizes, K1, K2, K3.
+    """Kantor-family axioms for an order-(s, t) coset geometry, on bool
+    member rows over the group and, for K3, groups.ProductMasks.fits.
+    Each witness is the first failure in index order, and the report
+    keeps the first of sizes, K1, K2, K3.
 
     Each A lies in its A*, so K2 makes the members of F meet pairwise
     trivially and K3 needs one orientation per unordered triple, as in
@@ -189,10 +195,12 @@ def check_kantor(G: FiniteGroup, fam: KantorFamily, s: int, t: int) -> Dict[str,
     report: Dict[str, object] = {"sizes": True, "k1": True, "k2": True, "k3": True,
                                  "witness": None}
     m = len(fam.F)
-    pm = ProductMasks(G, (*fam.F, *fam.Fstar))
-    f, star = pm.masks[:m], pm.masks[m:]
+    f, star = np.zeros((2, m, G.n), dtype=bool)
+    for i, (a, astar) in enumerate(zip(fam.F, fam.Fstar)):
+        f[i, list(a.elements)] = star[i, list(astar.elements)] = True
+    inside = ~(f[None] & ~star[:, None]).any(axis=2)  # [i, j]: F_j lies in A*_i
     bad = next((i for i, (a, astar) in enumerate(zip(fam.F, fam.Fstar))
-                if a.order != s or astar.order != s * t or f[i] & ~star[i]), None)
+                if a.order != s or astar.order != s * t or not inside[i, i]), None)
     if m != t + 1 or len(fam.Fstar) != t + 1:
         report["witness"] = {"family_size": m}
     elif bad is not None:
@@ -200,15 +208,15 @@ def check_kantor(G: FiniteGroup, fam: KantorFamily, s: int, t: int) -> Dict[str,
     if report["witness"] is not None:
         report["sizes"] = report["ok"] = False
         return report
-    index = range(m)
     # K1: each A* contains exactly one member of F.
-    inside = [[j for j in index if not f[j] & ~a] for a in star]
-    k1 = next(([i, js] for i, js in enumerate(inside) if js != [i]), None)
+    k1 = _first(inside != np.eye(m, dtype=bool))
+    if k1 is not None:
+        k1 = [k1[0], np.flatnonzero(inside[k1[0]]).tolist()]
     # K2: A* meets every member of F outside it trivially.
-    k2 = next(([i, j] for i, j in permutations(index, 2) if star[i] & f[j] != 1), None)
+    k2 = _first(((star[:, None] & f[None]) != (np.arange(G.n) == 0)).any(axis=2)
+                & ~np.eye(m, dtype=bool))
     # K3: AB cap C trivial for distinct A, B, C in F.
-    k3 = next(([i, j, k] for i, j, k in combinations(index, 3)
-               if pm.product(i, j) & f[k] != 1), None)
+    k3 = _first_triple(ProductMasks(G, fam.F))
     for key, wit in (("k1", k1), ("k2", k2), ("k3", k3)):
         report[key] = wit is None
         if wit is not None and report["witness"] is None:
@@ -284,10 +292,10 @@ def lemma41_invariants(G: FiniteGroup, cfg: ASConfiguration) -> Dict[str, object
     return report
 
 
-def _first(mask: np.ndarray) -> Optional[Tuple[int, ...]]:
+def _first(mask: np.ndarray) -> Optional[List[int]]:
     """The first set index of mask in C order, or None."""
     hit = np.argwhere(mask)
-    return tuple(int(x) for x in hit[0]) if len(hit) else None
+    return hit[0].tolist() if len(hit) else None
 
 
 # ----------------------------------------------------------------------

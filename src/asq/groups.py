@@ -16,9 +16,8 @@ enumerate_elem_abelian_subgroups works one rank at a time on arrays:
 the subgroups of a rank are element rows, and their children come from
 blocked mul-table gathers.  ProductMasks tests many subgroups against
 products of two at once, for lemma 5.3's pools and fourths and for its
-level-wise backtrack, which is every group-level search (asq.search);
-its Python-int masks carry the AS2 and Kantor-family checks of
-asq.asconfig.
+level-wise backtrack, which is every group-level search (asq.search),
+and for the AS2 and Kantor-family checks of asq.asconfig.
 """
 from __future__ import annotations
 
@@ -30,7 +29,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import gf2
-from ._kernels import as_ints, bit_rows, membership_words, xor_span
+from ._kernels import bit_rows, xor_span
 from .quadform import QuadraticForm
 
 __all__ = [
@@ -261,12 +260,9 @@ _TRIPLES = 1 << 10
 
 
 class ProductMasks:
-    """Subgroups of one group, with the one backtrack that tests AS2 on
-    them.  Their element rows are padded with the identity, which every
-    product holds anyway.  masks (bitsets over the group as Python ints,
-    each with the identity bit: two sets meet trivially when a & b == 1
-    and A lies in B when a & ~b == 0) and product() serve the checks of
-    asq.asconfig.
+    """Subgroups of one group, with the membership test (fits) and the
+    one backtrack that test AS2 on them.  Their element rows are padded
+    with the identity, which every product holds anyway.
 
     Once the members of a family meet pairwise trivially, U_a U_b cap
     U_c = 1 holds for one orientation of a triple iff it holds for all:
@@ -282,20 +278,6 @@ class ProductMasks:
         self._rows = np.zeros((len(sizes), sizes.max(initial=1)), dtype=np.intp)
         self._rows[np.arange(self._rows.shape[1]) < sizes[:, None]] = np.fromiter(
             chain.from_iterable(s.elements for s in self.subs), np.intp, sizes.sum())
-        self.masks = as_ints(membership_words(self._rows, G.n))
-        self._products: Dict[int, int] = {}  # key i * len(subs) + j, i <= j
-
-    def product(self, i: int, j: int) -> int:
-        """U_i U_j as a mask, formed as U_j U_i when i > j (a subgroup
-        meets the one trivially iff it meets the other), and cached."""
-        if i > j:
-            i, j = j, i
-        key = i * len(self.subs) + j
-        v = self._products.get(key)
-        if v is None:
-            prods = self.G.mul[self._rows[i][:, None], self._rows[j]].ravel()
-            v = self._products[key] = as_ints(membership_words(prods, self.G.n))
-        return v
 
     def fits(self, xs, cs, cols) -> np.ndarray:
         """out[k, j]: subgroup cols[k, j] (cols[j] when cols is one row)

@@ -1,7 +1,7 @@
 """AS-axioms, the derived invariants, PDS/Kantor checks and filters."""
 import json
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from asq.groups import (
     enumerate_elem_abelian_subgroups,
     exponent,
     frattini,
+    is_normal,
     order8_catalogue,
     order27_catalogue,
     product_set,
@@ -307,6 +308,97 @@ def test_lemma41_matches_oracle():
             witnesses[key] += 1
     assert len(cases) >= 2000, len(cases)
     assert all(fails.values()) and all(witnesses.values()), (fails, witnesses)
+
+
+def int_masks(subs):
+    """Each member as a Python int with bit g set for each element g."""
+    return [sum(1 << g for g in u.elements) for u in subs]
+
+
+def int_product(G, a, b):
+    """AB, for members a and b, as a Python-int mask."""
+    return sum(1 << g for g in product_set(G, a.elements, b.elements))
+
+
+def as_axioms_oracle(G, cfg):
+    """check_as_axioms on Python-int masks: two sets meet trivially when
+    a & b == 1, and a triple fails when U_i U_j & U_k != 1."""
+    _validate(G, cfg)
+    subs = cfg.subgroups
+    masks, index = int_masks(subs), range(len(subs))
+    pair = next(([i, j] for i, j in combinations(index, 2) if masks[i] & masks[j] != 1), None)
+    triple = None
+    if pair is None:
+        triple = next(([i, j, k] for i, j, k in combinations(index, 3)
+                       if int_product(G, subs[i], subs[j]) & masks[k] != 1), None)
+    report = {
+        "as1_normal": is_normal(G, subs[0]),
+        "pairwise_trivial": pair is None,
+        "as2_triple": triple is None,
+        "witness": {"pair": pair} if pair else {"triple": triple} if triple else None,
+    }
+    report["ok"] = bool(
+        report["as1_normal"] and report["pairwise_trivial"] and report["as2_triple"]
+    )
+    return report
+
+
+def kantor_oracle(G, fam, s, t):
+    """check_kantor on Python-int masks, with A lying in B when
+    a & ~b == 0; K3 is scanned whatever K2 finds."""
+    report = {"sizes": True, "k1": True, "k2": True, "k3": True, "witness": None}
+    m = len(fam.F)
+    f, star = int_masks(fam.F), int_masks(fam.Fstar)
+    bad = next((i for i, (a, astar) in enumerate(zip(fam.F, fam.Fstar))
+                if a.order != s or astar.order != s * t or f[i] & ~star[i]), None)
+    if m != t + 1 or len(fam.Fstar) != t + 1:
+        report["witness"] = {"family_size": m}
+    elif bad is not None:
+        report["witness"] = {"index": bad}
+    if report["witness"] is not None:
+        report["sizes"] = report["ok"] = False
+        return report
+    index = range(m)
+    inside = [[j for j in index if not f[j] & ~a] for a in star]
+    k1 = next(([i, js] for i, js in enumerate(inside) if js != [i]), None)
+    k2 = next(([i, j] for i, j in permutations(index, 2) if star[i] & f[j] != 1), None)
+    k3 = next(([i, j, k] for i, j, k in combinations(index, 3)
+               if int_product(G, fam.F[i], fam.F[j]) & f[k] != 1), None)
+    for key, wit in (("k1", k1), ("k2", k2), ("k3", k3)):
+        report[key] = wit is None
+        if wit is not None and report["witness"] is None:
+            report["witness"] = {key: wit}
+    report["ok"] = k1 is None and k2 is None and k3 is None
+    return report
+
+
+def test_as_axioms_matches_oracle():
+    # whole reports, witness and key order included
+    witnesses = dict.fromkeys(["pair", "triple"], 0)
+    for G, cfg in lemma41_corpus():
+        want = as_axioms_oracle(G, cfg)
+        assert json.dumps(check_as_axioms(G, cfg)) == json.dumps(want), cfg.subgroups
+        for key in want["witness"] or ():
+            witnesses[key] += 1
+    assert all(witnesses.values()), witnesses
+
+
+def test_kantor_matches_oracle():
+    # the family of each corpus entry whose members all have order q, at
+    # its own parameters and at two wrong ones, which fail the sizes
+    witnesses = dict.fromkeys(["family_size", "index", "k1", "k2", "k3"], 0)
+    k2_and_k3 = 0
+    for G, cfg in lemma41_corpus():
+        if any(u.order != cfg.q for u in cfg.subgroups):
+            continue
+        fam = kantor_from_as(cfg)
+        for s, t in ((cfg.q, cfg.q), (cfg.q - 1, cfg.q), (cfg.q, cfg.q + 1)):
+            want = kantor_oracle(G, fam, s, t)
+            assert json.dumps(check_kantor(G, fam, s, t)) == json.dumps(want), cfg.subgroups
+            for key in want["witness"] or ():
+                witnesses[key] += 1
+            k2_and_k3 += not want["k2"] and not want["k3"]
+    assert all(witnesses.values()) and k2_and_k3, (witnesses, k2_and_k3)
 
 
 def test_delta_and_pds(heis_cfg):

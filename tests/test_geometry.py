@@ -1,4 +1,5 @@
 """Coset geometries and generalised-quadrangle verification."""
+import numpy as np
 import pytest
 
 from asq.asconfig import kantor_from_as
@@ -61,11 +62,31 @@ def test_kantor_quadrangle_heisenberg(heis_cfg):
     assert regular_point(kg, 0)
 
 
-def test_grid_regular_points():
-    # every point of a grid is regular
-    g = grid(3)
-    for p in range(g.n_points):
-        assert regular_point(g, p)
+def regular_point_loop(geom, p):
+    """regular_point one r at a time."""
+    adj = geom.collinearity
+    expected = int(geom.incidence[0].sum())  # t + 1
+    closed = adj | np.eye(geom.n_points, dtype=bool)
+    for r in range(geom.n_points):
+        if r == p or adj[p, r]:
+            continue
+        perp = closed[p] & closed[r]
+        hull = np.all(closed[:, perp], axis=1)
+        if int(hull.sum()) != expected:
+            return False
+    return True
+
+
+def test_regular_points_match_loop(heis_cfg):
+    # every point of the Kantor GQ(3, 3) and of a grid is regular, no
+    # point of the AS GQ(2, 4) or of the pseudo-hyperoval's GQ(3, 5) is
+    G, cfg = heis_cfg
+    geoms = [(kantor_quadrangle(G, kantor_from_as(cfg), 3, 3), 40), (as_quadrangle(cfg), 0),
+             (as_quadrangle(_hyperoval_config()), 0), (grid(3), 16)]
+    for geom, regular in geoms:
+        got = [regular_point(geom, p) for p in range(geom.n_points)]
+        assert got == [regular_point_loop(geom, p) for p in range(geom.n_points)]
+        assert sum(got) == regular, (geom.n_points, sum(got))
 
 
 def test_srg_rejects_irregular():

@@ -400,14 +400,13 @@ def test_enumerate_elem_abelian_memory_guard():
 @pytest.mark.parametrize("G", [table4_group("210b"), HeisenbergGroup(3)], ids=lambda G: G.name)
 def test_batched_products_match_product_set(G, monkeypatch):
     # fits() tests each subgroup against U_x U_c as product_set forms
-    # it, with shared or per-row columns and in blocks of any size;
-    # product() forms one pair, as U_a U_b with a <= b
+    # it, with shared or per-row columns and in blocks of any size, and
+    # as the Python-int masks of backtrack_oracle do
     rng = random.Random(5)
     subs = [subgroup_generate(G, rng.sample(range(1, G.n), rng.randint(1, 2)))
             for _ in range(40)]
     pm = ProductMasks(G, subs)
-    for s, mask in zip(subs, pm.masks):
-        assert mask == sum(1 << g for g in s.elements)
+    masks = int_masks(subs)
     every = range(len(subs))
     for _ in range(5):
         i = rng.randrange(len(subs))
@@ -419,18 +418,35 @@ def test_batched_products_match_product_set(G, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(groups, "_BLOCK", 1)
             assert pm.fits([[i]] * 12, js, [every] * 12).tolist() == want
-        for j in js:
-            a, b = sorted((i, j))
-            want = product_set(G, subs[a].elements, subs[b].elements)
-            assert pm.product(i, j) == pm.product(j, i) == sum(1 << g for g in want)
+        for j, row in zip(js, want):
+            assert [d & int_product(G, subs[i], subs[j]) == 1 for d in masks] == row
+
+
+def int_masks(subs):
+    """Each subgroup as a Python int with bit g set for each element g:
+    two meet trivially when a & b == 1."""
+    return [sum(1 << g for g in s.elements) for s in subs]
+
+
+def int_product(G, a, b):
+    """AB, for subgroups a and b, as a Python-int mask."""
+    return sum(1 << g for g in product_set(G, a.elements, b.elements))
 
 
 def backtrack_oracle(pm, cands, target, fixed=()):
     """The recursive depth-first search that ProductMasks.backtrack runs
     a level at a time: the target-sized subsets of cands extending the
     fixed members to an AS2 family, in the order found, and the nodes.
-    Python-int masks, one product at a time."""
-    masks = pm.masks
+    Python-int masks, one product U_a U_b (a <= b) at a time."""
+    masks = int_masks(pm.subs)
+    products = {}
+
+    def product(a, b):
+        a, b = sorted((a, b))
+        if (a, b) not in products:
+            products[a, b] = int_product(pm.G, pm.subs[a], pm.subs[b])
+        return products[a, b]
+
     found, nodes = [], 0
 
     def dfs(cur, pool):
@@ -444,7 +460,7 @@ def backtrack_oracle(pm, cands, target, fixed=()):
             c = pool[pos]
             blocked = masks[c]
             for x in (*fixed, *cur):
-                blocked |= pm.product(x, c)
+                blocked |= product(x, c)
             rest = [d for d in pool[pos + 1:] if masks[d] & blocked == 1]
             if 1 < need and len(rest) < need - 1:
                 nodes += 1  # the child could place nothing: visited, not expanded
