@@ -26,14 +26,9 @@ def xor_span(cols: np.ndarray) -> np.ndarray:
 
 def membership_words(members: np.ndarray, n: int) -> np.ndarray:
     """Row i of members (ints of shape (m, k) in 0..n-1, repeats
-    allowed) as mask row i, of shape (m, (n + 63) // 64); members of
-    shape (k,) give one row of shape ((n + 63) // 64,)."""
-    if members.ndim == 1:
-        bits = np.zeros((n + 63) // 64 * 64, dtype=bool)
-        bits.put(members, True)  # half the cost of bits[members] on int16
-    else:
-        bits = np.zeros((len(members), (n + 63) // 64 * 64), dtype=bool)
-        bits[np.arange(len(members))[:, None], members] = True
+    allowed) as mask row i, of shape (m, (n + 63) // 64)."""
+    bits = np.zeros((len(members), (n + 63) // 64 * 64), dtype=bool)
+    bits[np.arange(len(members))[:, None], members] = True
     return np.packbits(bits, axis=-1, bitorder="little").view(_WORD)
 
 

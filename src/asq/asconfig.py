@@ -20,6 +20,7 @@ from .groups import (
     FiniteGroup,
     ProductMasks,
     Subgroup,
+    SubgroupRows,
     _generated,
     _prime_of,
     agemo,
@@ -116,9 +117,7 @@ def check_as_axioms(G: FiniteGroup, cfg: ASConfiguration) -> Dict[str, object]:
         "as2_triple": triple is None,
         "witness": {"pair": pair} if pair else {"triple": triple} if triple else None,
     }
-    report["ok"] = bool(
-        report["as1_normal"] and report["pairwise_trivial"] and report["as2_triple"]
-    )
+    report["ok"] = report["as1_normal"] and pair is None and triple is None
     return report
 
 
@@ -133,11 +132,7 @@ def _first_triple(pm: ProductMasks) -> Optional[List[int]]:
 
 def delta(cfg: ASConfiguration) -> Tuple[int, ...]:
     """The union of the U_i minus the identity."""
-    out: set = set()
-    for u in cfg.subgroups:
-        out |= u.element_set()
-    out.discard(0)
-    return tuple(sorted(out))
+    return tuple(sorted(set().union(*(u.elements for u in cfg.subgroups)) - {0}))
 
 
 def check_pds(G: FiniteGroup, delta_elems: Sequence[int]) -> Tuple[int, int]:
@@ -152,35 +147,21 @@ def check_pds(G: FiniteGroup, delta_elems: Sequence[int]) -> Tuple[int, int]:
         raise ValueError("difference set contains the identity")
     if any(int(G.inv[x]) not in ds for x in d):
         raise ValueError("difference set is not inverse-closed")
-    counts = difference_counts(G.mul, G.inv, np.asarray(d, dtype=np.int64))
-    lam: Optional[int] = None
-    mu: Optional[int] = None
+    counts = difference_counts(G.mul, G.inv, np.asarray(d, dtype=np.int64)).tolist()
+    const: Dict[bool, int] = {}  # the count on the set (True) and off it
     for g in range(1, G.n):
-        c = int(counts[g])
-        if g in ds:
-            if lam is None:
-                lam = c
-            elif lam != c:
-                raise ValueError(f"non-constant count {c} != {lam} at element {g}")
-        else:
-            if mu is None:
-                mu = c
-            elif mu != c:
-                raise ValueError(f"non-constant count {c} != {mu} at element {g}")
-    if lam is None or mu is None:
+        want = const.setdefault(g in ds, counts[g])
+        if counts[g] != want:
+            raise ValueError(f"non-constant count {counts[g]} != {want} at element {g}")
+    if len(const) < 2:
         raise ValueError("the set or its complement in G minus the identity is empty")
-    return lam, mu
+    return const[True], const[False]
 
 
 def kantor_from_as(cfg: ASConfiguration) -> KantorFamily:
     """F = {U_i : i >= 1}, F* = {U_0 U_i : i >= 1}."""
-    G = cfg.group
-    u0 = cfg.subgroups[0]
-    F = cfg.subgroups[1:]
-    Fstar = tuple(
-        Subgroup(G, product_set(G, u0.elements, u.elements)) for u in F
-    )
-    return KantorFamily(tuple(F), Fstar)
+    G, u0, F = cfg.group, cfg.subgroups[0], tuple(cfg.subgroups[1:])
+    return KantorFamily(F, tuple(Subgroup(G, product_set(G, u0.elements, u.elements)) for u in F))
 
 
 def check_kantor(G: FiniteGroup, fam: KantorFamily, s: int, t: int) -> Dict[str, object]:
@@ -309,6 +290,7 @@ class FilterReport:
     passed: bool
     conditions: Dict[str, bool]
     notes: Dict[str, object] = field(default_factory=dict)
+    counts: Dict[str, int] = field(default_factory=dict)
 
 
 def _cube_root(n: int) -> int:
@@ -325,9 +307,18 @@ def _is_elem_abelian(G: FiniteGroup, elems: Sequence[int], p: int) -> bool:
     return bool((G.element_orders()[e] <= p).all() and (table == table.T).all())
 
 
-def _preimage(G: FiniteGroup, proj: np.ndarray, elems: Sequence[int]) -> Subgroup:
-    idx = np.nonzero(np.isin(proj, np.asarray(list(elems))))[0]
-    return Subgroup(G, tuple(int(x) for x in idx))
+def _cosets(proj: np.ndarray) -> np.ndarray:
+    """Row c: the sorted elements that the projection maps to coset c."""
+    return np.argsort(proj, kind="stable").reshape(int(proj.max()) + 1, -1)
+
+
+def _lifted(G: FiniteGroup, N: Subgroup) -> Optional[Subgroup]:
+    """extraspecial_quotient_exists on G/N, its witness's preimage in G."""
+    Q, proj = quotient(G, N)
+    wit = extraspecial_quotient_exists(Q)
+    if wit is None:
+        return None
+    return Subgroup(G, tuple(np.sort(_cosets(proj)[np.asarray(wit.elements)], axis=None).tolist()))
 
 
 def structural_filter(G: FiniteGroup) -> FilterReport:
@@ -341,16 +332,18 @@ def structural_filter(G: FiniteGroup) -> FilterReport:
     U_0 = Z(G) with U_0^2 = G^2 = Phi(G); (ii) Z(G) not elementary
     abelian implies Z(G) <= U_0; (iii) U_0 elementary abelian implies
     exponent 4, Z(G) elementary abelian, U_0 not inside Z(G); and no
-    extraspecial epimorphic image of order 8 or 32.
+    extraspecial epimorphic image of order 8 or 32.  counts: the U_0
+    tested, up to the first that passes.
     """
     q = _cube_root(G.n)
     p = _prime_of(G.n)
     conditions: Dict[str, bool] = {}
     notes: Dict[str, object] = {}
+    counts = {"u0_candidates_tested": 0}
     frat = frattini(G)
     conditions["frattini_small"] = frat.order <= q
     if p != 2:
-        return FilterReport(conditions["frattini_small"], conditions, notes)
+        return FilterReport(conditions["frattini_small"], conditions, notes, counts)
 
     conditions["nonabelian"] = not G.is_abelian()
     if not conditions["nonabelian"]:
@@ -358,49 +351,48 @@ def structural_filter(G: FiniteGroup) -> FilterReport:
     if not (conditions["nonabelian"] and conditions["frattini_small"]):
         conditions["u0_candidate"] = False
     elif frat.order == q:
-        # U_0 is forced to be the Frattini subgroup itself.
-        z = center(G)
-        zset, u0set = z.element_set(), frat.element_set()
-        flag = zset < u0set  # Z(G) < U_0 strictly
-        flag = flag and (not _is_elem_abelian(G, frat.elements, 2) or exponent(G) == 4)
-        conditions["u0_candidate"] = flag
+        # U_0 is forced to be the Frattini subgroup itself (Phi <= U_0:
+        # Lemma 4.1(i), clause (i) of lemma41_invariants).
+        counts["u0_candidates_tested"] = 1
+        # Z(G) < U_0 strictly: unsourced (see ROADMAP item 8)
+        flag = center(G).element_set() < frat.element_set()
+        conditions["u0_candidate"] = flag and (
+            not _is_elem_abelian(G, frat.elements, 2) or exponent(G) == 4)
     else:
+        # the candidates U_0 >= Phi (Lemma 4.1(i)), off one coset table
         Q, proj = quotient(G, frat)
+        cosets = _cosets(proj)
         z = center(G)
-        zset = z.element_set()
-        exp = exponent(G)
-        z_elem_ab = _is_elem_abelian(G, z.elements, 2)
-        g2 = agemo(G, 1).element_set()
-        fratset = frat.element_set()
-        found = False
-        for sub in enumerate_elem_abelian_subgroups(Q, q // frat.order):
-            u0 = _preimage(G, proj, sub.elements)
-            u0set = u0.element_set()
+        zset, exp, z_elem_ab = z.element_set(), exponent(G), _is_elem_abelian(G, z.elements, 2)
+        g2, fratset = agemo(G, 1).element_set(), frat.element_set()
+        conditions["u0_candidate"] = False
+        for row in enumerate_elem_abelian_subgroups(Q, q // frat.order).elements:
+            counts["u0_candidates_tested"] += 1
+            u0 = np.sort(cosets[row], axis=None)
+            u0set = frozenset(u0.tolist())
             in_z = u0set <= zset
-            flag = (not in_z) or (exp == 4 and u0set == zset)
-            flag = flag and (z_elem_ab or zset <= u0set)
-            if flag and _is_elem_abelian(G, u0.elements, 2):
+            # (i)-(iii): the paper's result (i); PAPER.md names no lemma
+            flag = (not in_z) or (exp == 4 and u0set == zset)  # (i)
+            flag = flag and (z_elem_ab or zset <= u0set)  # (ii)
+            if flag and _is_elem_abelian(G, u0, 2):  # (iii)
                 flag = exp == 4 and z_elem_ab and not in_z
-            if flag and in_z:
-                sq = subgroup_generate(G, {int(G.mul[g, g]) for g in u0.elements})
+            if flag and in_z:  # (i): U_0^2 = G^2 = Phi
+                sq = subgroup_generate(G, {int(G.mul[g, g]) for g in u0.tolist()})
                 flag = sq.element_set() == g2 == fratset
             if flag:
-                found = True
+                conditions["u0_candidate"] = True
                 break
-        conditions["u0_candidate"] = found
 
     wit = extraspecial_quotient_exists(G)
     conditions["no_extraspecial_image"] = wit is None
     if wit is not None:
         notes["extraspecial_kernel_order"] = wit.order
-    return FilterReport(all(conditions.values()), conditions, notes)
+    return FilterReport(all(conditions.values()), conditions, notes, counts)
 
 
 def _is_extraspecial(G: FiniteGroup) -> bool:
     z = center(G)
-    if z.order != 2:
-        return False
-    return derived(G).elements == z.elements and frattini(G).elements == z.elements
+    return z.order == 2 and derived(G).elements == z.elements == frattini(G).elements
 
 
 def extraspecial_quotient_exists(G: FiniteGroup) -> Optional[Subgroup]:
@@ -420,35 +412,18 @@ def extraspecial_quotient_exists(G: FiniteGroup) -> Optional[Subgroup]:
         return None
     K = _generated(G, G.powers(4), G.commutators(der.elements))
     if K.order > 1:
-        Q, proj = quotient(G, K)
-        wit = extraspecial_quotient_exists(Q)
-        return None if wit is None else _preimage(G, proj, wit.elements)
+        return _lifted(G, K)
     # G now has class <= 2 and exponent <= 4.
-    if der.order > 2:
-        for M in index2_subgroups(der):  # G' is central, so M is normal
-            Q, proj = quotient(G, M)
-            wit = extraspecial_quotient_exists(Q)
-            if wit is not None:
-                return _preimage(G, proj, wit.elements)
-        return None
-    c = der.elements[1]
-    z = center(G)
+    if der.order > 2:  # G' is central, so each M is normal
+        return next(filter(None, (_lifted(G, M) for M in index2_subgroups(der))), None)
+    c, z = der.elements[1], center(G)
     for index in (8, 32):
-        if G.n % index:
-            continue
-        target = G.n // index
-        if target == 1:
-            if _is_extraspecial(G):
-                return Subgroup(G, (0,))
-            continue
-        # N central with N cap G' = 1 forces N of index 2 in Z(G).
-        if z.order != 2 * target:
+        # N central with N cap G' = 1 forces N of index 2 in Z(G) (N = 1
+        # when G itself is extraspecial)
+        if G.n % index or z.order != 2 * G.n // index:
             continue
         for N in index2_subgroups(z):
-            if c in N.element_set():
-                continue
-            Q, _ = quotient(G, N)
-            if _is_extraspecial(Q):
+            if c not in N.elements and _is_extraspecial(quotient(G, N)[0]):
                 return N
     return None
 
@@ -457,9 +432,9 @@ def extraspecial_quotient_exists(G: FiniteGroup) -> Optional[Subgroup]:
 # subgroup counting and the compatibility clique
 
 
-def good_subgroups(G: FiniteGroup, q: int) -> Tuple[Subgroup, ...]:
-    """Non-normal subgroups of order q meeting Phi(G) trivially, kept
-    on G: a second call returns the same tuple.
+def good_subgroups(G: FiniteGroup, q: int) -> SubgroupRows:
+    """Non-normal subgroups of order q meeting Phi(G) trivially, as one
+    family kept on G: a second call returns the same family.
 
     In a 2-group, H cap Phi = 1 forces H elementary abelian (squares
     and commutators land in Phi), so the elementary abelian enumeration
@@ -469,13 +444,14 @@ def good_subgroups(G: FiniteGroup, q: int) -> Tuple[Subgroup, ...]:
     if key not in G._cache:
         frat = frattini(G)
         subs = enumerate_elem_abelian_subgroups(G, q, avoid=[frat.elements])
-        zset = center(G).element_set()
-        if zset.issuperset(frat.elements):
-            # With Phi central, h^g = h [h,g] and [h,g] in Phi, so such
-            # an H is normal exactly when it is central.
-            G._cache[key] = tuple(s for s in subs if not zset.issuperset(s.elements))
+        in_z = np.zeros(G.n, dtype=bool)
+        in_z[np.asarray(center(G).elements)] = True
+        if in_z[np.asarray(frat.elements)].all():
+            # Normal iff central: h^g = h [h, g] with [h, g] in G' <= Phi
+            # central, and H cap Phi = 1 (standard; Phi(G) = G' G^2).
+            G._cache[key] = subs[~in_z[subs.elements].all(axis=1)]
         else:
-            G._cache[key] = tuple(s for s in subs if not is_normal(G, s))
+            G._cache[key] = subs[np.array([not is_normal(G, s) for s in subs], dtype=bool)]
     return G._cache[key]
 
 
@@ -485,21 +461,18 @@ def enough_subgroups(G: FiniteGroup, q: int) -> bool:
     which is settled separately)."""
     if G.is_abelian():
         return True
-    subs = good_subgroups(G, q)
-    seen: set = set()
-    classes = 0
-    for s in subs:
-        if s.key() in seen:
+    seen, classes = set(), 0
+    for row in good_subgroups(G, q).elements:
+        if tuple(row.tolist()) in seen:
             continue
-        orbit = set(map(tuple, np.sort(conjugation_table(G, s.elements), axis=1).tolist()))
-        seen |= orbit
+        seen |= set(map(tuple, np.sort(conjugation_table(G, row), axis=1).tolist()))
         classes += 1
         if classes >= q + 1:
             return True
     return False
 
 
-def clique_size_qplus1(G: FiniteGroup, q: int) -> bool:
+def clique_size_qplus1(G: FiniteGroup, q: int, counts: Optional[dict] = None) -> bool:
     """Is there a set of q+1 good subgroups pairwise satisfying
     Phi cap HK = Phi cap KH = K cap Phi H = H cap Phi K = 1?
 
@@ -507,6 +480,7 @@ def clique_size_qplus1(G: FiniteGroup, q: int) -> bool:
     depends only on the products Phi H; subgroups sharing a product are
     never adjacent, so the search runs on the distinct products.  As H
     meets Phi trivially, the sorted row of products phi h is Phi H.
+    counts, when given, gets phi_products: the distinct Phi H.
     """
     if G.is_abelian():
         return True
@@ -514,31 +488,30 @@ def clique_size_qplus1(G: FiniteGroup, q: int) -> bool:
     if len(subs) < q + 1:
         return False
     frat = frattini(G)
-    rows = np.array([s.elements for s in subs], dtype=np.intp)
-    stars = G.mul[np.asarray(frat.elements)[:, None], rows[:, None, :]].reshape(len(subs), -1)
+    # Dedekind's modular law: Phi H cap Phi K = Phi (H cap Phi K), which
+    # is Phi iff H cap Phi K = 1, as H cap Phi = 1; and so for the rest
+    stars = G.mul[np.asarray(frat.elements)[:, None], subs.elements[:, None]]
+    stars = stars.reshape(len(subs), -1)
     stars.sort(axis=1)
     stars = stars[np.lexsort(stars.T[::-1])]
     stars = stars[np.r_[True, (stars[1:] != stars[:-1]).any(axis=1)]]  # the distinct rows
     m = len(stars)
-    masks = membership_words(stars, G.n)
-    adj = pairwise_disjoint(masks, meet=frat.order)
+    if counts is not None:
+        counts["phi_products"] = m
+    adj = pairwise_disjoint(membership_words(stars, G.n), meet=frat.order)
     np.fill_diagonal(adj, False)
 
-    target = q + 1
-
     def extend(clique_len: int, cand: np.ndarray) -> bool:
-        if clique_len == target:
+        if clique_len == q + 1:
             return True
-        if clique_len + int(cand.sum()) < target:
-            return False
-        for v in np.nonzero(cand)[0]:
+        for v in np.nonzero(cand)[0]:  # bounded before each branch
+            if clique_len + int(cand.sum()) < q + 1:
+                return False
             nxt = cand & adj[v]
             nxt[: v + 1] = False
             if extend(clique_len + 1, nxt):
                 return True
             cand[v] = False
-            if clique_len + int(cand.sum()) < target:
-                return False
         return False
 
     found = extend(0, np.ones(m, dtype=bool))

@@ -252,6 +252,7 @@ def _ruleout_210b(rep: RunReport) -> None:
     for v in sorted(dist):
         rep.counts[f"thirds_with_{v}_fourths"] = dist[v]
     rep.counts["size6_families"] = res["size6_families"]
+    rep.counts["order8_subgroups"] = res["order8_subgroups"]
     rep.notes.update(stage_s=res["stage_s"], nodes=res["nodes"])
     rep.verdicts["distribution_matches"] = dist == {0: 112, 48: 672}
     _expect(rep, {"pool": 784, "size6_families": 0})
@@ -335,13 +336,15 @@ def cmd_filters(group_arg: str) -> RunReport:
     for name, ok in fr.conditions.items():
         rep.verdicts[name] = ok
     rep.notes.update(fr.notes)
+    rep.counts.update(fr.counts)
     if p == 2:  # the subgroup-clique predicates are 2-group only
         if not G.is_abelian():  # both predicates hold at once on abelian G
-            _timed(stages, "good_subgroups", good_subgroups, G, q)  # kept on G for both
+            good = _timed(stages, "good_subgroups", good_subgroups, G, q)  # kept on G for both
+            rep.counts["good_subgroups"] = len(good)
         rep.verdicts["enough_subgroups"] = _timed(stages, "enough_subgroups",
                                                   enough_subgroups, G, q)
-        rep.verdicts["clique_of_size_q_plus_1"] = _timed(stages, "clique",
-                                                         clique_size_qplus1, G, q)
+        rep.verdicts["clique_of_size_q_plus_1"] = _timed(stages, "clique", clique_size_qplus1,
+                                                         G, q, counts=rep.counts)
     return rep
 
 

@@ -14,13 +14,16 @@ objects.
 
 enumerate_elem_abelian_subgroups works one rank at a time on arrays:
 the subgroups of a rank are element rows, and their children come from
-blocked mul-table gathers.  ProductMasks tests many subgroups against
-products of two at once, for lemma 5.3's pools and fourths and for its
-level-wise backtrack, which is every group-level search (asq.search),
-and for the AS2 and Kantor-family checks of asq.asconfig.
+blocked mul-table gathers; it returns them as a SubgroupRows family.
+ProductMasks tests many subgroups (a family's rows as they stand, or a
+list's, packed) against products of two at once, for lemma 5.3's pools
+and fourths and for its level-wise backtrack, which is every group-level
+search (asq.search), and for the AS2 and Kantor-family checks of
+asq.asconfig.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd
@@ -38,6 +41,7 @@ __all__ = [
     "HeisenbergGroup",
     "TableGroup",
     "Subgroup",
+    "SubgroupRows",
     "subgroup_generate",
     "product_set",
     "ProductMasks",
@@ -226,6 +230,28 @@ class Subgroup:
         return f"Subgroup(order={self.order}, gens={list(self.gens)})"
 
 
+class SubgroupRows(SequenceABC):
+    """Subgroups of one group as arrays in its mul dtype: elements (k,
+    order), rows sorted, and gens (k, rank), or (k, 0) for Subgroup's
+    default ().  An int index builds one Subgroup; a slice, an index
+    array or a bool mask selects a family."""
+
+    def __init__(self, parent: FiniteGroup, elements: np.ndarray, gens: np.ndarray):
+        self.parent, self.elements, self.gens = parent, elements, gens
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):
+            return Subgroup(self.parent, tuple(self.elements[i].tolist()),
+                            tuple(self.gens[i].tolist()))
+        return SubgroupRows(self.parent, self.elements[i], self.gens[i])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SequenceABC) and list(self) == list(other)
+
+
 def subgroup_generate(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     gens = tuple(int(g) for g in gens)
     for g in gens:
@@ -261,8 +287,8 @@ _TRIPLES = 1 << 10
 
 class ProductMasks:
     """Subgroups of one group, with the membership test (fits) and the
-    one backtrack that test AS2 on them.  Their element rows are padded
-    with the identity, which every product holds anyway.
+    one backtrack that test AS2 on them.  A list's element rows are
+    padded with the identity, which every product holds anyway.
 
     Once the members of a family meet pairwise trivially, U_a U_b cap
     U_c = 1 holds for one orientation of a triple iff it holds for all:
@@ -273,6 +299,9 @@ class ProductMasks:
 
     def __init__(self, G: FiniteGroup, subs: Sequence[Subgroup]):
         self.G = G
+        if isinstance(subs, SubgroupRows):
+            self.subs, self._rows = subs, subs.elements
+            return
         self.subs = list(subs)
         sizes = np.array([s.order for s in self.subs], dtype=np.intp)
         self._rows = np.zeros((len(sizes), sizes.max(initial=1)), dtype=np.intp)
@@ -524,10 +553,10 @@ _CELLS = 1 << 15
 
 def enumerate_elem_abelian_subgroups(
     G: FiniteGroup, order: int, avoid: Sequence[Sequence[int]] = ()
-) -> List[Subgroup]:
+) -> SubgroupRows:
     """All elementary abelian subgroups of the given 2-power order whose
     intersection with each avoid product-set is trivial, sorted by
-    elements.
+    elements, as one family: gens holds each greedy basis.
 
     Each subgroup is built once, from its greedy basis: E grows by an
     involution h commuting with it only when h exceeds the last generator
@@ -576,12 +605,7 @@ def enumerate_elem_abelian_subgroups(
         del parts  # the blocks would double the level
     elems.sort(axis=1)
     first = np.lexsort(elems.T[::-1])
-    ints = np.array(range(G.n), dtype=object)  # one int per element, shared by every tuple
-    found: List[Subgroup] = []
-    for rows in np.split(first, range(1024, len(first), 1024)):  # 1024 lists at a time
-        found += [Subgroup(G, tuple(e), tuple(g))
-                  for e, g in zip(ints[elems[rows]].tolist(), ints[gens[rows]].tolist())]
-    return found
+    return SubgroupRows(G, elems[first], gens[first])
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from asq import asconfig
 from asq.asconfig import (
     ASConfiguration,
+    _cube_root,
     _validate,
     KantorFamily,
     check_as_axioms,
@@ -30,7 +31,9 @@ from asq.groups import (
     CocycleGroup,
     HeisenbergGroup,
     Subgroup,
+    TableGroup,
     _prime_of,
+    agemo,
     center,
     conjugation_table,
     cyclic,
@@ -45,6 +48,7 @@ from asq.groups import (
     order27_catalogue,
     product_set,
     quaternion8,
+    quotient,
     subgroup_generate,
     table4_group,
 )
@@ -286,7 +290,7 @@ def lemma41_corpus():
     hyper = _hyperoval_config()
     swaps(hyper.group, hyper.subgroups, enumerate_elem_abelian_subgroups(hyper.group, 4), 200)
     C = direct_product(direct_product(cyclic(4), cyclic(4)), cyclic(4))
-    pool = _order_q_subgroups(C, 4) + enumerate_elem_abelian_subgroups(C, 4)
+    pool = _order_q_subgroups(C, 4) + list(enumerate_elem_abelian_subgroups(C, 4))
     for _ in range(300):
         add(C, rng.sample(pool, 6))
     return cases
@@ -579,3 +583,143 @@ def test_clique_stars_match_product_sets(ident, monkeypatch):
                         lambda rows, n: seen.append(rows) or words(rows, n))
     clique_size_qplus1(G, 8)
     assert [tuple(r) for r in seen[0].tolist()] == want
+
+
+# ----------------------------------------------------------------------
+# the filters on Subgroup objects, one at a time: the oracles of the
+# family-row code
+
+
+def elem_ab_oracle(G, elems):
+    table = G.mul[np.ix_(elems, elems)]
+    return bool((G.element_orders()[list(elems)] <= 2).all() and (table == table.T).all())
+
+
+def good_subgroups_oracle(G, q):
+    frat = frattini(G)
+    subs = list(enumerate_elem_abelian_subgroups(G, q, avoid=[frat.elements]))
+    zset = center(G).element_set()
+    if zset.issuperset(frat.elements):
+        return [s for s in subs if not zset.issuperset(s.elements)]
+    return [s for s in subs if not is_normal(G, s)]
+
+
+def enough_subgroups_oracle(G, q, subs):
+    seen, classes = set(), 0
+    for s in subs:
+        if s.key() in seen:
+            continue
+        seen |= set(map(tuple, np.sort(conjugation_table(G, s.elements), axis=1).tolist()))
+        classes += 1
+        if classes >= q + 1:
+            return True
+    return False
+
+
+def clique_oracle(G, q, subs):
+    """Distinct products Phi H by product_set, adjacency by their meets
+    (Phi H cap Phi K = Phi, counted by one float product of member
+    rows), and a plain clique search over adjacency sets: (found, the
+    number of distinct products)."""
+    frat = frattini(G)
+    stars = sorted({product_set(G, frat.elements, s.elements) for s in subs})
+    member = np.zeros((len(stars), G.n), dtype=np.float32)
+    for i, st in enumerate(stars):
+        member[i, list(st)] = 1
+    meets = member @ member.T
+    adj = [set(np.flatnonzero(row == frat.order).tolist()) - {i} for i, row in enumerate(meets)]
+
+    def extend(size, cand):
+        if size == q + 1:
+            return True
+        return any(size + len(cand) >= q + 1 and extend(size + 1, {u for u in cand if u > v} & adj[v])
+                   for v in sorted(cand))
+
+    return len(subs) >= q + 1 and extend(0, set(range(len(stars)))), len(stars)
+
+
+def u0_search_oracle(G):
+    """structural_filter's U_0 search with a Subgroup and an np.isin
+    preimage per candidate: (u0_candidate, candidates tested)."""
+    q, frat = _cube_root(G.n), frattini(G)
+    if G.is_abelian() or frat.order > q:
+        return False, 0
+    z = center(G)
+    zset = z.element_set()
+    if frat.order == q:
+        flag = zset < frat.element_set()
+        return flag and (not elem_ab_oracle(G, frat.elements) or exponent(G) == 4), 1
+    Q, proj = quotient(G, frat)
+    exp, z_elem_ab = exponent(G), elem_ab_oracle(G, z.elements)
+    g2, fratset = agemo(G, 1).element_set(), frat.element_set()
+    tested = 0
+    for sub in list(enumerate_elem_abelian_subgroups(Q, q // frat.order)):
+        tested += 1
+        u0 = Subgroup(G, tuple(int(x) for x in np.nonzero(np.isin(proj, list(sub.elements)))[0]))
+        u0set = u0.element_set()
+        in_z = u0set <= zset
+        flag = (not in_z) or (exp == 4 and u0set == zset)
+        flag = flag and (z_elem_ab or zset <= u0set)
+        if flag and elem_ab_oracle(G, u0.elements):
+            flag = exp == 4 and z_elem_ab and not in_z
+        if flag and in_z:
+            sq = subgroup_generate(G, {int(G.mul[g, g]) for g in u0.elements})
+            flag = sq.element_set() == g2 == fratset
+        if flag:
+            return True, tested
+    return False, tested
+
+
+def dihedral16():
+    """r^a s^b at index a + 8b: Phi = <r^2> is not central."""
+    b, a = np.divmod(np.arange(16), 8)
+    sign = np.where(b[:, None] == 1, -1, 1)
+    return TableGroup((a[:, None] + sign * a) % 8 + 8 * (b[:, None] ^ b), name="D16")
+
+
+def filter_cases():
+    """The four Table-4 groups, order-64 direct products (|Phi| = q =
+    4, and Phi non-central in D16 x C2^2) and cocycle groups over F_2^5
+    (|Phi| = 2 < q), and D8 and Q8."""
+    out = [table4_group(ident) for ident in ("208a", "210b", "211p", "212m")]
+    D, Q, C = dihedral8(), quaternion8(), order8_catalogue()[1]
+    out += [direct_product(D, C), direct_product(Q, C), direct_product(D, D),
+            direct_product(D, Q), direct_product(dihedral16(), elementary_abelian(2))]
+    rng = random.Random(29)
+    out += [CocycleGroup(5, (28, 30, 24, 13, 6))]
+    out += [CocycleGroup(5, tuple(rng.randrange(32) >> i << i for i in range(5)))
+            for _ in range(6)]
+    return out + [dihedral8(), quaternion8()]
+
+
+@pytest.mark.parametrize("G", filter_cases(), ids=lambda G: G.name or repr(G.form.coeff))
+def test_filters_match_subgroup_oracles(G):
+    q = _cube_root(G.n)
+    rep = structural_filter(G)
+    assert (rep.conditions["u0_candidate"], rep.counts["u0_candidates_tested"]) \
+        == u0_search_oracle(G)
+    if G.is_abelian():
+        return
+    want = good_subgroups_oracle(G, q)
+    assert good_subgroups(G, q) == want
+    assert enough_subgroups(G, q) == enough_subgroups_oracle(G, q, want)
+    counts = {}
+    found = clique_size_qplus1(G, q, counts=counts)
+    fast = (found, counts.get("phi_products", len({product_set(G, frattini(G).elements,
+                                                               s.elements) for s in want})))
+    assert fast == clique_oracle(G, q, want)
+
+
+def test_filter_oracle_cases_reach_every_branch():
+    central = {True: 0, False: 0}
+    branches = {"equal": 0, "below": 0}
+    verdicts = set()
+    for G in filter_cases():
+        q, frat = _cube_root(G.n), frattini(G)
+        central[set(frat.elements) <= set(center(G).elements)] += 1
+        if frat.order == q:
+            branches["equal"] += 1
+        elif frat.order < q and not G.is_abelian():
+            branches["below"] += 1
+        verdicts.add(u0_search_oracle(G)[0])
+    assert all(central.values()) and all(branches.values()) and verdicts == {True, False}

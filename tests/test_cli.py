@@ -141,6 +141,21 @@ def test_group_level_commands_report_stage_times(tmp_path, schema):
     assert all(t >= 0 for t in rep["notes"]["stage_s"].values())
 
 
+def test_group_level_commands_report_search_counts(tmp_path, schema):
+    # how much each filter searched on 212m: 6120 good subgroups, 765
+    # distinct products Phi H, and the first U_0 candidate passes; lemma
+    # 5.3 enumerates 8640 order-8 subgroups of 210b meeting Z(G) trivially
+    code, rep = run_json(tmp_path, ["filters", "212m"], schema)
+    assert code == 0
+    assert {k: rep["counts"][k] for k in ("good_subgroups", "phi_products",
+                                          "u0_candidates_tested")} == {
+        "good_subgroups": 6120, "phi_products": 765, "u0_candidates_tested": 1}
+    code, rep = run_json(tmp_path, ["ruleout", "210b"], schema)
+    assert code == 0 and rep["counts"]["order8_subgroups"] == 8640
+    code, rep = run_json(tmp_path, ["filters", "heisenberg3"], schema)
+    assert rep["counts"] == {"u0_candidates_tested": 0}  # odd q: no U_0 search
+
+
 def test_ruleout_208a_reports_family_nodes(tmp_path, schema, monkeypatch, deghyp_pipeline):
     # the arc search is the session's, so only the lifts and the family
     # backtrack run here: 105104 nodes over the 8 arcs, 0 families

@@ -12,6 +12,7 @@ from asq.groups import (
     HeisenbergGroup,
     ProductMasks,
     Subgroup,
+    SubgroupRows,
     agemo,
     center,
     centralizer,
@@ -384,8 +385,9 @@ def test_enumerate_elem_abelian_blocks_agree(monkeypatch):
 
 
 def test_enumerate_elem_abelian_memory_guard():
-    # the 8640 returned subgroups take about 2.4 MB traced and the
-    # level arrays about 1 MB more at their peak
+    # the 8640 returned subgroups take about 0.2 MB traced as one family
+    # (2.4 MB as Subgroup tuples) and the level arrays about 1.4 MB more
+    # at their peak
     G = table4_group("210b")
     avoid = [center(G).elements]
     G.element_orders()
@@ -395,6 +397,67 @@ def test_enumerate_elem_abelian_memory_guard():
         assert tracemalloc.get_traced_memory()[1] <= 4e6
     finally:
         tracemalloc.stop()
+
+
+def family_cases():
+    """(G, order, avoid): the Table-4 groups at orders 4 and 8 avoiding
+    Phi(G) (good_subgroups) or Z(G) (lemma 5.3), and an order-64 group
+    at orders 2, 4 and 8 with the avoid sets of the oracle tests."""
+    for ident in TABLE4_IDS:
+        G = table4_group(ident)
+        for order in (4, 8):
+            for avoid in (frattini, center):
+                yield G, order, [avoid(G).elements]
+    G = direct_product(dihedral8(), elementary_abelian(3))
+    for order in (2, 4, 8):
+        for avoid in avoid_sets(G):
+            yield G, order, avoid
+
+
+def test_family_matches_subgroup_list():
+    # the family's items, built one at a time, and its selections are the
+    # Subgroup list the enumeration used to return (the depth-first
+    # enumerator's (elements, gens) pairs); ProductMasks.fits reads the
+    # family's rows as it reads the list's packed rows
+    rng = np.random.default_rng(29)
+    for G, order, avoid in family_cases():
+        fam = enumerate_elem_abelian_subgroups(G, order, avoid=avoid)
+        want = [Subgroup(G, e, g) for e, g in elem_abelian_recursive(G, order, avoid)]
+        assert isinstance(fam, SubgroupRows) and len(fam) == len(want)
+        assert fam.elements.shape == (len(want), order)
+        assert fam.gens.shape == (len(want), order.bit_length() - 1)
+        assert list(fam) == want and fam == want
+        if not want:  # every order-4 or -8 subgroup of D8 x C2^3 meets Z(G)
+            continue
+        at = rng.integers(-len(want), len(want), 50)
+        assert [fam[int(i)] for i in at] == [want[i] for i in at]
+        assert [fam[i] for i in at] == [want[i] for i in at]  # numpy ints
+        mask = rng.random(len(want)) < 0.3
+        assert fam[mask] == [w for w, keep in zip(want, mask) if keep]
+        assert fam[5::7] == want[5::7] and fam[at] == [want[i] for i in at]
+        assert fam[mask] == SubgroupRows(G, fam.elements[mask], fam.gens[mask])
+        pm, slow = ProductMasks(G, fam), ProductMasks(G, want)
+        assert pm.subs is fam and pm._rows is fam.elements
+        for _ in range(3):
+            xs = rng.integers(0, len(want), (20, 2))
+            cs, cols = rng.integers(0, len(want), 20), rng.integers(0, len(want), (20, 30))
+            assert np.array_equal(pm.fits(xs, cs, cols), slow.fits(xs, cs, cols))
+            assert np.array_equal(pm.fits(xs[:, :1], cs, cols[0]), slow.fits(xs[:, :1], cs, cols[0]))
+
+
+def test_family_selection_and_equality():
+    G = elementary_abelian(3)
+    fam = enumerate_elem_abelian_subgroups(G, 4)
+    assert len(fam) == 7 and fam[0] == Subgroup(G, (0, 1, 2, 3), (1, 2))
+    assert fam == enumerate_elem_abelian_subgroups(G, 4) and fam != fam[1:]
+    assert fam != enumerate_elem_abelian_subgroups(elementary_abelian(3), 4)  # another parent
+    assert len(fam[np.zeros(7, dtype=bool)]) == 0 and list(fam[:0]) == []
+    assert fam[2:4] == [fam[2], fam[3]] and fam[-1] == list(fam)[-1]
+    with pytest.raises(IndexError):
+        fam[7]
+    # without gens, items carry Subgroup's default gens ()
+    bare = SubgroupRows(G, fam.elements, fam.elements[:, :0])
+    assert bare.gens.shape == (7, 0) and bare[3] == Subgroup(G, fam[3].elements)
 
 
 @pytest.mark.parametrize("G", [table4_group("210b"), HeisenbergGroup(3)], ids=lambda G: G.name)
@@ -433,12 +496,13 @@ def int_product(G, a, b):
     return sum(1 << g for g in product_set(G, a.elements, b.elements))
 
 
-def backtrack_oracle(pm, cands, target, fixed=()):
+def backtrack_oracle(pm, cands, target, fixed=(), masks=None):
     """The recursive depth-first search that ProductMasks.backtrack runs
     a level at a time: the target-sized subsets of cands extending the
     fixed members to an AS2 family, in the order found, and the nodes.
-    Python-int masks, one product U_a U_b (a <= b) at a time."""
-    masks = int_masks(pm.subs)
+    Python-int masks (int_masks(pm.subs) unless given), one product
+    U_a U_b (a <= b) at a time."""
+    masks = int_masks(pm.subs) if masks is None else masks
     products = {}
 
     def product(a, b):
@@ -532,7 +596,8 @@ def test_backtrack_matches_oracle_on_lemma53_roots(seed, monkeypatch):
     lemma53_counts(table4_group("210b"), random.Random(seed))
     [(pm, roots, target, got)] = calls
     assert len(roots) == 672
-    assert got == [backtrack_oracle(pm, js, target, fixed) for fixed, js in roots]
+    masks = int_masks(pm.subs)  # once for the 672 roots
+    assert got == [backtrack_oracle(pm, js, target, fixed, masks) for fixed, js in roots]
 
 
 def commutator(G, a, b):

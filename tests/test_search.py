@@ -14,7 +14,7 @@ from test_quadform import plane_perms_oracle
 
 from asq import asconfig, gf2, search
 from asq._kernels import pairwise_disjoint
-from asq.asconfig import check_as_axioms, clique_size_qplus1
+from asq.asconfig import check_as_axioms, clique_size_qplus1, good_subgroups
 from asq.groups import (
     TABLE4_IDS,
     HeisenbergGroup,
@@ -953,5 +953,22 @@ def test_lemma53_memory_guard():
     try:
         assert lemma53_counts(G)["pool"] == 784
         assert tracemalloc.get_traced_memory()[1] <= 11e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_filters_memory_guard():
+    # 212m's good subgroups stay on G as one family of 6120 rows: about
+    # 0.14 MB (1.7 MB as Subgroup tuples); the clique over their 765
+    # products peaks at about 3.1 MB with them (5.0 MB as tuples)
+    G = table4_group("212m")
+    frattini(G), center(G), G.element_orders()
+    tracemalloc.start()
+    try:
+        assert len(good_subgroups(G, 8)) == 6120
+        assert tracemalloc.get_traced_memory()[0] <= 0.5e6
+        tracemalloc.reset_peak()
+        assert clique_size_qplus1(G, 8)
+        assert tracemalloc.get_traced_memory()[1] <= 4.5e6
     finally:
         tracemalloc.stop()
