@@ -194,9 +194,10 @@ def _timed(stages: Dict[str, float], name: str, fn, *args, **kwargs):
 def _arc_search(rep: RunReport, form, seed_size: int, target: int,
                 threads: int) -> Tuple[PlaneCatalogue, List[PseudoArc]]:
     """The arc pipeline of every arc search: the plane catalogue of the
-    form and the order of its group (sifted up to the order of the
-    group on the points, which the order stage computes too), one
-    canonical seed per orbit of seed_size planes, and every extension
+    form (which builds the chain of the group on the points, whose
+    strong generators it maps onto the planes), the order of the plane
+    group (sifted up to the point group's order), one canonical seed
+    per orbit of seed_size planes, and every extension
     of the seeds to target planes on threads workers.  The wall seconds
     of the four stages go to notes["stage_s"], and the number of
     canonical sets of each size 0..seed_size to notes["canonical_sets"]."""

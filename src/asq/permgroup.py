@@ -43,7 +43,10 @@ complete (known-order randomised Schreier-Sims, Seress, Permutation
 Group Algorithms, 2003, 4.5).  A group built with a cover, a group it
 is a homomorphic image of, sifts product-replacement elements up to
 the cover's order: the plane group of a form is the image of its group
-on the 2^d points, whose order is quick to find.  An action that is
+on the 2^d points, whose order is quick to find, and is generated by
+the images of that group's strong generators (strong_generators, the
+union over its chain's levels): a dozen or so, where the form has
+over a hundred transvections.  An action that is
 not faithful stays below that bound; after 200 sifts in a row that
 miss, and for a group with no cover, a deterministic Schreier-Sims
 completes the chain: every Schreier generator u_x s u_{s(x)}^-1 of a
@@ -402,6 +405,13 @@ class PermGroup:
         if self._order is None:
             self._order = self._ensure_chain().order()
         return self._order
+
+    def strong_generators(self) -> List[np.ndarray]:
+        """The distinct strong generators of the complete chain, level by
+        level: they generate the group, since every element factors
+        through the level transversals."""
+        return list({_perm_key(g): g for lv in self._ensure_chain().levels
+                     for g in lv.gens}.values())
 
     # -- orbit structure (BFS forests rooted at orbit minima) ----------
 

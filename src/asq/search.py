@@ -16,13 +16,15 @@ and fourths by that object's fits().
 
 The plane catalogue is built as whole arrays: singular_subspaces emits
 each plane once, from its least-vector basis, and reduces it with one
-gf2.rref; plane_action finds a plane's image under each generator by the
-image's packed least-vector key, with no row reduction.  Both arc
-searches run one level at a time and carry, per node, its row: the
-sorted indices of the planes that keep the node's set a partial
-pseudo-arc.  Both grow a level's children the same way, by _grow:
-PlaneCatalogue.compatible_pairs derives the children's rows from ranges
-of their parents' rows, in runs of (child, plane) pairs.
+gf2.rref; plane_action builds the isometry group on the 2^d points and
+maps only its strong generators, about a dozen, onto the planes,
+finding a plane's image by the image's packed least-vector key, with no
+row reduction.  Both arc searches run one level at a time and carry,
+per node, its row: the sorted indices of the planes that keep the
+node's set a partial pseudo-arc.  Both grow a level's children the same
+way, by _grow: PlaneCatalogue.compatible_pairs derives the children's
+rows from ranges of their parents' rows, in runs of (child, plane)
+pairs.
 """
 from __future__ import annotations
 
@@ -102,19 +104,25 @@ def _least_vector_keys(vectors: np.ndarray, dim: int) -> np.ndarray:
 
 
 def plane_action(form: QuadraticForm, planes: Sequence[gf2.Subspace]) -> PermGroup:
-    """The isometry generators as permutations of the plane catalogue.
+    """The isometry group as a permutation group of the plane catalogue.
 
-    Each generator acts on all 2^d points at once; a plane's image is
-    that action on its 8 vectors, found by its least-vector key among
-    the catalogue's sorted keys.  An image outside the catalogue (a
-    generator that is no isometry) raises AssertionError.  The group on
-    the 2^d points is its cover: its order bounds the plane group's."""
+    The isometry generators generate the group on the 2^d points, whose
+    chain is built here; its strong generators, the union over the
+    chain's levels, generate it too, and only they are mapped onto the
+    planes.  A plane's image is a generator's action on its 8 vectors,
+    found by its least-vector key among the catalogue's sorted keys.  An
+    image outside the catalogue (a strong generator that is no isometry,
+    as one is whenever an isometry generator is not) raises
+    AssertionError.  The point group is the plane group's cover: its
+    order bounds the plane group's."""
     d = form.dim
     vectors = _plane_vectors(planes)
     keys = _least_vector_keys(vectors, d)
     order = np.argsort(keys)
     sorted_keys = keys[order]
-    point_images = xor_span(np.array(isometry_generators(form), dtype=np.int64).reshape(-1, d))
+    points = PermGroup(xor_span(np.array(isometry_generators(form), dtype=np.int64)
+                                .reshape(-1, d)), 1 << d)
+    point_images = points.strong_generators()
     # int32 rows, which PermGroup keeps without a copy
     perms = np.empty((len(point_images), len(planes)), dtype=np.int32)
     for perm, point_image in zip(perms, point_images):
@@ -123,7 +131,7 @@ def plane_action(form: QuadraticForm, planes: Sequence[gf2.Subspace]) -> PermGro
         if not np.array_equal(sorted_keys[pos], image_keys):
             raise AssertionError("a generator maps a plane outside the catalogue")
         perm[:] = order[pos]
-    return PermGroup(perms, len(planes), cover=PermGroup(point_images, 1 << d))
+    return PermGroup(perms, len(planes), cover=points)
 
 
 # Pairs per run of PlaneCatalogue.compatible_pairs, which holds about 100
@@ -138,11 +146,12 @@ class PlaneCatalogue:
     """Immutable search context: the totally singular planes of a form
     (one gf2.rref per plane), their vectors as an (n, 8) array and
     bit-packed membership masks as an (n, words) uint64 array, and the
-    plane action of the form's isometry group (planes found by their
-    least-vector keys; a ValueError for a form with no structural
-    generator set).  compatible_pairs is the one test of whether a set of
-    planes stays a partial pseudo-arc; is_partial_pseudo_arc is its slow
-    oracle."""
+    plane action of the form's isometry group (the point group's strong
+    generators mapped onto the planes, which are found by their
+    least-vector keys; the point group is the plane group's cover; a
+    ValueError for a form with no structural generator set).
+    compatible_pairs is the one test of whether a set of planes stays a
+    partial pseudo-arc; is_partial_pseudo_arc is its slow oracle."""
 
     def __init__(self, form: QuadraticForm):
         self.form = form

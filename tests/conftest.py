@@ -4,10 +4,27 @@ import os
 
 import pytest
 
-from asq.quadform import preset
+from asq.quadform import QuadraticForm, preset
 from asq.search import PlaneCatalogue, arc_seeds, extend_arcs
 
 THREADS = min(4, os.cpu_count() or 1)
+
+
+@pytest.fixture(scope="session")
+def cat_minus():
+    return PlaneCatalogue(preset("minus8"))
+
+
+@pytest.fixture(scope="session")
+def cat_plus():
+    return PlaneCatalogue(preset("plus8"))
+
+
+@pytest.fixture(scope="session")
+def cat_dim7():
+    """The dim-7 form x0x1 + x2x3 + x4x5: 345 planes, group order
+    2580480."""
+    return PlaneCatalogue(QuadraticForm(7, (0b10, 0, 0b1000, 0, 0b100000, 0, 0)))
 
 
 @pytest.fixture(scope="session")

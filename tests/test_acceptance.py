@@ -20,7 +20,6 @@ from asq.groups import (
 )
 from asq.quadform import QuadraticForm, preset, singular_subspaces
 from asq.search import (
-    PlaneCatalogue,
     arc_seeds,
     as_backtrack,
     brute_force_as_configs,
@@ -42,11 +41,10 @@ def _line(num, label, ok):
 
 
 @pytest.fixture(scope="module")
-def plus_pipeline():
-    cat = PlaneCatalogue(preset("plus8"))
-    seeds = arc_seeds(cat, 6)
-    arcs = extend_arcs(cat, seeds, 9, threads=THREADS)
-    return cat, seeds, arcs
+def plus_pipeline(cat_plus):
+    seeds = arc_seeds(cat_plus, 6)
+    arcs = extend_arcs(cat_plus, seeds, 9, threads=THREADS)
+    return cat_plus, seeds, arcs
 
 
 @pytest.fixture

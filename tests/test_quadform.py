@@ -1,12 +1,12 @@
 """Quadratic forms over F_2, their singular planes and isometries."""
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asq import gf2
-from asq.permgroup import PermGroup
 from asq.quadform import (
     PRESETS,
     QuadraticForm,
@@ -215,18 +215,17 @@ def singular_subspaces_oracle(q, k):
     return [level[kk] for kk in sorted(level)]
 
 
-def plane_perms_oracle(form, planes):
-    """The isometry generators as lists of plane images, one rref per
-    plane image."""
-    index = {p.key(): i for i, p in enumerate(planes)}
-    return [[index[gf2.rref([apply_matrix(g, b) for b in p.basis], form.dim).key()]
-             for p in planes]
-            for g in isometry_generators(form)]
-
-
-def plane_action_oracle(form, planes):
-    """Slow oracle for plane_action."""
-    return PermGroup(plane_perms_oracle(form, planes), len(planes))
+def plane_perms_oracle(form, planes, matrices=None):
+    """The matrices, by default the isometry generators, as lists of
+    plane images: each matrix applied to every point by apply_matrix, and
+    each plane's image found by the sorted tuple of its 8 vectors."""
+    vectors = np.array([sorted(gf2.subspace_vectors(p)) for p in planes])
+    index = {tuple(v): i for i, v in enumerate(vectors.tolist())}
+    out = []
+    for g in isometry_generators(form) if matrices is None else matrices:
+        points = np.array([apply_matrix(g, v) for v in range(1 << form.dim)])
+        out.append([index[tuple(v)] for v in np.sort(points[vectors], axis=1).tolist()])
+    return out
 
 
 def rebased(q, a):
@@ -265,9 +264,19 @@ def test_singular_planes_match_oracle(name):
     fast = singular_subspaces(q, 3)
     assert [p.key() for p in fast] == [p.key() for p in singular_subspaces_oracle(q, 3)]
     if name not in ("deg-c4", "field-reduction-9"):  # no structural generator set
-        want = plane_action_oracle(q, fast).gens
-        got = plane_action(q, fast).gens
-        assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
+        # each plane generator is the action of a strong generator of the
+        # point group, the plane group's cover: the linear map whose
+        # column i is the image of the point 1 << i
+        G = plane_action(q, fast)
+        points = G._cover.strong_generators()
+        matrices = [tuple(int(p[1 << i]) for i in range(q.dim)) for p in points]
+        assert all(preserves_form(q, g) for g in matrices)
+        assert [g.tolist() for g in G.gens] == plane_perms_oracle(q, fast, matrices)
+        # and every isometry generator's plane permutation sifts through
+        # the chain, so the two generating sets give one group
+        chain = G._ensure_chain()
+        for perm in plane_perms_oracle(q, fast):
+            assert chain.sift(np.array(perm, dtype=np.int32))[0] is None
 
 
 def test_singular_subspaces_random_forms_match_oracle():

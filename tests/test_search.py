@@ -36,7 +36,14 @@ from asq.groups import (
     table4_group,
 )
 from asq.permgroup import PermGroup, is_min_image, min_image
-from asq.quadform import QuadraticForm, load_form, preset, singular_subspaces
+from asq.quadform import (
+    QuadraticForm,
+    apply_matrix,
+    isometry_generators,
+    load_form,
+    preset,
+    singular_subspaces,
+)
 from asq.search import (
     PlaneCatalogue,
     SearchTrace,
@@ -48,12 +55,8 @@ from asq.search import (
     lemma53_counts,
     lift_arc,
     minus_type_obstruction,
+    plane_action,
 )
-
-
-@pytest.fixture(scope="module")
-def cat_minus():
-    return PlaneCatalogue(preset("minus8"))
 
 
 @pytest.fixture(scope="module")
@@ -68,19 +71,8 @@ def minus_pools():
     return G, lift_arc(G, [p0, p1])[0], lift_arc(G, [p0, p1, p2])[0]
 
 
-# the dim-7 form x0x1 + x2x3 + x4x5: 345 planes, group order 2580480
-DIM7 = QuadraticForm(7, (0b10, 0, 0b1000, 0, 0b100000, 0, 0))
+# the one pseudo-arc of 9 planes on the dim-7 form of cat_dim7
 DIM7_ARC = (0, 39, 89, 177, 205, 248, 293, 331, 338)
-
-
-@pytest.fixture(scope="module")
-def cat_plus():
-    return PlaneCatalogue(preset("plus8"))
-
-
-@pytest.fixture(scope="module")
-def cat_dim7():
-    return PlaneCatalogue(DIM7)
 
 
 def compatible_row(cat, row, s, x):
@@ -304,6 +296,56 @@ def test_non_faithful_plane_actions(name, monkeypatch):
     cat = PlaneCatalogue(load_form(text))
     assert (cat.n, cat.group._cover.order(), cat.group.order()) == (planes, cover, order)
     assert cat.n in degrees
+
+
+def test_non_isometry_among_isometries_is_a_defect(cat_minus, monkeypatch):
+    # one non-isometry amid the transvections enlarges the point group,
+    # so one of its strong generators, all that plane_action maps, moves
+    # a plane off the catalogue
+    form = cat_minus.form
+    gens = isometry_generators(form)
+    swap = (1, 4, 2) + tuple(1 << i for i in range(3, 8))
+    assert any(form.evaluate(apply_matrix(swap, v)) != form.evaluate(v) for v in range(256))
+    monkeypatch.setattr(search, "isometry_generators", lambda f: gens[:5] + [swap] + gens[5:])
+    with pytest.raises(AssertionError, match="outside the catalogue"):
+        plane_action(form, cat_minus.planes)
+
+
+def test_plane_groups_keep_few_generators(cat_minus, cat_plus, deghyp_pipeline):
+    # the strong generators of the point group, not its 120-136
+    # transvections
+    for cat in (cat_plus, cat_minus, deghyp_pipeline[0]):
+        assert len(cat.group.gens) <= 24, cat.form
+
+
+def transvection_group(cat):
+    """The plane group generated by all the form's isometry generators,
+    with their point group as its cover."""
+    d = cat.form.dim
+    points = [[apply_matrix(g, v) for v in range(1 << d)] for g in isometry_generators(cat.form)]
+    return PermGroup(plane_perms_oracle(cat.form, cat.planes), cat.n,
+                     cover=PermGroup(points, 1 << d))
+
+
+def test_searches_agree_on_both_generating_sets(cat_minus, cat_dim7, cat_plus):
+    # a catalogue whose group is generated by every isometry generator
+    # gives the same seeds, node counts, arcs and minimal images as the
+    # one generated by the point group's strong generators
+    rng = random.Random(30)
+    for cat, size in ((cat_minus, 6), (cat_dim7, 6), (cat_plus, 5)):
+        slow = copy.copy(cat)
+        slow.group = transvection_group(cat)
+        assert len(slow.group.gens) > len(cat.group.gens)
+        assert slow.group.order() == cat.group.order()
+        runs = []
+        for c in (cat, slow):
+            tr = SearchTrace(seed=None)
+            seeds = arc_seeds(c, size, trace=tr)
+            runs.append((seeds, tr.sizes, tr.nodes, extend_arcs(c, seeds, size + 1)))
+        assert runs[0] == runs[1], cat.form
+        for _ in range(50):
+            s = rng.sample(range(cat.n), rng.randint(1, 6))
+            assert min_image(cat.group, s) == min_image(slow.group, s), s
 
 
 def test_thread_determinism(cat_minus):
@@ -591,12 +633,12 @@ def orbit_least_members(sets, perms, n):
         label = new
 
 
-def test_arc_seeds_against_orbit_oracle():
+def test_arc_seeds_against_orbit_oracle(cat_dim7):
     # the dim-7 form x0x1 + x2x3 + x4x5 (345 planes, group order
     # 2580480): the orbits of single planes and of disjoint pairs, from
     # the slow plane-action loop and union-find, share no code with
     # permgroup; arc_seeds returns exactly the least member of each
-    form = DIM7
+    form = cat_dim7.form
     planes = singular_subspaces(form, 3)
     n = len(planes)
     perms = plane_perms_oracle(form, planes)
@@ -606,9 +648,8 @@ def test_arc_seeds_against_orbit_oracle():
     singles = orbit_least_members([(a,) for a in range(n)], perms, n)
     doubles = orbit_least_members(pairs, perms, n)
     assert (len(singles), len(doubles)) == (2, 3)
-    cat = PlaneCatalogue(form)
-    assert cat.group.order() == 2580480
-    assert arc_seeds(cat, 1) == singles and arc_seeds(cat, 2) == doubles
+    assert cat_dim7.group.order() == 2580480
+    assert arc_seeds(cat_dim7, 1) == singles and arc_seeds(cat_dim7, 2) == doubles
 
 
 def test_arc_seeds_size3_against_orbit_oracle(cat_dim7):
@@ -620,7 +661,7 @@ def test_arc_seeds_size3_against_orbit_oracle(cat_dim7):
     # would only split orbits.  The oracle's index maps and labels peak
     # at 24 MB traced; a union-find over every (set, image) edge took 65
     # MB
-    form = DIM7
+    form = cat_dim7.form
     planes = singular_subspaces(form, 3)
     n = len(planes)
     vecs = np.array([list(gf2.subspace_vectors(p)) for p in planes])
