@@ -40,28 +40,28 @@ over the level's strong generators.  Sifting walks the tree.  A sifted
 chain's order is at most that of the group its strong generators
 generate, so a chain sifted up to an upper bound of the group order is
 complete (known-order randomised Schreier-Sims, Seress, Permutation
-Group Algorithms, 2003, 4.5).  A group built with a cover, a group it
-is a homomorphic image of, sifts product-replacement elements up to
-the cover's order: the plane group of a form is the image of its group
-on the 2^d points, whose order is quick to find, and is generated by
-the images of that group's strong generators (strong_generators, the
-union over its chain's levels): a dozen or so, where the form has
-over a hundred transvections.  An action that is
-not faithful stays below that bound; after 200 sifts in a row that
-miss, and for a group with no cover, a deterministic Schreier-Sims
-completes the chain: every Schreier generator u_x s u_{s(x)}^-1 of a
-level, with u_x formed from its parent's while the tree is walked
-depth first, sifts through the levels below.  A group keeps its
-complete chain, and a point stabiliser is read off it.  For the first
-base point it is the next level and the levels below, shared.  For any
-other point, a new chain is sifted from uniform random elements of the
-group, drawn through its chain and moved to fix the point, until the
-stabiliser's known order |G|/|x^G| is reached.  Each element g is
-moved to fix x along the group's own orbit forest: the walk of g[x] to
-its orbit minimum, then one element, fixed per stabiliser, from the
-minimum back to x.  No stabiliser is cached, but every order-1
-stabiliser below a group is one shared generator-free group, which
-keeps no per-point buffers of its own.
+Group Algorithms, 2003, 4.5).  A group built with a bound sifts
+product-replacement elements up to it: a form's groups on the 2^d
+points and on its planes are both bounded by the order of its isometry
+group, known by formula, and the plane group is generated by the
+images of the point group's strong generators (strong_generators, the
+union over its chain's levels): a dozen or so, where the form has over
+a hundred transvections.  A plane action that is not faithful stays
+below that bound; after 200 sifts in a row that miss, and for a group
+with no bound, a deterministic Schreier-Sims completes the chain:
+every Schreier generator u_x s u_{s(x)}^-1 of a level, with u_x formed
+from its parent's while the tree is walked depth first, sifts through
+the levels below.  A group keeps its complete chain, and a point
+stabiliser is read off it.  For the first base point it is the next
+level and the levels below, shared.  For any other point, a new chain
+is sifted from uniform random elements of the group, drawn through its
+chain and moved to fix the point, until the stabiliser's known order
+|G|/|x^G| is reached.  Each element g is moved to fix x along the
+group's own orbit forest: the walk of g[x] to its orbit minimum, then
+one element, fixed per stabiliser, from the minimum back to x.  No
+stabiliser is cached, but every order-1 stabiliser below a group is one
+shared generator-free group, which keeps no per-point buffers of its
+own.
 """
 from __future__ import annotations
 
@@ -332,7 +332,7 @@ def _sift_to(chain: _Chain, elements: Iterator[np.ndarray], target: int) -> bool
     return chain.order() == target
 
 
-def _build_chain(gens: Sequence[np.ndarray], n: int, bound: Optional[int] = None) -> _Chain:
+def _build_chain(gens: Sequence[np.ndarray], n: int, bound: Optional[int]) -> _Chain:
     """A complete chain for the group the gens generate: sifted up to
     bound, an upper bound of its order, if it gets there.  Else two
     random subproducts keep the first level's strong generators few,
@@ -362,10 +362,11 @@ def _build_chain(gens: Sequence[np.ndarray], n: int, bound: Optional[int] = None
 class PermGroup:
     """A permutation group given by generators, with its stabiliser chain
     and orbit forest built on demand for orbit/minimal-image queries.
-    The order of a cover, a group this one is an image of, bounds it."""
+    Given a bound, an upper bound of its order, the chain is sifted up
+    to it."""
 
     def __init__(self, gens: Iterable[Sequence[int]], degree: int,
-                 order: Optional[int] = None, cover: Optional["PermGroup"] = None):
+                 bound: Optional[int] = None):
         arrs = []
         seen = set()
         for g in gens:
@@ -378,8 +379,7 @@ class PermGroup:
                 arrs.append(a)
         self.gens = arrs
         self.n = degree
-        self._order = order
-        self._cover = cover
+        self._bound = bound
         self._chain: Optional[_Chain] = None
         self._inv_gens: Optional[np.ndarray] = None  # (gens + 1, n) int32
         self._orbmin: Optional[np.ndarray] = None
@@ -395,16 +395,11 @@ class PermGroup:
 
     def _ensure_chain(self) -> _Chain:
         if self._chain is None:
-            bound = self._cover.order() if self._cover is not None else None
-            self._chain, self._cover = _build_chain(self.gens, self.n, bound), None
-            if self._order is not None and self._order != self._chain.order():
-                raise AssertionError("the given order is not the group order")
+            self._chain = _build_chain(self.gens, self.n, self._bound)
         return self._chain
 
     def order(self) -> int:
-        if self._order is None:
-            self._order = self._ensure_chain().order()
-        return self._order
+        return self._ensure_chain().order()
 
     def strong_generators(self) -> List[np.ndarray]:
         """The distinct strong generators of the complete chain, level by
@@ -483,7 +478,8 @@ class PermGroup:
         if rem:
             raise AssertionError("orbit size does not divide the group order")
         if self._trivial is None:
-            self._trivial = PermGroup([], self.n, order=1)
+            self._trivial = PermGroup([], self.n)
+            self._trivial._chain = _Chain(self.n)
         if target == 1:
             return self._trivial
         chain = self._ensure_chain()
@@ -493,7 +489,7 @@ class PermGroup:
             chain = self._fixing(point, target)
         if chain.order() != target:  # pragma: no cover
             raise AssertionError("stabiliser chain missed the target order")
-        child = PermGroup(chain.levels[0].gens, self.n, order=target)
+        child = PermGroup(chain.levels[0].gens, self.n)
         child._chain = chain
         child._trivial = self._trivial
         return child
@@ -515,7 +511,7 @@ class PermGroup:
         return out
 
     def __repr__(self) -> str:
-        o = self._order if self._order is not None else "?"
+        o = self._chain.order() if self._chain is not None else "?"
         return f"PermGroup(degree={self.n}, gens={len(self.gens)}, order={o})"
 
 

@@ -13,6 +13,7 @@ evaluate, bilinear and bilinear_row are the scalar definitions.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -32,6 +33,7 @@ __all__ = [
     "radicals",
     "singular_subspaces",
     "isometry_generators",
+    "isometry_order",
     "forms_equivalent",
     "field_reduction_arc",
     "gamma_forms",
@@ -280,16 +282,21 @@ def transvection(q: QuadraticForm, v: int) -> Tuple[int, ...]:
 def isometry_generators(q: QuadraticForm) -> List[Tuple[int, ...]]:
     """Generators of the stabiliser of Q in GL(d, 2).
 
-    Nondegenerate case: all orthogonal transvections.  Degenerate case
-    with SRad = Rad: transvection lifts plus GL(Rad) plus shears into the
-    singular radical.  The mixed case (anisotropic radical vector) is
-    excluded; group-level automorphisms handle it instead.
+    Nondegenerate case: all orthogonal transvections, and for O^+(4, 2),
+    of which they generate half, the swap of the two hyperbolic pairs of
+    the normal basis.  Degenerate case with SRad = Rad: their lifts plus
+    GL(Rad) plus shears into the singular radical.  The mixed case
+    (anisotropic radical vector) is excluded; group-level automorphisms
+    handle it instead.
     """
     rad, srad, cls = radicals(q)
     if cls.tag == "mixed":
         raise ValueError("mixed-radical forms have no structural generator set here")
     d = q.dim
     gens = [transvection(q, v) for v in np.flatnonzero(q.values).tolist()]
+    if cls.tag == "+" and d - rad.rank == 4:
+        b = _normal_basis(q)[0]
+        gens.append(gf2.linear_map(b, b[2:4] + b[:2] + b[4:], d))
     if rad.rank:
         comp = gf2.complement_basis(rad)
         rb = rad.basis
@@ -303,6 +310,32 @@ def isometry_generators(q: QuadraticForm) -> List[Tuple[int, ...]]:
                 sheared = tuple(x ^ s if x == c else x for x in comp)
                 gens.append(gf2.linear_map(comp + rb, sheared + rb, d))
     return gens
+
+
+def isometry_order(q: QuadraticForm) -> int:
+    """|Isom(Q)|, the order of the group isometry_generators generates.
+
+    Q = W + R, W nondegenerate of dimension 2m and type e, R = Rad(B) =
+    SRad(Q) of dimension r.  An isometry keeps R, so it acts on V/R,
+    keeping the induced form, and on R.  The map to O^e(2m, 2) x GL(r, 2)
+    is onto, as Q(w + x) = Q(w) for x in R, and its kernel is the shears
+    v -> v + phi(v) for phi in Hom(V/R, R): |Isom(Q)| = |O^e(2m, 2)|
+    |GL(r, 2)| 2^(2mr), with |O^e(2m, 2)| = 2 2^(m(m-1)) (2^m - e)
+    prod_{0<i<m} (4^i - 1), and 1 for m = 0 (D. E. Taylor, The Geometry
+    of the Classical Groups, 1992).  Mixed forms are refused, as
+    isometry_generators refuses them.
+    """
+    _, _, cls = radicals(q)
+    if cls.tag == "mixed":
+        raise ValueError("mixed-radical forms have no structural generator set here")
+    r = cls.rad_dim
+    m = (q.dim - r) // 2
+    gl_r = math.prod((1 << r) - (1 << i) for i in range(r))
+    if not m:
+        return gl_r
+    e = 1 if cls.tag == "+" else -1
+    o_w = (2 << m * (m - 1)) * ((1 << m) - e) * math.prod(4 ** i - 1 for i in range(1, m))
+    return o_w * gl_r << 2 * m * r
 
 
 # ----------------------------------------------------------------------

@@ -16,15 +16,15 @@ and fourths by that object's fits().
 
 The plane catalogue is built as whole arrays: singular_subspaces emits
 each plane once, from its least-vector basis, and reduces it with one
-gf2.rref; plane_action builds the isometry group on the 2^d points and
-maps only its strong generators, about a dozen, onto the planes,
-finding a plane's image by the image's packed least-vector key, with no
-row reduction.  Both arc searches run one level at a time and carry,
-per node, its row: the sorted indices of the planes that keep the
-node's set a partial pseudo-arc.  Both grow a level's children the same
-way, by _grow: PlaneCatalogue.compatible_pairs derives the children's
-rows from ranges of their parents' rows, in runs of (child, plane)
-pairs.
+gf2.rref; plane_action sifts the isometry group on the 2^d points up
+to quadform.isometry_order and maps only its strong generators, about
+a dozen, onto the planes, finding a plane's image by the image's packed
+least-vector key, with no row reduction.  Both arc searches run one
+level at a time and carry, per node, its row: the sorted indices of the
+planes that keep the node's set a partial pseudo-arc.  Both grow a
+level's children the same way, by _grow: PlaneCatalogue.compatible_pairs
+derives the children's rows from ranges of their parents' rows, in runs
+of (child, plane) pairs.
 """
 from __future__ import annotations
 
@@ -52,7 +52,7 @@ from .groups import (
     subgroup_generate,
 )
 from .permgroup import PermGroup, canonical_children, min_image
-from .quadform import QuadraticForm, isometry_generators, singular_subspaces
+from .quadform import QuadraticForm, isometry_generators, isometry_order, singular_subspaces
 
 __all__ = [
     "PseudoArc",
@@ -107,21 +107,23 @@ def plane_action(form: QuadraticForm, planes: Sequence[gf2.Subspace]) -> PermGro
     """The isometry group as a permutation group of the plane catalogue.
 
     The isometry generators generate the group on the 2^d points, whose
-    chain is built here; its strong generators, the union over the
+    chain is sifted up to isometry_order; a group of any other order
+    raises AssertionError.  Its strong generators, the union over the
     chain's levels, generate it too, and only they are mapped onto the
     planes.  A plane's image is a generator's action on its 8 vectors,
     found by its least-vector key among the catalogue's sorted keys.  An
-    image outside the catalogue (a strong generator that is no isometry,
-    as one is whenever an isometry generator is not) raises
-    AssertionError.  The point group is the plane group's cover: its
-    order bounds the plane group's."""
+    image outside the catalogue raises AssertionError.  The plane group
+    is sifted up to the same order."""
     d = form.dim
     vectors = _plane_vectors(planes)
     keys = _least_vector_keys(vectors, d)
     order = np.argsort(keys)
     sorted_keys = keys[order]
+    bound = isometry_order(form)
     points = PermGroup(xor_span(np.array(isometry_generators(form), dtype=np.int64)
-                                .reshape(-1, d)), 1 << d)
+                                .reshape(-1, d)), 1 << d, bound)
+    if points.order() != bound:
+        raise AssertionError("the isometry generators miss the isometry group's order")
     point_images = points.strong_generators()
     # int32 rows, which PermGroup keeps without a copy
     perms = np.empty((len(point_images), len(planes)), dtype=np.int32)
@@ -131,7 +133,7 @@ def plane_action(form: QuadraticForm, planes: Sequence[gf2.Subspace]) -> PermGro
         if not np.array_equal(sorted_keys[pos], image_keys):
             raise AssertionError("a generator maps a plane outside the catalogue")
         perm[:] = order[pos]
-    return PermGroup(perms, len(planes), cover=points)
+    return PermGroup(perms, len(planes), bound)
 
 
 # Pairs per run of PlaneCatalogue.compatible_pairs, which holds about 100
@@ -148,7 +150,7 @@ class PlaneCatalogue:
     bit-packed membership masks as an (n, words) uint64 array, and the
     plane action of the form's isometry group (the point group's strong
     generators mapped onto the planes, which are found by their
-    least-vector keys; the point group is the plane group's cover; a
+    least-vector keys; both groups are sifted up to isometry_order; a
     ValueError for a form with no structural generator set).
     compatible_pairs is the one test of whether a set of planes stays a
     partial pseudo-arc; is_partial_pseudo_arc is its slow oracle."""

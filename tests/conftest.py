@@ -28,6 +28,13 @@ def cat_dim7():
 
 
 @pytest.fixture(scope="session")
+def cat_dim7_rad3():
+    """The dim-7 form x0x1 + x2x3, of type O^+(4, 2) with a radical of
+    dimension 3: 799 planes, group order 49545216."""
+    return PlaneCatalogue(QuadraticForm(7, (0b10, 0, 0b1000, 0, 0, 0, 0)))
+
+
+@pytest.fixture(scope="session")
 def deghyp_pipeline():
     """The deg-hyp6 plane catalogue, its canonical seeds of 6 planes and
     its 8 pseudo-arcs of 9 (the arcs of the 208a rule-out)."""

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from test_quadform import basis_change, rebased
+from test_quadform import basis_change, class_form, form_classes, oracle_corpus, point_group, rebased
 
 from asq import permgroup
 from asq.permgroup import (
@@ -17,7 +17,7 @@ from asq.permgroup import (
     is_min_image,
     min_image,
 )
-from asq.quadform import preset
+from asq.quadform import isometry_generators, isometry_order, preset, radicals
 from asq.search import PlaneCatalogue
 
 
@@ -242,7 +242,7 @@ def test_symmetric_group_order():
     cyc = list(range(1, n)) + [0]
     swap = [1, 0] + list(range(2, n))
     assert PermGroup([cyc, swap], n).order() == 362880
-    assert PermGroup([cyc, swap], n, order=362880).order() == 362880
+    assert PermGroup([cyc, swap], n, bound=362880).order() == 362880
 
 
 def test_stabilizer_orders():
@@ -305,7 +305,7 @@ def test_order_against_explicit_chain():
 
 def test_chain_against_explicit_schreier_sims():
     # the minus8 plane group and that of plus8 relabelled by a basis
-    # change: their orders, sifted to the point group's, and the orders
+    # change: their orders, sifted to the isometry group's, and the orders
     # of nested point stabilisers, against the explicit-transversal
     # oracle
     for form, order in ((preset("minus8"), 394813440),
@@ -329,17 +329,33 @@ def test_chain_against_explicit_schreier_sims():
         assert len(paths) == 2, paths
 
 
-def test_plane_order_needs_no_schreier_sims(monkeypatch):
-    # the plane groups of the arc searches reach their point group's
-    # order by sifting alone: no Schreier-Sims pass on the plane chain
+def test_plane_order_needs_no_schreier_sims(monkeypatch, cat_dim7, cat_dim7_rad3):
+    # the point and plane groups of the arc searches reach the isometry
+    # group's order by sifting alone: no Schreier-Sims pass at either
+    # degree, in catalogues built afresh
     degrees = complete_degrees(monkeypatch)
-    for name, order in (("plus8", 348364800), ("minus8", 394813440),
-                        ("deg-hyp6", 990904320)):
-        G = PlaneCatalogue(preset(name)).group
-        cover = G._cover
-        assert G.order() == cover.order() == order
-        assert G.n not in degrees and set(degrees) <= {cover.n}, name
-        assert G._cover is None  # dropped once its order is known
+    for form, order in ((preset("plus8"), 348364800), (preset("minus8"), 394813440),
+                        (preset("deg-hyp6"), 990904320),
+                        (rebased(preset("plus8"), basis_change(8, 11)), 348364800),
+                        (cat_dim7.form, 2580480), (cat_dim7_rad3.form, 49545216)):
+        G = PlaneCatalogue(form).group
+        assert G.order() == isometry_order(form) == order
+        assert degrees == [], form
+
+
+def test_isometry_order_against_schreier_sims():
+    # the formula against the order of the group the isometry generators
+    # generate, found with no bound: by the explicit-transversal oracle
+    # up to dimension 5 and by PermGroup's deterministic Schreier-Sims
+    # above it; on one rebased form of every class with d <= 8, then on
+    # the accepted forms of the oracle corpus up to dimension 7
+    forms = [rebased(class_form(eps, m, r), basis_change(2 * m + r, 8))
+             for eps, m, r in form_classes(8)]
+    forms += [q for q in oracle_corpus() if q.dim <= 7 and radicals(q)[2].tag != "mixed"]
+    for q in forms:
+        G = point_group(q, isometry_generators(q))
+        order = ExplicitChain(G.gens, G.n).order() if q.dim <= 5 else G.order()
+        assert order == isometry_order(q), q
 
 
 def test_stabilizer_generates_point_stabiliser():

@@ -1,4 +1,5 @@
 """Quadratic forms over F_2, their singular planes and isometries."""
+import itertools
 import random
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asq import gf2
+from asq._kernels import xor_span
+from asq.permgroup import PermGroup
 from asq.quadform import (
     PRESETS,
     QuadraticForm,
@@ -16,6 +19,7 @@ from asq.quadform import (
     field_reduction_arc,
     forms_equivalent,
     isometry_generators,
+    isometry_order,
     load_form,
     mat_inverse,
     mat_mul,
@@ -149,6 +153,56 @@ def test_isometry_generators_preserve_form():
 def test_isometry_generators_refuse_mixed_radical():
     with pytest.raises(ValueError):
         isometry_generators(preset("deg-c4"))
+    with pytest.raises(ValueError):
+        isometry_order(preset("deg-c4"))
+
+
+def class_form(eps, m, r):
+    """x0x1 + x2x3 + ... over m hyperbolic pairs, the last one x^2 + xy
+    + y^2 when eps is '-', then r radical coordinates."""
+    d = 2 * m + r
+    rows = [0] * d
+    for i in range(m):
+        rows[2 * i] |= 1 << (2 * i + 1)
+    if eps == "-":
+        rows[2 * m - 2] |= 1 << (2 * m - 2)
+        rows[2 * m - 1] |= 1 << (2 * m - 1)
+    return QuadraticForm(d, tuple(rows))
+
+
+def form_classes(max_dim):
+    """(eps, m, r) for every class of accepted form with 1 <= d <= max_dim."""
+    return [(eps, m, d - 2 * m) for d in range(1, max_dim + 1) for m in range(d // 2 + 1)
+            for eps in (("+", "-") if m else ("+",))]
+
+
+def point_group(q, gens, bound=None):
+    """The group the matrices gens generate on the 2^d points."""
+    return PermGroup(xor_span(np.array(gens, dtype=np.int64).reshape(-1, q.dim)), 1 << q.dim,
+                     bound)
+
+
+def isometry_count_oracle(q):
+    """|Isom(Q)| by brute force: the d-tuples of basis images whose
+    matrices keep Q and are invertible."""
+    d = q.dim
+    images = xor_span(np.array(list(itertools.product(range(1 << d), repeat=d))))
+    images = np.sort(images[(q.values[images] == q.values).all(axis=1)], axis=1)
+    return int(np.count_nonzero((np.diff(images, axis=1) != 0).all(axis=1)))
+
+
+def test_isometry_groups_against_brute_force():
+    # every class with d <= 4, in a rebased basis: the isometries counted
+    # over GL(d, 2), the order of the group the generators generate and
+    # the formula agree.  On x0x1 + x2x3, of type O^+(4, 2), the
+    # transvections alone generate 36 of the 72 isometries.
+    for eps, m, r in form_classes(4):
+        q = rebased(class_form(eps, m, r), basis_change(2 * m + r, 4))
+        count = isometry_count_oracle(q)
+        assert point_group(q, isometry_generators(q)).order() == isometry_order(q) == count
+    q = class_form("+", 2, 0)
+    transvections = [transvection(q, v) for v in range(16) if q.evaluate(v)]
+    assert (isometry_count_oracle(q), point_group(q, transvections).order()) == (72, 36)
 
 
 def test_forms_equivalent_orientation():
@@ -265,10 +319,11 @@ def test_singular_planes_match_oracle(name):
     assert [p.key() for p in fast] == [p.key() for p in singular_subspaces_oracle(q, 3)]
     if name not in ("deg-c4", "field-reduction-9"):  # no structural generator set
         # each plane generator is the action of a strong generator of the
-        # point group, the plane group's cover: the linear map whose
-        # column i is the image of the point 1 << i
+        # point group, which the same bound rebuilds with the same seeded
+        # chain: the linear map whose column i is the image of the point
+        # 1 << i
         G = plane_action(q, fast)
-        points = G._cover.strong_generators()
+        points = point_group(q, isometry_generators(q), isometry_order(q)).strong_generators()
         matrices = [tuple(int(p[1 << i]) for i in range(q.dim)) for p in points]
         assert all(preserves_form(q, g) for g in matrices)
         assert [g.tolist() for g in G.gens] == plane_perms_oracle(q, fast, matrices)
@@ -342,11 +397,16 @@ def forms_equivalent_oracle(q1, q2):
 
 def isometry_generators_oracle(q):
     """Slow oracle for isometry_generators: the transvections by a scan
-    of every vector with the scalar evaluate and bilinear."""
+    of every vector with the scalar evaluate and bilinear, and for
+    O^+(4, 2) the swap of the hyperbolic pairs of the oracle's normal
+    basis."""
     rad, srad, cls = radicals(q)
     d = q.dim
     gens = [tuple((1 << i) ^ (v if q.bilinear(1 << i, v) else 0) for i in range(d))
             for v in range(1, 1 << d) if q.evaluate(v) == 1]
+    if cls.tag == "+" and d - rad.rank == 4:
+        b = normal_basis_oracle(q)[0]
+        gens.append(gf2.linear_map(b, b[2:4] + b[:2] + b[4:], d))
     if rad.rank:
         comp, rb = gf2.complement_basis(rad), rad.basis
         if len(rb) >= 2:

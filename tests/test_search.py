@@ -40,6 +40,7 @@ from asq.quadform import (
     QuadraticForm,
     apply_matrix,
     isometry_generators,
+    isometry_order,
     load_form,
     preset,
     singular_subspaces,
@@ -279,8 +280,8 @@ def test_minus_catalogue_counts(cat_minus):
 
 
 # Forms whose plane action is not faithful: (form file, planes, plane
-# group order, point group order).  The point group's order only bounds
-# the plane group's.
+# group order, isometry group order).  The isometry group's order only
+# bounds the plane group's.
 NON_FAITHFUL = {
     "dim-3 zero form": ("dim 3\n000\n000\n000\n", 1, 1, 168),
     "dim-4 x0x1": ("dim 4\n0100\n0000\n0000\n0000\n", 2, 2, 192),
@@ -291,24 +292,46 @@ NON_FAITHFUL = {
 def test_non_faithful_plane_actions(name, monkeypatch):
     # the sift cannot reach the bound, and Schreier-Sims on the plane
     # chain gives the order
-    text, planes, order, cover = NON_FAITHFUL[name]
+    text, planes, order, bound = NON_FAITHFUL[name]
     degrees = complete_degrees(monkeypatch)
     cat = PlaneCatalogue(load_form(text))
-    assert (cat.n, cat.group._cover.order(), cat.group.order()) == (planes, cover, order)
+    assert (cat.n, isometry_order(cat.form), cat.group.order()) == (planes, bound, order)
     assert cat.n in degrees
 
 
 def test_non_isometry_among_isometries_is_a_defect(cat_minus, monkeypatch):
-    # one non-isometry amid the transvections enlarges the point group,
-    # so one of its strong generators, all that plane_action maps, moves
-    # a plane off the catalogue
+    # one non-isometry amid the transvections enlarges the point group:
+    # it overshoots the isometry group's order, or one of its strong
+    # generators, all that plane_action maps, moves a plane off the
+    # catalogue
     form = cat_minus.form
     gens = isometry_generators(form)
     swap = (1, 4, 2) + tuple(1 << i for i in range(3, 8))
     assert any(form.evaluate(apply_matrix(swap, v)) != form.evaluate(v) for v in range(256))
     monkeypatch.setattr(search, "isometry_generators", lambda f: gens[:5] + [swap] + gens[5:])
-    with pytest.raises(AssertionError, match="outside the catalogue"):
+    with pytest.raises(AssertionError, match="isometry group's order|outside the catalogue"):
         plane_action(form, cat_minus.planes)
+
+
+def test_isometry_generators_short_of_the_order_are_a_defect(cat_dim7_rad3, monkeypatch):
+    # without the swap of the hyperbolic pairs, the generators of an
+    # O^+(4, 2)-type form reach half the isometry group: the sift falls
+    # back to Schreier-Sims, and the order it finds is refused
+    form = cat_dim7_rad3.form
+    gens = isometry_generators(form)
+    swap = int(np.count_nonzero(form.values))  # after the transvections
+    monkeypatch.setattr(search, "isometry_generators", lambda f: gens[:swap] + gens[swap + 1:])
+    with pytest.raises(AssertionError, match="isometry group's order"):
+        plane_action(form, cat_dim7_rad3.planes)
+
+
+def test_o4_plus_form_counts(cat_dim7_rad3):
+    # x0x1 + x2x3 on F_2^7: its whole isometry group prunes the search,
+    # where the transvections alone found [1, 3, 3, 7, 7] canonical sets
+    assert (cat_dim7_rad3.n, cat_dim7_rad3.group.order()) == (799, 49545216)
+    trace = SearchTrace(seed=None)
+    arc_seeds(cat_dim7_rad3, 4, trace=trace)
+    assert trace.sizes == [1, 3, 3, 6, 7]
 
 
 def test_plane_groups_keep_few_generators(cat_minus, cat_plus, deghyp_pipeline):
@@ -320,11 +343,9 @@ def test_plane_groups_keep_few_generators(cat_minus, cat_plus, deghyp_pipeline):
 
 def transvection_group(cat):
     """The plane group generated by all the form's isometry generators,
-    with their point group as its cover."""
-    d = cat.form.dim
-    points = [[apply_matrix(g, v) for v in range(1 << d)] for g in isometry_generators(cat.form)]
+    sifted up to the isometry group's order."""
     return PermGroup(plane_perms_oracle(cat.form, cat.planes), cat.n,
-                     cover=PermGroup(points, 1 << d))
+                     bound=isometry_order(cat.form))
 
 
 def test_searches_agree_on_both_generating_sets(cat_minus, cat_dim7, cat_plus):
