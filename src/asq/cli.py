@@ -196,7 +196,7 @@ def _arc_search(rep: RunReport, form, seed_size: int, target: int,
     """The arc pipeline of every arc search: the plane catalogue of the
     form (which builds the chain of the group on the points, whose
     strong generators it maps onto the planes), the order of the plane
-    group (sifted up to the point group's order), one canonical seed
+    group (sifted to quadform.plane_group_order), one canonical seed
     per orbit of seed_size planes, and every extension
     of the seeds to target planes on threads workers.  The wall seconds
     of the four stages go to notes["stage_s"], and the number of

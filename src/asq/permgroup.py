@@ -38,30 +38,30 @@ are its slow oracle.
 Each level of a stabiliser chain is a tree rooted at its base point,
 over the level's strong generators.  Sifting walks the tree.  A sifted
 chain's order is at most that of the group its strong generators
-generate, so a chain sifted up to an upper bound of the group order is
-complete (known-order randomised Schreier-Sims, Seress, Permutation
-Group Algorithms, 2003, 4.5).  A group built with a bound sifts
-product-replacement elements up to it: a form's groups on the 2^d
-points and on its planes are both bounded by the order of its isometry
-group, known by formula, and the plane group is generated by the
-images of the point group's strong generators (strong_generators, the
-union over its chain's levels): a dozen or so, where the form has over
-a hundred transvections.  A plane action that is not faithful stays
-below that bound; after 200 sifts in a row that miss, and for a group
-with no bound, a deterministic Schreier-Sims completes the chain:
-every Schreier generator u_x s u_{s(x)}^-1 of a level, with u_x formed
-from its parent's while the tree is walked depth first, sifts through
-the levels below.  A group keeps its complete chain, and a point
-stabiliser is read off it.  For the first base point it is the next
-level and the levels below, shared.  For any other point, a new chain
-is sifted from uniform random elements of the group, drawn through its
-chain and moved to fix the point, until the stabiliser's known order
-|G|/|x^G| is reached.  Each element g is moved to fix x along the
-group's own orbit forest: the walk of g[x] to its orbit minimum, then
-one element, fixed per stabiliser, from the minimum back to x.  No
-stabiliser is cached, but every order-1 stabiliser below a group is one
-shared generator-free group, which keeps no per-point buffers of its
-own.
+generate, so a chain sifted up to the group's order is complete
+(known-order randomised Schreier-Sims, Seress, Permutation Group
+Algorithms, 2003, 4.5).  A group built with a bound, its exact order,
+sifts product-replacement elements up to it, with a fresh
+product-replacement state after 200 sifts in a row that miss, and raises
+AssertionError unless it lands on the bound: a form's group on the 2^d
+points is bounded by quadform.isometry_order and its group on the planes
+by quadform.plane_group_order, both known by formula, and the plane
+group is generated by the images of the point group's strong generators
+(strong_generators, the union over its chain's levels): a dozen or so,
+where the form has over a hundred transvections.  Only a group with no
+bound runs a deterministic Schreier-Sims: every Schreier generator u_x s
+u_{s(x)}^-1 of a level, with u_x formed from its parent's while the tree
+is walked depth first, sifts through the levels below.  A group keeps
+its complete chain, and a point stabiliser is read off it.  For the
+first base point it is the next level and the levels below, shared.  For
+any other point, a new chain is sifted from uniform random elements of
+the group, drawn through its chain and moved to fix the point, until the
+stabiliser's known order |G|/|x^G| is reached.  Each element g is moved
+to fix x along the group's own orbit forest: the walk of g[x] to its
+orbit minimum, then one element, fixed per stabiliser, from the minimum
+back to x.  No stabiliser is cached, but every order-1 stabiliser below
+a group is one shared generator-free group, which keeps no per-point
+buffers of its own.
 """
 from __future__ import annotations
 
@@ -317,39 +317,45 @@ def _product_replacement(gens: Sequence[np.ndarray], n: int,
             yield acc
 
 
-def _sift_to(chain: _Chain, elements: Iterator[np.ndarray], target: int) -> bool:
-    """Sift elements into chain until its order is at least target, or
-    after 200 misses in a row (each has probability at most 1/2 for
-    uniform elements while the chain is short); whether it is target."""
-    misses = 0
-    while chain.order() < target and misses < 200:
-        r, lvl = chain.sift(next(elements))
-        if r is None:
-            misses += 1
-        else:
-            chain.install(r, 0, lvl)
-            misses = 0
-    return chain.order() == target
+def _sift_to(chain: _Chain, draws: Iterator[Iterator[np.ndarray]], target: int) -> None:
+    """Sift elements into chain until its order is target, the group's,
+    taking the next of at most 8 draws after 200 misses in a row (each
+    has probability at most 1/2 for uniform elements while the chain is
+    short); AssertionError if the order misses target or passes it."""
+    for elements in itertools.islice(draws, 8):
+        misses = 0
+        while chain.order() < target and misses < 200:
+            r, lvl = chain.sift(next(elements))
+            if r is None:
+                misses += 1
+            else:
+                chain.install(r, 0, lvl)
+                misses = 0
+        if chain.order() >= target:
+            break
+    if chain.order() != target:
+        raise AssertionError(f"the chain missed the group's order {target}: {chain.order()}")
 
 
 def _build_chain(gens: Sequence[np.ndarray], n: int, bound: Optional[int]) -> _Chain:
-    """A complete chain for the group the gens generate: sifted up to
-    bound, an upper bound of its order, if it gets there.  Else two
-    random subproducts keep the first level's strong generators few,
-    Schreier-Sims completes the chain, and each generator is sifted in,
-    so the order is exact."""
+    """A complete chain for the group the gens generate: sifted to bound,
+    its exact order, from product replacement (_sift_to).  With no
+    bound, two random subproducts keep the first level's strong
+    generators few, Schreier-Sims completes the chain, and each
+    generator is sifted in."""
     # The chain is built in intp, whose gathers are the fastest, and kept
     # in int32, the dtype of the stabilisers' chains and generators.
     rng = random.Random(0)
     chain = _Chain(n)
-    elements = _product_replacement(gens, n, rng)  # drawn only with a bound
-    if bound is None or not _sift_to(chain, elements, bound):
+    if bound is None:
         for g in _random_subproducts(gens, n, 2, rng):
             chain.add_gen(g.astype(np.intp))
         chain.complete()
         for g in gens:
             if chain.add_gen(g.astype(np.intp)):
                 chain.complete()
+    else:
+        _sift_to(chain, (_product_replacement(gens, n, rng) for _ in itertools.count()), bound)
     small = {id(g): g.astype(np.int32)
              for lv in chain.levels for g in lv.gens + lv.inv}
     for lv in chain.levels:
@@ -362,8 +368,8 @@ def _build_chain(gens: Sequence[np.ndarray], n: int, bound: Optional[int]) -> _C
 class PermGroup:
     """A permutation group given by generators, with its stabiliser chain
     and orbit forest built on demand for orbit/minimal-image queries.
-    Given a bound, an upper bound of its order, the chain is sifted up
-    to it."""
+    Given a bound, which must be its exact order, the chain is sifted to
+    it; with none, Schreier-Sims builds it."""
 
     def __init__(self, gens: Iterable[Sequence[int]], degree: int,
                  bound: Optional[int] = None):
@@ -505,8 +511,7 @@ class PermGroup:
         elements = (back.take(self.walk(int(g[y]), g))
                     for g in map(self._chain.random_element, itertools.repeat(rng)))
         out = _Chain(self.n)
-        if not _sift_to(out, elements, target):  # pragma: no cover
-            raise AssertionError("stabiliser chain missed the target order")
+        _sift_to(out, itertools.repeat(elements), target)
         _finished(out.levels)
         return out
 

@@ -34,6 +34,7 @@ __all__ = [
     "singular_subspaces",
     "isometry_generators",
     "isometry_order",
+    "plane_group_order",
     "forms_equivalent",
     "field_reduction_arc",
     "gamma_forms",
@@ -336,6 +337,27 @@ def isometry_order(q: QuadraticForm) -> int:
     e = 1 if cls.tag == "+" else -1
     o_w = (2 << m * (m - 1)) * ((1 << m) - e) * math.prod(4 ** i - 1 for i in range(1, m))
     return o_w * gl_r << 2 * m * r
+
+
+def plane_group_order(q: QuadraticForm) -> int:
+    """The order of Isom(Q) acting on the totally singular planes.  With w
+    the Witt index of V/R, a plane W has max(0, 3 - r) <= dim (W + R)/R <=
+    min(w, 3): no plane if w + r < 3, only R if (w, r) = (0, 3); else each
+    contains R if w + r = 3 (so GL(R) and the shears act trivially) or lies
+    in R if w = 0 < m (so O^-(2, 2) and the shears do), or the action is
+    faithful.  Mixed forms are refused, as by isometry_order."""
+    order = isometry_order(q)
+    _, _, cls = radicals(q)
+    r = cls.rad_dim
+    m = (q.dim - r) // 2
+    w = m - (cls.tag == "-")
+    if w + r < 3 or (w, r) == (0, 3):
+        return 1
+    if w + r == 3 and r:
+        return order // (math.prod((1 << r) - (1 << i) for i in range(r)) << 2 * m * r)
+    if w == 0 < m:
+        return order // (6 << 2 * r)
+    return order
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,8 @@ session."""
 import os
 
 import pytest
+from test_permgroup import complete_degrees
+from test_quadform import class_form, form_classes
 
 from asq.quadform import QuadraticForm, preset
 from asq.search import PlaneCatalogue, arc_seeds, extend_arcs
@@ -18,6 +20,23 @@ def cat_minus():
 @pytest.fixture(scope="session")
 def cat_plus():
     return PlaneCatalogue(preset("plus8"))
+
+
+@pytest.fixture(scope="session")
+def class_catalogues():
+    """The plane catalogue of class_form(eps, m, r), its group's order
+    read, for every class with d <= 7 and for (+, 1, 6), (-, 1, 6) and
+    (-, 1, 7), keyed by class: (catalogue, the degrees of the
+    _Chain.complete calls its build ran)."""
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        degrees = complete_degrees(mp)
+        for cls in form_classes(7) + [("+", 1, 6), ("-", 1, 6), ("-", 1, 7)]:
+            cat = PlaneCatalogue(class_form(*cls))
+            cat.group.order()
+            out[cls] = cat, degrees[:]
+            degrees.clear()
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ from asq.permgroup import (
     is_min_image,
     min_image,
 )
-from asq.quadform import isometry_generators, isometry_order, preset, radicals
+from asq.quadform import isometry_generators, isometry_order, plane_group_order, preset, radicals
 from asq.search import PlaneCatalogue
 
 
@@ -329,18 +329,53 @@ def test_chain_against_explicit_schreier_sims():
         assert len(paths) == 2, paths
 
 
-def test_plane_order_needs_no_schreier_sims(monkeypatch, cat_dim7, cat_dim7_rad3):
-    # the point and plane groups of the arc searches reach the isometry
-    # group's order by sifting alone: no Schreier-Sims pass at either
-    # degree, in catalogues built afresh
+def test_plane_order_needs_no_schreier_sims(monkeypatch, class_catalogues):
+    # the point and plane groups of the arc searches reach their orders,
+    # given by formula, by sifting alone: no Schreier-Sims pass at either
+    # degree, in the paper's catalogues built afresh and in one catalogue
+    # of each class with d <= 7 and of (+, 1, 6), (-, 1, 6) and (-, 1, 7),
+    # faithful or not.  The plane-group orders are checked against oracles
+    # free of plane_group_order: Schreier-Sims with no bound up to 155
+    # planes; for (-, 1, r), whose planes all lie in the radical, the
+    # zero form of dimension r, on which GL(r, 2) acts faithfully on the
+    # same number of planes; and isometry_order for the faithful rest, as
+    # the plane group's order is at most |Isom(Q)| and at least the
+    # sifted chain's.
     degrees = complete_degrees(monkeypatch)
     for form, order in ((preset("plus8"), 348364800), (preset("minus8"), 394813440),
                         (preset("deg-hyp6"), 990904320),
-                        (rebased(preset("plus8"), basis_change(8, 11)), 348364800),
-                        (cat_dim7.form, 2580480), (cat_dim7_rad3.form, 49545216)):
+                        (rebased(preset("plus8"), basis_change(8, 11)), 348364800)):
         G = PlaneCatalogue(form).group
-        assert G.order() == isometry_order(form) == order
+        assert G.order() == plane_group_order(form) == isometry_order(form) == order
         assert degrees == [], form
+    for (eps, m, r), (cat, ran) in class_catalogues.items():
+        assert ran == [], (eps, m, r)
+        order = cat.group.order()
+        assert order == plane_group_order(cat.form), (eps, m, r)
+        if cat.n <= 155:
+            oracle = PermGroup(cat.group.gens, cat.n).order()
+        elif (eps, m) == ("-", 1):
+            zero = class_catalogues[("+", 0, r)][0]
+            assert cat.n == zero.n
+            oracle = isometry_order(zero.form)
+        else:
+            oracle = isometry_order(cat.form)
+        assert order == oracle, (eps, m, r)
+
+
+def test_stalled_sift_draws_again(monkeypatch):
+    # the 8 random subproducts of the (+, 2, 2) plane group's first
+    # product-replacement state generate a subgroup of index 36: the sift
+    # misses 200 times in a row, draws a fresh state and reaches the order
+    draws = []
+    fresh = permgroup._product_replacement
+    monkeypatch.setattr(permgroup, "_product_replacement",
+                        lambda gens, n, rng: draws.append(n) or fresh(gens, n, rng))
+    cat = PlaneCatalogue(class_form("+", 2, 2))
+    assert (cat.n, cat.group.order()) == (81, 110592)
+    assert draws == [64, 81, 81]
+    first = permgroup._random_subproducts(cat.group.gens, cat.n, 8, random.Random(0))
+    assert PermGroup(first, cat.n).order() == 110592 // 36
 
 
 def test_isometry_order_against_schreier_sims():

@@ -42,6 +42,7 @@ from asq.quadform import (
     isometry_generators,
     isometry_order,
     load_form,
+    plane_group_order,
     preset,
     singular_subspaces,
 )
@@ -280,8 +281,8 @@ def test_minus_catalogue_counts(cat_minus):
 
 
 # Forms whose plane action is not faithful: (form file, planes, plane
-# group order, isometry group order).  The isometry group's order only
-# bounds the plane group's.
+# group order, isometry group order).  The plane group's order is
+# plane_group_order's, below the isometry group's.
 NON_FAITHFUL = {
     "dim-3 zero form": ("dim 3\n000\n000\n000\n", 1, 1, 168),
     "dim-4 x0x1": ("dim 4\n0100\n0000\n0000\n0000\n", 2, 2, 192),
@@ -290,13 +291,14 @@ NON_FAITHFUL = {
 
 @pytest.mark.parametrize("name", sorted(NON_FAITHFUL))
 def test_non_faithful_plane_actions(name, monkeypatch):
-    # the sift cannot reach the bound, and Schreier-Sims on the plane
-    # chain gives the order
+    # the plane chain is sifted to the plane group's order, with no
+    # Schreier-Sims pass
     text, planes, order, bound = NON_FAITHFUL[name]
     degrees = complete_degrees(monkeypatch)
     cat = PlaneCatalogue(load_form(text))
     assert (cat.n, isometry_order(cat.form), cat.group.order()) == (planes, bound, order)
-    assert cat.n in degrees
+    assert plane_group_order(cat.form) == order
+    assert degrees == []
 
 
 def test_non_isometry_among_isometries_is_a_defect(cat_minus, monkeypatch):
@@ -309,19 +311,19 @@ def test_non_isometry_among_isometries_is_a_defect(cat_minus, monkeypatch):
     swap = (1, 4, 2) + tuple(1 << i for i in range(3, 8))
     assert any(form.evaluate(apply_matrix(swap, v)) != form.evaluate(v) for v in range(256))
     monkeypatch.setattr(search, "isometry_generators", lambda f: gens[:5] + [swap] + gens[5:])
-    with pytest.raises(AssertionError, match="isometry group's order|outside the catalogue"):
+    with pytest.raises(AssertionError, match="missed the group's order|outside the catalogue"):
         plane_action(form, cat_minus.planes)
 
 
 def test_isometry_generators_short_of_the_order_are_a_defect(cat_dim7_rad3, monkeypatch):
     # without the swap of the hyperbolic pairs, the generators of an
-    # O^+(4, 2)-type form reach half the isometry group: the sift falls
-    # back to Schreier-Sims, and the order it finds is refused
+    # O^+(4, 2)-type form reach half the isometry group: the sift stalls
+    # below the order on each of its draws and raises
     form = cat_dim7_rad3.form
     gens = isometry_generators(form)
     swap = int(np.count_nonzero(form.values))  # after the transvections
     monkeypatch.setattr(search, "isometry_generators", lambda f: gens[:swap] + gens[swap + 1:])
-    with pytest.raises(AssertionError, match="isometry group's order"):
+    with pytest.raises(AssertionError, match="missed the group's order 49545216: 24772608"):
         plane_action(form, cat_dim7_rad3.planes)
 
 
