@@ -197,9 +197,10 @@ def _arc_search(rep: RunReport, form, seed_size: int, target: int,
     form (which builds the chain of the group on the points, whose
     strong generators it maps onto the planes), the order of the plane
     group (sifted to quadform.plane_group_order), one canonical seed
-    per orbit of seed_size planes, and every extension
-    of the seeds to target planes on threads workers.  The wall seconds
-    of the four stages go to notes["stage_s"], and the number of
+    per orbit of seed_size planes, and every extension of the seeds to
+    target planes, in at most threads blocks of seeds, each on its own
+    thread of this process (block 0 on the calling thread).  The wall
+    seconds of the four stages go to notes["stage_s"], and the number of
     canonical sets of each size 0..seed_size to notes["canonical_sets"]."""
     if not 1 <= seed_size <= target:
         raise InputError(f"--target must be at least 1, got {target}" if target < 1 else
@@ -287,7 +288,8 @@ def cmd_ruleout(ident: str, seed_size: int = 6, threads: int = 1) -> RunReport:
         rep = RunReport("ruleout", inputs={"group": ident})
         _ruleout_210b(rep)
     elif ident in _ARC_RULEOUTS:
-        rep = RunReport("ruleout", inputs={"group": ident, "seed_size": seed_size})
+        rep = RunReport("ruleout", inputs={"group": ident, "seed_size": seed_size,
+                                           "threads": threads})
         _ARC_RULEOUTS[ident](rep, seed_size, threads)
     else:
         raise InputError(f"unknown group id {ident!r}; have {TABLE4_IDS}")
@@ -365,7 +367,8 @@ def cmd_pseudoarcs(form_arg: str, seed_size: int, target: int,
                    threads: int = 1) -> RunReport:
     rep = RunReport(
         "pseudoarcs",
-        inputs={"form": form_arg, "seed_size": seed_size, "target": target},
+        inputs={"form": form_arg, "seed_size": seed_size, "target": target,
+                "threads": threads},
     )
     form = _load_form_arg(form_arg)
     cat, arcs = _arc_search(rep, form, seed_size, target, threads)
@@ -479,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
         unset = None if top else argparse.SUPPRESS
         common = argparse.ArgumentParser(add_help=False)
         common.add_argument("--threads", type=int, default=unset,
-                            help="forked worker count for the extension (default 1)")
+                            help="threads for the extension (default 1)")
         common.add_argument("--seed-size", type=int, default=unset,
                             help="partial pseudo-arc seed size (default 6)")
         common.add_argument("--json", metavar="PATH", default=unset,

@@ -28,7 +28,7 @@ of their parents' rows, in runs of (child, plane) pairs.
 """
 from __future__ import annotations
 
-import multiprocessing
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -314,7 +314,6 @@ def _extend_block(cat: PlaneCatalogue, seeds: Sequence[Tuple[int, ...]],
     target - m - 1 after them, each growing its row from those, as a
     depth-first search that drops each choice from the row would."""
     order = np.array(sorted(range(len(seeds)), key=seeds.__getitem__), dtype=np.intp)
-    # numpy refuses seeds of mixed sizes with a ValueError
     seed_sets = np.array(seeds, dtype=np.int32)[order]
     k = seed_sets.shape[1]
     if target < k:
@@ -357,36 +356,37 @@ def _extend_block(cat: PlaneCatalogue, seeds: Sequence[Tuple[int, ...]],
     return [tuple(c) for c in np.sort(sets, axis=1).tolist()], counts[prefix[np.argsort(order)]]
 
 
-_POOL_CTX: Optional[Tuple[PlaneCatalogue, int]] = None
-
-
-def _pool_worker(block: Sequence[Tuple[int, ...]]) -> Tuple[List[Tuple[int, ...]], np.ndarray]:
-    cat, target = _POOL_CTX
-    return _extend_block(cat, block, target)
-
-
 def extend_arcs(cat: PlaneCatalogue, seeds: Sequence[Tuple[int, ...]],
                 target: int, threads: int = 1,
                 traces: Optional[List[SearchTrace]] = None) -> List[PseudoArc]:
     """All completions of the seeds to size target, deduplicated up to
     the catalogue symmetry by minimal image.  With threads > 1, at most
-    one forked worker per seed takes one contiguous block of seeds."""
-    global _POOL_CTX
+    one thread per seed takes one contiguous block of seeds, block 0 on
+    the calling thread; the first failed block's error is raised once
+    every helper thread has finished."""
     seeds = [tuple(s) for s in seeds]
     if not seeds:
         return []
+    if len({len(s) for s in seeds}) > 1:
+        raise ValueError("seeds of mixed sizes")
     workers = min(threads, len(seeds))
-    if workers > 1:
-        cuts = [len(seeds) * i // workers for i in range(workers + 1)]
-        blocks = [seeds[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-        _POOL_CTX = (cat, target)
+    cuts = [len(seeds) * i // workers for i in range(workers + 1)]
+    parts: List = [None] * workers
+
+    def run(i: int) -> None:
         try:
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                parts = pool.map(_pool_worker, blocks, chunksize=1)
-        finally:
-            _POOL_CTX = None
-    else:
-        parts = [_extend_block(cat, seeds, target)]
+            parts[i] = _extend_block(cat, seeds[cuts[i]:cuts[i + 1]], target)
+        except Exception as e:  # raised by the caller after the join
+            parts[i] = e
+    helpers = [threading.Thread(target=run, args=(i,)) for i in range(1, workers)]
+    for t in helpers:
+        t.start()
+    run(0)
+    for t in helpers:
+        t.join()
+    for part in parts:
+        if isinstance(part, Exception):
+            raise part
     if traces is not None:
         counts = np.concatenate([part[1] for part in parts]).tolist()
         traces += [SearchTrace(seed=s, nodes=n, solutions=c) for s, (n, c) in zip(seeds, counts)]

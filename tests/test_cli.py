@@ -125,11 +125,11 @@ def test_arc_search_reports_stage_times(tmp_path, schema):
 
 def test_group_level_commands_report_stage_times(tmp_path, schema):
     code, rep = run_json(tmp_path, ["ruleout", "210b"], schema)
-    assert code == 0
+    assert code == 0 and rep["inputs"] == {"group": "210b"}
     assert sorted(rep["notes"]["stage_s"]) == ["enumeration", "pools", "size6"]
     assert rep["notes"]["nodes"] == 33690
     code, rep = run_json(tmp_path, ["ruleout", "212m"], schema)
-    assert code == 0
+    assert code == 0 and rep["inputs"] == {"group": "212m", "seed_size": 6, "threads": 1}
     assert sorted(rep["notes"]["stage_s"]) == ["arc_seeds", "catalogue", "extend_arcs",
                                                "families", "obstruction", "order"]
     assert rep["notes"]["nodes"] == 0  # no arcs, so no family search
@@ -205,6 +205,7 @@ def test_flags_accepted_after_subcommand(tmp_path, schema):
     code, rep = run_json(tmp_path, argv + ["--seed-size", "4", "--threads", "2"], schema)
     assert code == 0
     assert rep["counts"]["seeds"] == 5 and rep["inputs"]["seed_size"] == 4
+    assert rep["inputs"]["threads"] == 2
     assert cli.main(["--quiet", "--threads", "2"] + argv + ["--seed-size", "4"]) == 0
 
 

@@ -1,8 +1,10 @@
 """The search engines: seeds, extensions, lifting and backtracking."""
 import copy
 import gc
-import multiprocessing
+import os
 import random
+import sys
+import threading
 import tracemalloc
 import weakref
 from itertools import combinations, permutations
@@ -371,47 +373,82 @@ def test_searches_agree_on_both_generating_sets(cat_minus, cat_dim7, cat_plus):
             assert min_image(cat.group, s) == min_image(slow.group, s), s
 
 
-def test_thread_determinism(cat_minus):
-    seeds = arc_seeds(cat_minus, 5)
-    results = [extend_arcs(cat_minus, seeds, 6, threads=t) for t in (1, 2, 4)]
-    assert results[0] == results[1] == results[2]
-    assert results[0]  # non-empty, so the comparison is meaningful
+def traced_extension(cat, seeds, target, threads):
+    """extend_arcs' arcs and its per-seed (seed, nodes, solutions)."""
+    traces = []
+    arcs = extend_arcs(cat, seeds, target, threads=threads, traces=traces)
+    return arcs, [(t.seed, t.nodes, t.solutions) for t in traces]
 
 
-def test_extend_arcs_forks_no_idle_workers(cat_minus, monkeypatch):
-    # at most one worker per seed: minus8 has two seeds of size 6, so four
-    # threads fork two workers.  The fork context's Pool is replaced by a
-    # recorder that maps in this process, so the test starts no process.
-    forked = []
+def test_thread_determinism(cat_minus, cat_dim7):
+    # the same arcs and per-seed traces at every thread count, with the
+    # threads switched often and outnumbering the cores
+    interval = sys.getswitchinterval()
+    for cat, size, target in ((cat_minus, 5, 6), (cat_dim7, 5, 9)):
+        seeds = arc_seeds(cat, size)
+        want = traced_extension(cat, seeds, target, 1)
+        assert want[0]  # non-empty, so the comparison is meaningful
+        sys.setswitchinterval(1e-5)
+        try:
+            assert all(traced_extension(cat, seeds, target, t) == want for t in (2, 4, 8))
+        finally:
+            sys.setswitchinterval(interval)
 
-    class Recorder:
-        def __init__(self, processes):
-            forked.append(processes)
 
-        def __enter__(self):
-            return self
+def test_extend_arcs_starts_no_idle_threads(cat_minus, monkeypatch):
+    # at most one thread per seed, the calling thread taking block 0:
+    # minus8 has two seeds of size 6, so four threads start one helper
+    started = []
 
-        def __exit__(self, *exc):
-            return False
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
-        def map(self, fn, items, chunksize=None):
-            return [fn(x) for x in items]
-
-    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", Recorder)
+    monkeypatch.setattr(search.threading, "Thread", Counted)
     seeds = arc_seeds(cat_minus, 6)
     assert len(seeds) == 2
     assert extend_arcs(cat_minus, seeds, 9, threads=4) == []
-    assert forked == [2]
+    assert len(started) == 1
     assert extend_arcs(cat_minus, seeds[:1], 9, threads=4) == []
-    assert forked == [2]  # one seed: no pool
+    assert len(started) == 1  # one seed: no helper
     # the blocks give the serial arcs and per-seed traces, in seed order
     seeds = arc_seeds(cat_minus, 4)
-    serial, pooled = [], []
-    want = extend_arcs(cat_minus, seeds, 6, traces=serial)
-    assert extend_arcs(cat_minus, seeds, 6, threads=4, traces=pooled) == want
-    assert forked == [2, 4]
-    assert [(t.seed, t.nodes, t.solutions) for t in pooled] == \
-        [(t.seed, t.nodes, t.solutions) for t in serial]
+    want = traced_extension(cat_minus, seeds, 6, 1)
+    assert len(started) == 1
+    assert traced_extension(cat_minus, seeds, 6, 4) == want
+    assert len(started) == 4
+
+
+def test_extend_arcs_starts_no_process(cat_minus, monkeypatch):
+    def refuse():
+        raise AssertionError("extend_arcs forked")
+
+    seeds = arc_seeds(cat_minus, 5)
+    want = extend_arcs(cat_minus, seeds, 6)
+    monkeypatch.setattr(os, "fork", refuse)
+    assert extend_arcs(cat_minus, seeds, 6, threads=2) == want
+
+
+def test_extend_arcs_errors_cross_threads(cat_minus):
+    # a failed block raises what the serial call raises, once every
+    # helper has finished: a bad seed in the last block (a helper's), in
+    # block 0 (the caller's), and seeds of mixed sizes
+    seeds = arc_seeds(cat_minus, 4)[:3]
+    a, b, c, d = seeds[0]
+    cases = [(seeds + [(a, a, c, d)], "not a partial pseudo-arc"),
+             ([(a, a, c, d)] + seeds, "not a partial pseudo-arc"),
+             (seeds + [(a, b, c)], "mixed sizes"),
+             (seeds[:2] + [(a, b, c)] * 2, "mixed sizes")]
+    before = threading.active_count()
+    for case, message in cases:
+        errors = []
+        for threads in (1, 2):
+            with pytest.raises(ValueError, match=message) as err:
+                extend_arcs(cat_minus, case, 6, threads=threads)
+            assert threading.active_count() == before
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
 
 
 def extend_block_oracle(cat, seeds, target):
